@@ -14,7 +14,11 @@
    - "scale": per-cluster-size "fs_ops_per_sec" (deterministic, 20%
      as for workloads) and "events_per_sec" (host wall-clock; runs on
      this 1-vCPU container vary several-fold, so only an
-     order-of-magnitude collapse — >90% drop — fails).
+     order-of-magnitude collapse — >90% drop — fails), plus
+     "petal_disk_util_max" (deterministic; must not rise more than
+     20%: a placement rule that piles a layout stride onto a few
+     Petal servers saturates their disks first). Older files lack
+     it, so it is reported as new there.
    - "soak": per-scenario "invariant_checks" must not drop more than
      20% (the harness silently checking less is itself a regression)
      and "max_cutover_s" must not more than double (the drain-time
@@ -38,7 +42,11 @@ let gates =
     ("workloads", [ ("throughput_mb_per_s", Higher, 0.20) ]);
     ("sim", [ ("ns_per_op", Lower, 1.00) ]);
     ( "scale",
-      [ ("fs_ops_per_sec", Higher, 0.20); ("events_per_sec", Higher, 0.90) ] );
+      [
+        ("fs_ops_per_sec", Higher, 0.20);
+        ("events_per_sec", Higher, 0.90);
+        ("petal_disk_util_max", Lower, 0.20);
+      ] );
     ( "soak",
       [ ("invariant_checks", Higher, 0.20); ("max_cutover_s", Lower, 1.00) ] );
   ]

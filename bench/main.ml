@@ -822,32 +822,49 @@ let simbench () =
    host time and host wall-clock per simulated second — is recorded
    as a first-class, regression-gated metric. *)
 
+(* Petal disk-arm utilisation during the workload, (max, mean) over
+   every disk: a placement that piles a layout stride onto a few
+   servers shows up as a max near 1 over a low mean. *)
+type disk_util = { du_max : float; du_mean : float }
+
 let scale_rows :
-    (int * Workloads.Multitenant.result * Sim.stats * float) list ref =
+    (int * Workloads.Multitenant.result * Sim.stats * disk_util * float) list ref =
   ref []
 
 let scale_one n =
   Gc.compact () (* same rationale as [sim_row]: gated metric *);
   let host0 = Sys.time () in
-  let r, st =
+  let r, st, du =
     Sim.run (fun () ->
         let t =
           T.build ~petal_servers:(max 4 (n / 4)) ~ndisks:4
             ~disk_capacity:(512 * mb) ()
         in
         let vfss = List.init n (fun _ -> V.of_frangipani (T.add_server t ())) in
+        let arms =
+          Array.to_list t.T.petal.Petal.Testbed.disks
+          |> List.concat_map (fun ds -> Array.to_list (Array.map Blockdev.Disk.arm ds))
+        in
+        List.iter Sim.Resource.reset_stats arms;
         let r = Workloads.Multitenant.run vfss () in
-        (r, Sim.stats ()))
+        let utils = List.map Sim.Resource.utilization arms in
+        let du =
+          { du_max = List.fold_left Float.max 0.0 utils;
+            du_mean = List.fold_left ( +. ) 0.0 utils /. float_of_int (List.length utils) }
+        in
+        (r, Sim.stats (), du))
   in
   let host_secs = Sys.time () -. host0 in
   Printf.printf "    [sim] events %d spawns %d skipped %d heap_len %d\n%!"
     st.Sim.events st.Sim.spawns st.Sim.skipped st.Sim.heap_len;
-  scale_rows := !scale_rows @ [ (n, r, st, host_secs) ];
+  scale_rows := !scale_rows @ [ (n, r, st, du, host_secs) ];
   let open Workloads.Multitenant in
   Printf.printf
-    "  %3d servers: %6d ops %5d files %8.0f ops/s %7.2f MB/s | sim %6.2f s  \
-     host %6.2f s  %9.0f ev/s  %6.3f host-s/sim-s\n%!"
-    n r.ops r.distinct_files r.ops_per_sec r.mb_per_s r.seconds host_secs
+    "  %3d servers: %6d ops %5d files %8.0f ops/s %7.2f MB/s | petal disk util \
+     max %.2f mean %.2f | sim %6.2f s  host %6.2f s  %9.0f ev/s  %6.3f \
+     host-s/sim-s\n%!"
+    n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du.du_max du.du_mean
+    r.seconds host_secs
     (float_of_int st.Sim.events /. host_secs)
     (host_secs /. r.seconds)
 
@@ -986,15 +1003,16 @@ let write_json () =
     !simbench_rows;
   Printf.fprintf oc "  },\n  \"scale\": {\n";
   List.iteri
-    (fun i (n, r, st, host_secs) ->
+    (fun i (n, r, st, du, host_secs) ->
       let open Workloads.Multitenant in
       Printf.fprintf oc
         "    \"servers_%d\": { \"ops\": %d, \"distinct_files\": %d, \
-         \"fs_ops_per_sec\": %.1f, \"mb_per_s\": %.3f, \"sim_seconds\": %.3f, \
+         \"fs_ops_per_sec\": %.1f, \"mb_per_s\": %.3f, \"petal_disk_util_max\": \
+         %.4f, \"petal_disk_util_mean\": %.4f, \"sim_seconds\": %.3f, \
          \"host_seconds\": %.3f, \"sim_events\": %d, \"events_per_sec\": %.0f, \
          \"host_sec_per_sim_sec\": %.4f }%s\n"
-        n r.ops r.distinct_files r.ops_per_sec r.mb_per_s r.seconds host_secs
-        st.Sim.events
+        n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du.du_max du.du_mean
+        r.seconds host_secs st.Sim.events
         (float_of_int st.Sim.events /. host_secs)
         (host_secs /. r.seconds)
         (if i = List.length !scale_rows - 1 then "" else ","))

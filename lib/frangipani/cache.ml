@@ -321,6 +321,30 @@ let write_runs t runs ~on_run_done =
       raise ex
   end
 
+(* An entry this flush may still write: resident (not invalidated
+   and replaced, nor handed to another server), dirty, unpinned and
+   not already being written. *)
+let writable t e =
+  e.dirty && e.pins = 0 && (not e.flushing)
+  && match Hashtbl.find_opt t.tbl e.addr with Some e' -> e' == e | None -> false
+
+(* Block until the log holds every entry's newest record, and return
+   the entries still safe to write. While we block, a revoke can
+   flush and invalidate an entry and pass its lock to another server,
+   whose newer bytes the stale copy would then overwrite; or a
+   transaction can re-dirty an entry under a newer record, which must
+   reach the log first. Such an entry stays dirty for the next flush:
+   waiting again here would chase a writer that re-logs its inode on
+   every call. (A revoke's flush never sees one: the clerk admits no
+   local user of the lock while it runs.) *)
+let await_logged t entries =
+  let max_rid = List.fold_left (fun acc e -> max acc e.rid) 0 entries in
+  if max_rid = 0 then entries
+  else begin
+    Wal.ensure_flushed t.wal max_rid;
+    List.filter (fun e -> writable t e && e.rid <= max_rid) entries
+  end
+
 let flush_entries t entries =
   let candidates =
     List.filter (fun e -> e.dirty && e.pins = 0) entries
@@ -328,11 +352,10 @@ let flush_entries t entries =
   in
   (* Entries already being written by a concurrent flush are not
      re-sent; we wait for those writes at the end instead. *)
-  let busy = List.filter (fun e -> e.flushing) candidates in
-  let dirty = List.filter (fun e -> not e.flushing) candidates in
+  let dirty =
+    await_logged t (List.filter (fun e -> not e.flushing) candidates)
+  in
   if dirty <> [] then begin
-    let max_rid = List.fold_left (fun acc e -> max acc e.rid) 0 dirty in
-    if max_rid > 0 then Wal.ensure_flushed t.wal max_rid;
     if not (t.lease_ok ()) then Errors.fail Errors.Eio;
     let runs = group_runs dirty in
     List.iter (fun e -> e.flushing <- true) dirty;
@@ -340,13 +363,14 @@ let flush_entries t entries =
         List.iter (fun e -> e.flushing <- false) run;
         Sim.Condition.broadcast t.flush_done)
   end;
-  (* Durability barrier: also wait out writes another flush started. *)
+  (* Durability barrier: also wait out writes another flush started,
+     before or while we waited for the log. *)
   List.iter
     (fun e ->
       while e.flushing do
         Sim.Condition.wait t.flush_done
       done)
-    busy
+    candidates
 
 let flush_lock t lock =
   match Hashtbl.find_opt t.by_lock lock with

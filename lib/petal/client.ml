@@ -142,15 +142,19 @@ let op_stats v =
     freeze_waits = v.c.freeze_wait_count;
   }
 
-(* Placement mirrors Server.owners_under exactly: ring slot
-   [(root + chunk) mod n] of the sorted active array is the primary
-   member, the next slot the replica. Both sides compute it from the
-   same Paxos-agreed map, keyed by [mepoch]. *)
+(* Placement is [Protocol.ring_slot], the rule the servers check
+   ownership with: the primary is the active member at that slot, the
+   replica the next one. Both sides compute it from the same
+   Paxos-agreed map, keyed by [mepoch]. *)
 let primary_of t ~root ~chunk =
-  t.active.((root + chunk) mod Array.length t.active)
+  let n = Array.length t.active in
+  t.active.(ring_slot ~root ~chunk n)
 
 let secondary_of t ~root ~chunk =
-  t.active.(((root + chunk) mod Array.length t.active + 1) mod Array.length t.active)
+  let n = Array.length t.active in
+  t.active.((ring_slot ~root ~chunk n + 1) mod n)
+
+let route t ~root ~chunk = (primary_of t ~root ~chunk, secondary_of t ~root ~chunk)
 
 (* Poll order for control-plane requests (map fetch, management,
    open): active members first — they are alive with high probability

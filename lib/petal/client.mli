@@ -62,6 +62,11 @@ val fetch_map : t -> int * int list
     driver now routes under. Used by reconfiguration drivers to
     observe cutover. *)
 
+val route : t -> root:int -> chunk:int -> int * int
+(** The (primary, replica) member indexes this client sends chunk
+    [chunk] of the disk rooted at [root] to under its current map:
+    {!Protocol.owners} of the active set. *)
+
 val create_vdisk : t -> nrep:int -> int
 (** Ask the Petal cluster to create a virtual disk with [nrep] (1 or
     2) replicas; returns its id. *)

@@ -12,6 +12,41 @@ let chunk_bytes = 65536
 
 let sector_bytes = 512
 
+(* --- chunk placement ---------------------------------------------------- *)
+
+(* The one placement rule, shared by client routing, server ownership
+   checks and the reconfiguration handoff. Chunk [c] of the disk
+   rooted at [r] has its primary at ring slot [ring_slot ~root:r
+   ~chunk:c n] of the sorted active array and its replica at the next
+   slot. Consecutive chunks stay on consecutive slots within a group
+   of [group_chunks] (16 MB), so a sequential stream stripes
+   round-robin over the servers; each group is rotated by a hash of
+   its index, so strides that cross groups — Frangipani's 4 GB log
+   spacing, 1 TB large blocks, 0.5 TB bitmap regions, 126 MB bitmap
+   segments — do not alias onto a few servers when they share a
+   factor with [n]. Each term is reduced mod [n] before the sum so
+   the sum cannot overflow. *)
+let group_chunks = 256
+
+let mix g =
+  let x = g * 0x9E3779B97F4A7C1 in
+  let x = x lxor (x lsr 29) in
+  let x = x * 0xBF58476D1CE4E5B in
+  (x lxor (x lsr 32)) land max_int
+
+let ring_slot ~root ~chunk n =
+  ((root mod n) + (chunk mod n) + (mix (chunk / group_chunks) mod n)) mod n
+
+(* The owners of a chunk under an active set, primary first. *)
+let owners active ~nrep ~root ~chunk =
+  let n = Array.length active in
+  if n = 0 then []
+  else begin
+    let s = ring_slot ~root ~chunk n in
+    if nrep > 1 && n > 1 then [ active.(s); active.((s + 1) mod n) ]
+    else [ active.(s) ]
+  end
+
 (** Which epoch of a chunk a read refers to: the live disk or a
     snapshot frozen at a given epoch. *)
 type epoch_sel = Current | At of int

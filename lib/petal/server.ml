@@ -236,32 +236,18 @@ let disk_bytes_allocated t = t.allocated
 
 (* --- ownership map ---------------------------------------------------- *)
 
-(* Placement under an active set: the primary of chunk [c] of the
-   disk rooted at [r] sits at ring slot [(r + c) mod n] of the sorted
-   active array, the replica at the next slot. Every server and every
-   client computes this from the same Paxos-agreed map, so routing is
-   deterministic per map epoch. *)
-let owners_under active ~nrep ~root ~chunk =
-  let n = Array.length active in
-  if n = 0 then []
-  else begin
-    let s = (root + chunk) mod n in
-    let p = active.(s) in
-    if nrep > 1 && n > 1 then [ p; active.((s + 1) mod n) ] else [ p ]
-  end
-
 let nrep_of_root t root =
   Hashtbl.fold
     (fun _ (v : vinfo) acc -> if v.root = root then max acc v.nrep else acc)
     t.vdisks 1
 
 let is_owner t ~root ~chunk ~nrep =
-  List.mem t.index (owners_under t.active ~nrep ~root ~chunk)
+  List.mem t.index (owners t.active ~nrep ~root ~chunk)
 
 (* The peer this server forwards replicated writes to: the other
    owner of the chunk under the committed map. *)
 let replica_of t ~root ~chunk ~nrep =
-  match owners_under t.active ~nrep ~root ~chunk with
+  match owners t.active ~nrep ~root ~chunk with
   | [ a; b ] -> Some (if a = t.index then b else a)
   | _ -> None
 
@@ -274,13 +260,13 @@ let mark_transfer_delta t ~root ~chunk ~within ~len ~stamp =
   | None -> ()
   | Some p ->
     let nrep = nrep_of_root t root in
-    let old_owners = owners_under t.active ~nrep ~root ~chunk in
+    let old_owners = owners t.active ~nrep ~root ~chunk in
     if List.mem t.index old_owners then
       List.iter
         (fun o ->
           if (not (List.mem o old_owners)) && o <> t.index then
             mark_degraded t ~peer:t.members.(o) ~root ~chunk ~within ~len ~stamp)
-        (owners_under p.target ~nrep ~root ~chunk)
+        (owners p.target ~nrep ~root ~chunk)
 
 (* --- virtual-disk table maintenance (Paxos apply) ------------------- *)
 
@@ -340,7 +326,7 @@ let begin_transfer t (p : pending) =
   List.iter
     (fun (root, chunk) ->
       let nrep = nrep_of_root t root in
-      let old_owners = owners_under t.active ~nrep ~root ~chunk in
+      let old_owners = owners t.active ~nrep ~root ~chunk in
       if List.mem t.index old_owners then
         List.iter
           (fun o ->
@@ -353,7 +339,7 @@ let begin_transfer t (p : pending) =
                  the repair chain re-marking with true stamps. *)
               mark_degraded t ~peer:t.members.(o) ~root ~chunk ~within:0
                 ~len:chunk_bytes ~stamp:0)
-          (owners_under p.target ~nrep ~root ~chunk))
+          (owners p.target ~nrep ~root ~chunk))
     (List.sort compare keys)
 
 (* After cutover, degraded entries toward peers that no longer own
@@ -372,7 +358,7 @@ let prune_degraded t =
               in
               find 0
             in
-            if List.mem pi (owners_under t.active ~nrep ~root ~chunk) then acc
+            if List.mem pi (owners t.active ~nrep ~root ~chunk) then acc
             else (root, chunk) :: acc)
           set []
       in
@@ -828,12 +814,12 @@ let gc_stale_backlog t =
       List.iter
         (fun (root, chunk) ->
           let nrep = nrep_of_root t root in
-          let has owners = List.exists (fun o -> t.members.(o) = peer) owners in
+          let has os = List.exists (fun o -> t.members.(o) = peer) os in
           let wanted =
-            has (owners_under t.active ~nrep ~root ~chunk)
+            has (owners t.active ~nrep ~root ~chunk)
             ||
             match t.pending with
-            | Some p -> has (owners_under p.target ~nrep ~root ~chunk)
+            | Some p -> has (owners p.target ~nrep ~root ~chunk)
             | None -> false
           in
           if not wanted then Hashtbl.remove set (root, chunk))
@@ -977,8 +963,8 @@ let freeze_grace = Sim.sec 8.0
 
 let chunk_moving t (p : pending) ~root ~chunk =
   let nrep = nrep_of_root t root in
-  List.sort compare (owners_under t.active ~nrep ~root ~chunk)
-  <> List.sort compare (owners_under p.target ~nrep ~root ~chunk)
+  List.sort compare (owners t.active ~nrep ~root ~chunk)
+  <> List.sort compare (owners p.target ~nrep ~root ~chunk)
 
 (* A client mutation of a chunk whose owner set actually changes is
    refused once the transfer has been pending past the grace period:
@@ -1012,7 +998,7 @@ let peer_push_ok t ~root ~chunk =
   is_owner t ~root ~chunk ~nrep
   ||
   match t.pending with
-  | Some p -> List.mem t.index (owners_under p.target ~nrep ~root ~chunk)
+  | Some p -> List.mem t.index (owners p.target ~nrep ~root ~chunk)
   | None -> false
 
 let handler t ~src body =

@@ -9,10 +9,11 @@
     Chunk placement: servers are created over a fixed
     provisioned-member array, of which a Paxos-agreed {e active}
     subset serves data. The primary for chunk [c] of the virtual disk
-    rooted at [r] is the active member at ring slot [(r + c) mod n]
-    (n = active count); the replica (for 2-way replicated disks) the
-    next slot. Writes arrive at the primary, which applies them
-    locally and forwards them to the replica before acknowledging.
+    rooted at [r] is the active member at ring slot
+    [Protocol.ring_slot ~root:r ~chunk:c n] (n = active count); the
+    replica (for 2-way replicated disks) the next slot. Writes arrive
+    at the primary, which applies them locally and forwards them to
+    the replica before acknowledging.
     Snapshots are copy-on-write: each stored extent is tagged with
     the epoch it was written in, and a snapshot bumps the source
     disk's epoch so later writes go to fresh extents.

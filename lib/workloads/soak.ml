@@ -886,10 +886,10 @@ let run ?duration ?fs_servers spec =
                schedule's [Add 6]) — a non-moving chunk would never be
                frozen and the case would assert nothing *)
             let owners act chunk =
-              let a = Array.of_list (List.sort compare act) in
-              let n = Array.length a in
-              let slot = (aux_id + chunk) mod n in
-              List.sort compare [ a.(slot); a.((slot + 1) mod n) ]
+              List.sort compare
+                (Petal.Protocol.owners
+                   (Array.of_list (List.sort compare act))
+                   ~nrep:2 ~root:aux_id ~chunk)
             in
             let rec moving c =
               if owners initial_active c <> owners (initial_active @ [ 6 ]) c

@@ -246,6 +246,37 @@ let test_write_write_coherence () =
       let final = Fs.read a f ~off:0 ~len:8 in
       Alcotest.(check int) "10 increments" 10 (Stdext.Codec.get_int final 0))
 
+(* A's background write-behind snapshots its dirty set (including a
+   block of [f]) and then blocks in the log flush, held there by a
+   delay at the ["wal.group"] site. Meanwhile B takes [f]'s lock: the
+   revoke flushes and invalidates A's block, and B writes and fsyncs
+   its own bytes. When A's write-behind resumes it must not write its
+   stale copy of the block over B's. *)
+let test_writeback_skips_revoked_entry () =
+  Sim.run (fun () ->
+      Faultpoint.reset ();
+      Faultpoint.enable ();
+      Fun.protect ~finally:Faultpoint.reset @@ fun () ->
+      let _, servers = setup ~nservers:2 () in
+      let a, b = (List.nth servers 0, List.nth servers 1) in
+      let f = Fs.create a ~dir:Fs.root "shared" in
+      let g = Fs.create a ~dir:Fs.root "bulk" in
+      Fs.sync a;
+      Fs.write a f ~off:0 (Bytes.make 4096 'A');
+      let held = Faultpoint.count "wal.group" + 1 in
+      Faultpoint.arm_site "wal.group" ~at:held (Faultpoint.Delay (Sim.sec 5.0));
+      (* 2 MB of dirty blocks start the write-behind, whose log flush
+         lands and then parks at the armed site. *)
+      Fs.write a g ~off:0 (Bytes.make (2 * 1024 * 1024) 'G');
+      Sim.sleep (Sim.sec 1.0);
+      Fs.write b f ~off:0 (Bytes.make 4096 'B');
+      Fs.fsync b f;
+      Sim.sleep (Sim.sec 10.0);
+      Alcotest.(check bool) "write-behind was held" true
+        (Faultpoint.count "wal.group" >= held);
+      Alcotest.(check string) "B's bytes survive" (String.make 8 'B')
+        (Bytes.to_string (Fs.read a f ~off:0 ~len:8)))
+
 (* --- failure handling ------------------------------------------------------ *)
 
 let test_crash_recovery_preserves_synced_metadata () =
@@ -433,6 +464,8 @@ let () =
           Alcotest.test_case "concurrent creates" `Quick
             test_concurrent_creates_distinct_servers;
           Alcotest.test_case "write/write" `Quick test_write_write_coherence;
+          Alcotest.test_case "write-behind skips a revoked block" `Quick
+            test_writeback_skips_revoked_entry;
         ] );
       ( "failures",
         [
