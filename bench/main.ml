@@ -909,7 +909,8 @@ let soak_bench () =
     soak_rows := !soak_rows @ [ (name, o, host) ]
   in
   one "composed_quick" (Soak.Scripted "composed_quick");
-  one "seeded_600s" ~duration:(Sim.sec 600.0) ~fs_servers:16 (Soak.Random 0)
+  one "seeded_600s" ~duration:(Sim.sec 600.0) ~fs_servers:16
+    (Soak.Random (Soak.Composed, 0))
 
 (* --- machine-readable snapshot ------------------------------------------------------ *)
 

@@ -1,5 +1,5 @@
 (** Deterministic network nemesis over {!Net}: the fault layer the
-    partition sweep (Workloads.Partsweep) drives.
+    nemesis harness (Workloads.Soak, all three profiles) drives.
 
     Three fault families compose:
 

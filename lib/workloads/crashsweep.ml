@@ -36,21 +36,16 @@ type outcome = {
   torn_tails : int;  (** replays that found a torn log tail *)
 }
 
-let bytes_pat n seed = Bytes.init n (fun i -> Char.chr ((i * 7 + seed) land 0xff))
-
 (* Files made durable (synced) before any fault can fire: whatever
    the crash point, these must survive. *)
 let checkpoint_spec = [ ("alpha", 3000, 11); ("beta", 9000, 12); ("gamma", 300, 13) ]
-
-let sweep_config =
-  { Frangipani.Ctx.default_config with synchronous_log = true }
 
 let write_checkpoint fs =
   let ck = Fs.mkdir fs ~dir:Fs.root "ck" in
   List.iter
     (fun (name, size, seed) ->
       let f = Fs.create fs ~dir:ck name in
-      Fs.write fs f ~off:0 (bytes_pat size seed))
+      Fs.write fs f ~off:0 (Invariants.bytes_pat size seed))
     checkpoint_spec;
   Fs.sync fs
 
@@ -65,7 +60,7 @@ let churn fs =
   for i = 0 to 11 do
     let name = Printf.sprintf "f%02d" i in
     let f = Fs.create fs ~dir:d name in
-    Fs.write fs f ~off:0 (bytes_pat (512 * (1 + (i mod 5))) i);
+    Fs.write fs f ~off:0 (Invariants.bytes_pat (512 * (1 + (i mod 5))) i);
     live := name :: !live;
     (match i mod 4 with
     | 1 ->
@@ -88,14 +83,13 @@ let snapshot_sectors vd addrs =
     (fun addr -> Petal.Client.read vd ~off:addr ~len:Frangipani.Layout.sector)
     addrs
 
-let pp_findings fs =
-  List.map (Format.asprintf "%a" Frangipani.Fsck.pp_finding) fs
-
 let run ?(crash_at = 0) ?(nvram = false) () =
   Sim.run ~until:(Sim.sec 3600.0) (fun () ->
       Faultpoint.reset ();
       let t = Testbed.build ~petal_servers:3 ~ndisks:2 ~nvram ~ngroups:16 () in
-      let a = Testbed.add_server t ~config:sweep_config ~name:"sweep-a" () in
+      let a =
+        Testbed.add_server t ~config:Invariants.sweep_config ~name:"sweep-a" ()
+      in
       let b = Testbed.add_server t ~name:"sweep-b" () in
       write_checkpoint a;
       let crashed = Sim.Ivar.create () in
@@ -122,7 +116,9 @@ let run ?(crash_at = 0) ?(nvram = false) () =
             (fun (name, size, seed) ->
               let ck = Fs.lookup a ~dir:Fs.root "ck" in
               let f = Fs.lookup a ~dir:ck name in
-              Bytes.equal (Fs.read a f ~off:0 ~len:size) (bytes_pat size seed))
+              Bytes.equal
+                (Fs.read a f ~off:0 ~len:size)
+                (Invariants.bytes_pat size seed))
             checkpoint_spec
         in
         {
@@ -130,7 +126,7 @@ let run ?(crash_at = 0) ?(nvram = false) () =
           total_hits = Faultpoint.total ();
           sites = Faultpoint.counts ();
           crashed = false;
-          fsck_findings = pp_findings (Frangipani.Fsck.check a);
+          fsck_findings = Invariants.fsck a;
           survivor_ok;
           replay_idempotent = true;
           recoveries = 0;
@@ -166,7 +162,9 @@ let run ?(crash_at = 0) ?(nvram = false) () =
             List.for_all
               (fun (name, size, seed) ->
                 let f = Fs.lookup b ~dir:ck name in
-                Bytes.equal (Fs.read b f ~off:0 ~len:size) (bytes_pat size seed))
+                Bytes.equal
+                  (Fs.read b f ~off:0 ~len:size)
+                  (Invariants.bytes_pat size seed))
               checkpoint_spec
           with _ -> false
         in
@@ -175,7 +173,7 @@ let run ?(crash_at = 0) ?(nvram = false) () =
           total_hits = Faultpoint.total ();
           sites = Faultpoint.counts ();
           crashed = true;
-          fsck_findings = pp_findings (Frangipani.Fsck.check b);
+          fsck_findings = Invariants.fsck b;
           survivor_ok;
           replay_idempotent;
           recoveries = stats.Fs.replays;

@@ -1,9 +1,9 @@
 (** The shared invariant engine of the fault-injection harnesses.
 
-    {!Crashsweep}, {!Partsweep}, {!Reconfsweep} and {!Soak} all argue
-    the same §5–§7 guarantees from different fault families; this
-    module holds the common teeth so every harness checks them the
-    same way:
+    {!Crashsweep} and the three {!Soak} profiles (partition,
+    reconfiguration, composed) all argue the same §5–§7 guarantees
+    from different fault families; this module holds the common teeth
+    so every harness checks them the same way:
 
     - the {e acked-ops-survive} ledger: an operation whose op +
       [Fs.sync] both returned must be readable, bytes intact, from a
@@ -66,7 +66,7 @@ let ack l ~path data =
   l.entries <- (path, data) :: l.entries;
   l.count <- l.count + 1
 
-(* Withdraw the most recently acked entry (the sweeps unlink it next,
+(* Withdraw the most recently acked entry (the workers unlink it next,
    and the ledger never asserts absence). *)
 let pop_latest l =
   match l.entries with

@@ -1,51 +1,63 @@
-(** Long-horizon soak harness: hours of simulated time on a full-size
-    cluster with every fault family composed, and invariants checked
-    continuously instead of only at the end.
+(** The nemesis harness: one interpreter that runs a fault schedule
+    against live paced workloads and checks the §5–§7 guarantees, under
+    three profiles.
 
-    One [run] builds a 32-server Frangipani cluster over an 8-member
-    Petal cluster (6 active), then lets a seeded orchestrator overlap,
-    round after round:
+    - {b Partition}: one Frangipani server over three Petal/lock
+      machines runs 40 paced ops while {!Cluster.Netfault} isolates it,
+      splits the Petal replica set, flaps links, drops or delays
+      messages, or cuts single directions of single links. The §6
+      lease hazard lives here: a lapsed-stamp write must never reach a
+      disk, and a server whose lease died has its log replayed.
+    - {b Reconfig}: the same worker while Petal members are added and
+      removed mid-flight (five provisioned, three active), composed
+      with nemesis windows and {!Simkit.Faultpoint} crashes of a
+      transfer source, a proposer or a cutover proposer.
+    - {b Composed}: hours of simulated time on a 32-server cluster over
+      eight Petal members (six active), overlapping every family
+      round after round:
+      - the multi-tenant Zipf workload ({!Multitenant}) as ambient
+        traffic on a rotating subset of servers, shielded so it
+        degrades under faults instead of dying;
+      - paced, ledger-acked workloads on a handful of tracked servers;
+      - netfault windows (isolation, link cuts, loss, delay);
+      - Frangipani server crashes with a bounded-recovery monitor (some
+        live server must replay the victim's log within 300 s);
+      - Petal server crashes armed at faultpoint sites;
+      - Petal add/remove reconfigurations, including one round where a
+        hot-chunk writer hammers moving chunks through the whole
+        handoff — the cutover must still commit within a bound, which
+        is exactly what the drain-time write freeze ({!Petal.Server})
+        exists to guarantee;
+      - §8 snapshot barriers: taken mid-flight, mounted read-only and
+        spot-checked against the acked ledger, then deleted (snapshots
+        pin reconfiguration, so the delete also re-enables it);
+      - log-pressure phases: bursts of unsynced metadata churn that
+        fill the 128 KB WAL and force reclaim stalls.
 
-    - the multi-tenant Zipf workload ({!Multitenant}) as ambient
-      traffic on a rotating subset of servers, shielded so it degrades
-      under faults instead of dying;
-    - paced, ledger-acked workloads on a handful of tracked servers;
-    - {!Cluster.Netfault} windows (isolation, link cuts, loss, delay);
-    - Frangipani server crashes with a bounded-recovery monitor (some
-      live server must replay the victim's log within 300 s);
-    - Petal server crashes armed at {!Simkit.Faultpoint} sites;
-    - Petal add/remove reconfigurations, including one round where a
-      hot-chunk writer hammers moving chunks through the whole handoff
-      — the soak asserts the cutover still commits within a bound,
-      which is exactly what the drain-time write freeze
-      ({!Petal.Server}) exists to guarantee;
-    - §8 snapshot barriers: taken mid-flight, mounted read-only and
-      spot-checked against the acked ledger, then deleted (snapshots
-      pin reconfiguration, so the delete also re-enables it);
-    - log-pressure phases: bursts of unsynced metadata churn that fill
-      the 128 KB WAL and force reclaim stalls.
+      Roughly every ten simulated minutes the workloads quiesce for a
+      checkpoint: backlog drained, no transfer pending, no chunk left
+      on a non-owner, no expired-stamp write applied, a sample of the
+      acked ledger readable bytes-intact, and the volume fsck-clean.
 
-    Roughly every ten simulated minutes the orchestrator quiesces the
-    workloads and runs a checkpoint: backlog drained, no transfer
-    pending, no chunk left on a non-owner, no expired-stamp write
-    applied, a sample of the acked ledger readable bytes-intact, and
-    the volume fsck-clean. Violations are recorded with their
-    simulated time ({!Invariants.engine}), so a failing seed reports
-    {e when} an invariant first broke — and [debug_soak] replays it
-    bit-identically from the label alone.
+    Every run ends with the same verdict: after everything heals the
+    Petal backlog drains, pending transfers commit, the GC empties
+    non-owners, a post-run write lands, and a fresh server must read
+    every acked op bytes-intact from an fsck-clean volume under the
+    expected member set. Violations are recorded with their simulated
+    time ({!Invariants.engine}), so a failing run reports {e when} an
+    invariant first broke.
 
-    Scripted schedules pin down the freeze protocol itself:
-    ["hot_cutover"] (bounded cutover under a sustained hot writer),
-    ["freeze_retry"] (a frozen raw writer rides through invisibly),
-    ["snap_during_reconf"] / ["reconf_during_snap"] (the CoW-epoch vs
-    transfer-epoch interlock composes in both orders), and
-    ["composed_quick"] (one full random-style round). *)
+    A scripted label names its schedule and its profile; a seeded run
+    names a profile and a seed. Simulation RNG, nemesis PRNG and
+    generator are all seeded, so a run replays bit-identically from
+    its label alone ([debug_soak]). *)
 
 open Simkit
 open Cluster
 module Fs = Frangipani.Fs
 
-type spec = Scripted of string | Random of int
+type profile = Partition | Reconfig | Composed
+type spec = Scripted of string | Random of profile * int
 
 type reconf_op = Add of int | Remove of int
 
@@ -57,7 +69,9 @@ type crash_spec = {
 }
 
 type schedule = {
-  duration : Sim.time;  (** workloads stop at this simulated offset *)
+  duration : Sim.time;
+      (** the nemesis is cleared, and workloads without an op budget
+          stop, at this simulated offset *)
   reconfigs : (Sim.time * reconf_op) list;
   nemesis : (Sim.time * string * (Netfault.t -> unit)) list;
   fs_crashes : Sim.time list;  (** k-th entry crashes the k-th victim server *)
@@ -75,7 +89,7 @@ type outcome = {
   label : string;
   sim_hours : float;
   acked : int;
-  failed_ops : int;  (** tracked-worker ops that raised and were retried past *)
+  failed_ops : int;  (** worker ops that raised and were retried past *)
   expired_servers : int;  (** workers stopped by §6 lease expiry *)
   crashed_fs : int;  (** Frangipani servers crashed by the schedule *)
   requested : int;
@@ -97,6 +111,12 @@ type outcome = {
   replays : int;  (** recovery replays run cluster-wide *)
   ambient_ops : int;
   ambient_failed : int;  (** shielded ambient ops that failed under faults *)
+  renew_misses : int;  (** lease renewals the workers' clerks missed *)
+  rpc_retries : int;  (** RPC retransmissions by the workers *)
+  map_refreshes : int;  (** ownership-map refetches by the workers' Petal drivers *)
+  xfer_pushes : int;  (** transfer/resync chunk pushes, cluster-wide *)
+  wrong_epoch_rejects : int;  (** data requests refused for a stale map *)
+  gc_chunks : int;  (** chunks freed off non-owners after cutover *)
   checks_run : int;
   violations : (Sim.time * string) list;  (** (when, what) — must be [] *)
   timeline : (Sim.time * string) list;  (** orchestrator event log *)
@@ -112,25 +132,64 @@ type outcome = {
   end_ns : int;  (** the determinism fingerprint *)
 }
 
-let sweep_config = Invariants.sweep_config
-
-(* Addresses the schedules play with. *)
+(* Addresses the schedules play with: the Petal machines (which also
+   run the lock servers, Figure 2) and the tracked workers. *)
 type roles = { petal : Net.addr array; tracked : Net.addr array }
 
 let s = Sim.sec
 
+(* --- profiles ----------------------------------------------------------- *)
+
+(* What a profile fixes besides its schedules. Servers 0..tracked-1 run
+   the tracked workers, the next [victims nfs] the crash victims (also
+   paced workers, so a crash always has acked state at stake); the rest
+   are the ambient pool. *)
+type shape = {
+  min_servers : int;  (** Frangipani servers the role split needs *)
+  tracked : int;
+  victims : int -> int;
+  pace : Sim.time;  (** a tracked worker's op period; victims take 3 s *)
+  budget : int option;  (** ops per worker; [None]: until the duration *)
+  settle : Sim.time;  (** quiet time between the workloads and the verdict *)
+  unmount : bool;
+      (** unmount the workers before the verdict; if a lease died, the
+          fresh server awaits the dead log's replay before judging *)
+  seed_base : int;  (** seeded runs simulate with [seed_base + n] *)
+}
+
+let sweep_shape seed_base =
+  { min_servers = 1; tracked = 1; victims = (fun _ -> 0); pace = s 1.0;
+    budget = Some 40; settle = s 90.0; unmount = true; seed_base }
+
+let shape = function
+  | Partition -> sweep_shape 1000
+  | Reconfig -> sweep_shape 2000
+  | Composed ->
+    { min_servers = 5; tracked = 3; victims = (fun n -> max 1 (min 7 (n / 4)));
+      pace = s 2.0; budget = None; settle = s 60.0; unmount = false;
+      seed_base = 3000 }
+
+let build_testbed = function
+  | Partition -> Testbed.build ~petal_servers:3 ~ndisks:2 ~ngroups:16 ()
+  | Reconfig ->
+    Testbed.build ~petal_servers:5 ~petal_active:3 ~ndisks:2 ~ngroups:16 ()
+  | Composed ->
+    Testbed.build ~petal_servers:8 ~petal_active:6 ~ndisks:2
+      ~disk_capacity:(256 * 1024 * 1024) ()
+
+let initial_active = function
+  | Partition | Reconfig -> [ 0; 1; 2 ]
+  | Composed -> [ 0; 1; 2; 3; 4; 5 ]
+
 (* --- schedules --------------------------------------------------------- *)
 
-(* Provisioned Petal members 0..7; 0..5 start active. *)
-let initial_active = [ 0; 1; 2; 3; 4; 5 ]
-
-let expected_active_of sched =
+let expected_active_of profile sched =
   List.fold_left
     (fun acc (_, op) ->
       match op with
       | Add i -> List.sort_uniq compare (i :: acc)
       | Remove i -> List.filter (( <> ) i) acc)
-    initial_active sched.reconfigs
+    (initial_active profile) sched.reconfigs
 
 let no_schedule duration =
   {
@@ -148,7 +207,222 @@ let no_schedule duration =
     cutover_bound = s 60.0;
   }
 
-let scripted_schedule name (r : roles) =
+let scripted_labels = function
+  | Partition ->
+    [
+      "isolate_server"; "isolate_brief"; "split_petal"; "client_petal0";
+      "isolate_petal0"; "oneway_to_petal0"; "oneway_from_petal0"; "flap";
+      "lossy"; "slow"; "lossy_cut";
+    ]
+  | Reconfig ->
+    [
+      "add_plain"; "remove_plain"; "add_then_remove"; "back_to_back";
+      "add_joiner_partitioned"; "add_joiner_dark_start"; "remove_under_loss";
+      "add_under_delay"; "flap_during_add"; "owner_dies_mid_transfer";
+      "proposer_dies_mid_add"; "cutover_proposer_dies";
+    ]
+  | Composed ->
+    [
+      "hot_cutover"; "freeze_retry"; "snap_during_reconf"; "reconf_during_snap";
+      "composed_quick";
+    ]
+
+(* The profiles by name, as the runner and replay driver take them. *)
+let profiles =
+  [ ("partition", Partition); ("reconfig", Reconfig); ("composed", Composed) ]
+
+let unknown name = invalid_arg ("soak: unknown scripted schedule " ^ name)
+
+let profile_of_label name =
+  match
+    List.find_opt (fun (_, p) -> List.mem name (scripted_labels p)) profiles
+  with
+  | Some (_, p) -> p
+  | None -> unknown name
+
+let profile_of = function
+  | Scripted name -> profile_of_label name
+  | Random (p, _) -> p
+
+let seeded_prefix = function
+  | Partition -> "partition_random_"
+  | Reconfig -> "reconfig_random_"
+  | Composed -> "random_"
+
+let label_of = function
+  | Scripted name -> name
+  | Random (p, n) -> seeded_prefix p ^ string_of_int n
+
+(* The inverse of [label_of]: what [debug_soak] replays from a label a
+   runner printed. *)
+let spec_of_label l =
+  let seeded p =
+    let pre = seeded_prefix p in
+    let np = String.length pre in
+    if String.starts_with ~prefix:pre l then
+      int_of_string_opt (String.sub l np (String.length l - np))
+      |> Option.map (fun n -> Random (p, n))
+    else None
+  in
+  match List.find_map (fun (_, p) -> seeded p) profiles with
+  | Some spec -> spec
+  | None ->
+    ignore (profile_of_label l);
+    Scripted l
+
+(* Partition: the workload begins at 0 and takes >= 40 s, so windows in
+   [2 s, 60 s] overlap live traffic; the nemesis is cleared at 75 s. *)
+let partition_schedule name (r : roles) =
+  let a = r.tracked.(0) and p0 = r.petal.(0) in
+  let service = Array.to_list r.petal in
+  let cut_service = fun nf -> Netfault.partition nf [ a ] service in
+  let heal = Netfault.heal_all in
+  let windows nemesis = { (no_schedule (s 75.0)) with nemesis } in
+  match name with
+  | "isolate_server" ->
+    (* The worker loses everything for 45 s: renewals fail, the lease
+       expires, the clerk poisons; recovery replays the dead log. *)
+    windows [ (s 5.0, "isolate w0", cut_service); (s 50.0, "heal", heal) ]
+  | "isolate_brief" ->
+    (* 10 s outage, well inside the lease: ops stall and resume. *)
+    windows [ (s 5.0, "isolate w0", cut_service); (s 15.0, "heal", heal) ]
+  | "split_petal" ->
+    (* Replica set split: petal0 cannot reach its successor, so
+       forwarded writes degrade and resync must drain after heal. *)
+    windows
+      [
+        ( s 3.0,
+          "split petal 0 from its peers",
+          fun nf -> Netfault.partition nf [ p0 ] (List.tl service) );
+        (s 40.0, "heal", heal);
+      ]
+  | "client_petal0" ->
+    (* The worker loses one service machine: piece failover + suspect
+       pinning on the Petal side, lock groups owned by petal0 stall
+       until heal, renewals keep succeeding via the other two. *)
+    windows
+      [ (s 3.0, "cut w0 <-> petal 0", fun nf -> Netfault.cut nf a p0);
+        (s 45.0, "heal", heal) ]
+  | "isolate_petal0" ->
+    windows
+      [ (s 3.0, "isolate petal 0", fun nf -> Netfault.isolate nf p0);
+        (s 45.0, "heal", heal) ]
+  | "oneway_to_petal0" ->
+    (* Asymmetric: the worker's datagrams to petal0 vanish, replies
+       and grants still flow. *)
+    windows
+      [ (s 3.0, "cut w0 -> petal 0", fun nf -> Netfault.cut ~oneway:true nf a p0);
+        (s 45.0, "heal", heal) ]
+  | "oneway_from_petal0" ->
+    (* Asymmetric the other way: petal0 executes requests but its
+       replies are lost — retries must not double-apply. *)
+    windows
+      [ (s 3.0, "cut petal 0 -> w0", fun nf -> Netfault.cut ~oneway:true nf p0 a);
+        (s 45.0, "heal", heal) ]
+  | "flap" ->
+    (* Six 3 s outages, 3 s apart: renewal backoff and request
+       retransmission recover each time, no expiry. *)
+    windows
+      (List.concat
+         (List.init 6 (fun i ->
+              let t0 = s (5.0 +. (6.0 *. float_of_int i)) in
+              [ (t0, "isolate w0", cut_service); (t0 + s 3.0, "heal", heal) ])))
+  | "lossy" ->
+    (* 15% of every message dropped for 48 s: retry with backoff
+       carries renewals and RPCs through. *)
+    windows
+      [ (s 2.0, "15% loss", fun nf -> Netfault.shape ~drop:0.15 nf);
+        (s 50.0, "clear shaping", Netfault.clear_shaping) ]
+  | "slow" ->
+    (* +30 ms / ±20 ms on every message: everything succeeds, later. *)
+    windows
+      [ ( s 2.0,
+          "delay/jitter",
+          fun nf -> Netfault.shape ~delay:(Sim.ms 30) ~jitter:(Sim.ms 20) nf );
+        (s 50.0, "clear shaping", Netfault.clear_shaping) ]
+  | "lossy_cut" ->
+    (* A lossy network and a dead link at the same time. *)
+    windows
+      [ (s 2.0, "10% loss", fun nf -> Netfault.shape ~drop:0.10 nf);
+        (s 4.0, "cut w0 <-> petal 0", fun nf -> Netfault.cut nf a p0);
+        (s 40.0, "heal", heal);
+        (s 48.0, "clear shaping", Netfault.clear_shaping) ]
+  | _ -> unknown name
+
+(* Reconfig: members 0,1,2 start active, 3 and 4 are standbys.
+   Reconfigurations in [4 s, 36 s] and fault windows in [2 s, 45 s]
+   overlap live traffic; the nemesis is cleared at 65 s. *)
+let reconfig_schedule name (r : roles) =
+  let sched ?(nemesis = []) ?crash reconfigs =
+    { (no_schedule (s 65.0)) with
+      reconfigs; nemesis; petal_crashes = Option.to_list crash }
+  in
+  let heal t = (t, "heal", Netfault.heal_all) in
+  let isolate t i =
+    (t, Printf.sprintf "isolate petal %d" i, fun nf -> Netfault.isolate nf r.petal.(i))
+  in
+  let crash site at_hit victim restart =
+    { site; at_hit; victim; restart_after = s restart }
+  in
+  match name with
+  | "add_plain" ->
+    (* One standby joins on a healthy network: background stream,
+       atomic cutover, clients re-route via [Wrong_epoch]. *)
+    sched [ (s 6.0, Add 3) ]
+  | "remove_plain" ->
+    (* One member drains out; its whole store must migrate and then
+       be garbage-collected off it. *)
+    sched [ (s 6.0, Remove 0) ]
+  | "add_then_remove" -> sched [ (s 5.0, Add 3); (s 30.0, Remove 1) ]
+  | "back_to_back" ->
+    (* Three changes in a row: the cluster must serialize them. *)
+    sched [ (s 4.0, Add 3); (s 18.0, Add 4); (s 34.0, Remove 0) ]
+  | "add_joiner_partitioned" ->
+    (* The joining member is partitioned from everyone mid-transfer:
+       pushes to it fail (sources stay degraded), the cutover is held
+       back until the heal, then the handoff completes. *)
+    sched [ (s 5.0, Add 3) ] ~nemesis:[ isolate (s 8.0) 3; heal (s 28.0) ]
+  | "add_joiner_dark_start" ->
+    (* The member is already unreachable when it is proposed. *)
+    sched [ (s 6.0, Add 3) ] ~nemesis:[ isolate (s 2.0) 3; heal (s 24.0) ]
+  | "remove_under_loss" ->
+    (* 12% of every message dropped while a member drains out. *)
+    sched [ (s 6.0, Remove 2) ]
+      ~nemesis:
+        [ (s 2.0, "12% loss", fun nf -> Netfault.shape ~drop:0.12 nf);
+          (s 40.0, "clear shaping", Netfault.clear_shaping) ]
+  | "add_under_delay" ->
+    sched [ (s 6.0, Add 4) ]
+      ~nemesis:
+        [ ( s 2.0,
+            "delay/jitter",
+            fun nf -> Netfault.shape ~delay:(Sim.ms 25) ~jitter:(Sim.ms 15) nf );
+          (s 40.0, "clear shaping", Netfault.clear_shaping) ]
+  | "flap_during_add" ->
+    (* An old owner flaps three times while the handoff streams. *)
+    sched [ (s 5.0, Add 3) ]
+      ~nemesis:
+        (List.concat
+           (List.init 3 (fun i ->
+                let t0 = s (7.0 +. (6.0 *. float_of_int i)) in
+                [ isolate t0 0; heal (t0 + s 3.0) ])))
+  | "owner_dies_mid_transfer" ->
+    (* A transfer source crashes between pushes; the other old owner
+       carries the handoff, the victim restarts and catches up. *)
+    sched [ (s 5.0, Add 3) ] ~crash:(crash "petal.resync_push" 3 0 12.0)
+  | "proposer_dies_mid_add" ->
+    (* The server handling the management RPC crashes after receiving
+       it but before proposing: the client times out and re-issues
+       through the next member (idempotent at apply). *)
+    sched [ (s 5.0, Add 3) ] ~crash:(crash "petal.mgmt_propose" 1 0 10.0)
+  | "cutover_proposer_dies" ->
+    (* A member crashes at the instant the drained transfer is first
+       proposed for cutover; every member polls independently, so a
+       survivor's duplicate proposal commits it. *)
+    sched [ (s 5.0, Add 3) ] ~crash:(crash "petal.cutover_propose" 1 1 10.0)
+  | _ -> unknown name
+
+let composed_schedule name (r : roles) =
   match name with
   | "hot_cutover" ->
     (* A sustained hot-chunk writer spans the whole handoff of [Add 6].
@@ -231,27 +505,143 @@ let scripted_schedule name (r : roles) =
       checkpoints = [ s 180.0; s 350.0 ];
       cutover_bound = s 120.0;
     }
-  | _ -> invalid_arg ("soak: unknown scripted schedule " ^ name)
+  | _ -> unknown name
 
-let scripted_labels =
-  [
-    "hot_cutover"; "freeze_retry"; "snap_during_reconf"; "reconf_during_snap";
-    "composed_quick";
-  ]
+(* Draw one membership change: add a random standby, or remove a random
+   active member while more than [keep] are active. *)
+let draw_change rng ~keep active standby =
+  let move from into =
+    let i = List.nth !from (Random.State.int rng (List.length !from)) in
+    from := List.filter (( <> ) i) !from;
+    into := List.sort_uniq compare (i :: !into);
+    i
+  in
+  let can_add = !standby <> [] and can_rm = List.length !active > keep in
+  if can_add && ((not can_rm) || Random.State.bool rng) then Add (move standby active)
+  else Remove (move active standby)
 
-(* Seed-generated schedules: the simulated horizon is divided into
-   10-minute rounds; each round overlays ambient traffic, 1-2 nemesis
-   windows, a probable reconfiguration (one round gets the hot-chunk
-   writer on top), a probable server crash, snapshot and log-pressure
-   burst, and ends with a quiesce checkpoint. A couple of Petal
-   faultpoint crashes are armed for the whole run. *)
+(* Partition seeds: 2-4 sequential fault windows drawn from the
+   scripted families, each ending in a full clear. *)
+let partition_random seed (r : roles) =
+  let rng = Random.State.make [| seed; 0x5eed |] in
+  let a = r.tracked.(0) in
+  let pick () =
+    let i = Random.State.int rng 3 in
+    (i, r.petal.(i))
+  in
+  let evs = ref [] in
+  let t = ref (s 2.0) in
+  for _ = 1 to 2 + Random.State.int rng 3 do
+    let start = !t + Sim.ms (Random.State.int rng 4000) in
+    let dur = s 3.0 + Sim.ms (Random.State.int rng 27_000) in
+    let desc, ev =
+      match Random.State.int rng 6 with
+      | 0 -> ("isolate w0", fun nf -> Netfault.partition nf [ a ] (Array.to_list r.petal))
+      | 1 ->
+        let i, p = pick () in
+        (Printf.sprintf "cut w0 <-> petal %d" i, fun nf -> Netfault.cut nf a p)
+      | 2 ->
+        let i, p = pick () in
+        if Random.State.bool rng then
+          ( Printf.sprintf "cut w0 -> petal %d" i,
+            fun nf -> Netfault.cut ~oneway:true nf a p )
+        else
+          ( Printf.sprintf "cut petal %d -> w0" i,
+            fun nf -> Netfault.cut ~oneway:true nf p a )
+      | 3 ->
+        let i, p = pick () in
+        ( Printf.sprintf "split petal %d from its peers" i,
+          fun nf ->
+            Netfault.partition nf [ p ]
+              (List.filter (( <> ) p) (Array.to_list r.petal)) )
+      | 4 ->
+        let drop = 0.05 +. (float_of_int (Random.State.int rng 15) /. 100.0) in
+        (Printf.sprintf "%.0f%% loss" (drop *. 100.0), fun nf -> Netfault.shape ~drop nf)
+      | _ ->
+        let delay = Sim.ms (5 + Random.State.int rng 40) in
+        let jitter = Sim.ms (Random.State.int rng 20) in
+        ("delay/jitter", fun nf -> Netfault.shape ~delay ~jitter nf)
+    in
+    evs := (start + dur, "clear", Netfault.clear) :: (start, desc, ev) :: !evs;
+    t := start + dur + Sim.ms 500
+  done;
+  { (no_schedule (!t + s 10.0)) with
+    nemesis = List.sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2) !evs }
+
+(* Reconfig seeds: 1-2 membership changes spaced far enough apart to
+   serialize naturally, 0-2 nemesis windows, and a fifty-fifty chance
+   of one crash at a seeded faultpoint hit with a restart a few
+   seconds later. *)
+let reconfig_random seed (r : roles) =
+  let rng = Random.State.make [| seed; 0xc0f; 0x5eed |] in
+  let active = ref [ 0; 1; 2 ] and standby = ref [ 3; 4 ] in
+  let reconfigs = ref [] in
+  let t = ref (s 4.0) in
+  for _ = 1 to 1 + Random.State.int rng 2 do
+    let at = !t + Sim.ms (Random.State.int rng 6000) in
+    reconfigs := (at, draw_change rng ~keep:2 active standby) :: !reconfigs;
+    t := at + s 14.0 + Sim.ms (Random.State.int rng 8000)
+  done;
+  let evs = ref [] in
+  let wt = ref (s 3.0) in
+  for _ = 1 to Random.State.int rng 3 do
+    let start = !wt + Sim.ms (Random.State.int rng 5000) in
+    let dur = s 3.0 + Sim.ms (Random.State.int rng 15_000) in
+    let desc, ev =
+      match Random.State.int rng 5 with
+      | 0 ->
+        let i = Random.State.int rng 5 in
+        (Printf.sprintf "isolate petal %d" i, fun nf -> Netfault.isolate nf r.petal.(i))
+      | 1 ->
+        let i = Random.State.int rng 5 in
+        ( Printf.sprintf "cut w0 <-> petal %d" i,
+          fun nf -> Netfault.cut nf r.tracked.(0) r.petal.(i) )
+      | 2 ->
+        let i = Random.State.int rng 5 in
+        let j = (i + 1 + Random.State.int rng 4) mod 5 in
+        ( Printf.sprintf "cut petal %d <-> petal %d" i j,
+          fun nf -> Netfault.cut nf r.petal.(i) r.petal.(j) )
+      | 3 ->
+        let drop = 0.05 +. (float_of_int (Random.State.int rng 12) /. 100.0) in
+        (Printf.sprintf "%.0f%% loss" (drop *. 100.0), fun nf -> Netfault.shape ~drop nf)
+      | _ ->
+        let delay = Sim.ms (5 + Random.State.int rng 30) in
+        let jitter = Sim.ms (Random.State.int rng 15) in
+        ("delay/jitter", fun nf -> Netfault.shape ~delay ~jitter nf)
+    in
+    evs := (start + dur, "clear", Netfault.clear) :: (start, desc, ev) :: !evs;
+    wt := start + dur + s 1.0
+  done;
+  let crash =
+    if Random.State.int rng 2 = 0 then []
+    else
+      let sites =
+        [| "petal.resync_push"; "petal.chunk_write"; "petal.mgmt_propose";
+           "petal.cutover_propose" |]
+      in
+      [ { site = sites.(Random.State.int rng (Array.length sites));
+          at_hit = 1 + Random.State.int rng 6;
+          victim = Random.State.int rng 5;
+          restart_after = s 8.0 + Sim.ms (Random.State.int rng 8000) } ]
+  in
+  { (no_schedule (s 65.0)) with
+    reconfigs = List.rev !reconfigs;
+    nemesis = List.sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2) !evs;
+    petal_crashes = crash }
+
+(* Composed seeds: the simulated horizon is divided into 10-minute
+   rounds; each round overlays ambient traffic, 1-2 nemesis windows, a
+   probable reconfiguration (one round gets the hot-chunk writer on
+   top), a probable server crash, snapshot and log-pressure burst, and
+   ends with a quiesce checkpoint. A couple of Petal faultpoint
+   crashes are armed for the whole run. *)
 let round_len = s 600.0
 
-let random_schedule seed ~duration (r : roles) =
+let composed_random seed ~duration (r : roles) =
   let rng = Random.State.make [| seed; 0x50ac; 0x5eed |] in
   let rounds = max 1 (duration / round_len) in
   let duration = rounds * round_len in
-  let active = ref initial_active and standby = ref [ 6; 7 ] in
+  let active = ref (initial_active Composed) and standby = ref [ 6; 7 ] in
   let hot_round = Random.State.int rng rounds in
   let reconfigs = ref []
   and nemesis = ref []
@@ -307,24 +697,7 @@ let random_schedule seed ~duration (r : roles) =
     (* a reconfiguration most rounds; the hot round always gets one *)
     if round = hot_round || Random.State.int rng 3 < 2 then begin
       let at = r0 + s 60.0 + Sim.ms (Random.State.int rng 120_000) in
-      let op =
-        let can_add = !standby <> [] and can_rm = List.length !active > 4 in
-        if can_add && ((not can_rm) || Random.State.bool rng) then begin
-          let l = !standby in
-          let i = List.nth l (Random.State.int rng (List.length l)) in
-          standby := List.filter (( <> ) i) l;
-          active := List.sort_uniq compare (i :: !active);
-          Add i
-        end
-        else begin
-          let l = !active in
-          let i = List.nth l (Random.State.int rng (List.length l)) in
-          active := List.filter (( <> ) i) l;
-          standby := List.sort_uniq compare (i :: !standby);
-          Remove i
-        end
-      in
-      reconfigs := (at, op) :: !reconfigs;
+      reconfigs := (at, draw_change rng ~keep:4 active standby) :: !reconfigs;
       if round = hot_round then hot := Some (at - s 5.0, at + s 55.0)
     end;
     if Random.State.int rng 2 = 0 then
@@ -365,746 +738,788 @@ let random_schedule seed ~duration (r : roles) =
     cutover_bound = s 180.0;
   }
 
-(* --- the run ----------------------------------------------------------- *)
+let schedule_of spec ~duration roles =
+  match spec with
+  | Scripted name -> (
+    match profile_of_label name with
+    | Partition -> partition_schedule name roles
+    | Reconfig -> reconfig_schedule name roles
+    | Composed -> composed_schedule name roles)
+  | Random (Partition, n) -> partition_random n roles
+  | Random (Reconfig, n) -> reconfig_random n roles
+  | Random (Composed, n) -> composed_random n ~duration roles
 
+(* --- the interpreter ---------------------------------------------------- *)
+
+(* What the interpreter's fibers coordinate through, and the counters
+   the verdict reads. *)
+type world = {
+  t : Testbed.t;
+  servers : Fs.t array;
+  workers : Fs.t array;  (** servers 0..n-1: tracked workers, then victims *)
+  psrv : Petal.Server.t array;
+  eng : Invariants.engine;
+  ledgers : Invariants.ledger array;  (** one per worker *)
+  hot_led : Invariants.ledger;
+  idle : bool array;  (** per worker: parked by a checkpoint, or stopped *)
+  expired : bool array;  (** per worker: stopped by §6 lease expiry *)
+  mutable timeline : (Sim.time * string) list;
+  mutable paused : bool;
+  mutable stop_all : bool;
+  mutable fibers : unit Sim.Ivar.t list;  (** what the verdict waits for *)
+  mutable failed_ops : int;
+  mutable crashed_fs : int;
+  mutable requested : int;
+  mutable committed : int;
+  mutable reconf_rejected : int;
+  mutable snap_ok : int;
+  mutable snap_rej : int;
+  mutable snap_del : int;
+  mutable amb_busy : bool;
+  mutable amb_ops : int;
+  amb_failed : int ref;
+  mutable hot_writes : int;
+  mutable raw_errors : int;
+  mutable raw_ok : bool;
+  mutable raw_waits : int;
+}
+
+let ev w fmt =
+  Printf.ksprintf (fun m -> w.timeline <- (Sim.now (), m) :: w.timeline) fmt
+
+let spawn_fiber w f =
+  let iv = Sim.Ivar.create () in
+  w.fibers <- iv :: w.fibers;
+  Sim.spawn (fun () ->
+      f ();
+      Sim.Ivar.fill iv ())
+
+let sleep_until at = if Sim.now () < at then Sim.sleep (at - Sim.now ())
+let all_ledgers w = w.hot_led :: Array.to_list w.ledgers
+let healthy fs = Host.is_alive (Fs.host fs) && not (Fs.is_poisoned fs)
+
+let sum_fs f servers =
+  Array.fold_left (fun acc fs -> acc + (try f fs with _ -> 0)) 0 servers
+
+let total_replays w = sum_fs (fun fs -> (Fs.recovery_stats fs).Fs.replays) w.servers
+
+(* The nemesis and the Petal faultpoint crashes. *)
+let start_faults w sched ~seed =
+  let nf = Netfault.create ~seed w.t.net in
+  Netfault.schedule nf
+    (List.map
+       (fun (at, desc, fn) ->
+         ( at,
+           fun nf ->
+             ev w "nemesis: %s" desc;
+             fn nf ))
+       sched.nemesis
+    @ [ (sched.duration, Netfault.clear) ]);
+  List.iter
+    (fun c ->
+      Faultpoint.arm_site c.site ~at:c.at_hit
+        (Faultpoint.Crash
+           (fun _site ->
+             let h = w.t.petal.Petal.Testbed.hosts.(c.victim) in
+             if Host.is_alive h then begin
+               ev w "petal member %d crashed (faultpoint %s)" c.victim c.site;
+               Host.crash h;
+               ignore
+                 (Sim.Timer.after c.restart_after (fun () ->
+                      ev w "petal member %d restarted" c.victim;
+                      Host.restart h))
+             end)))
+    sched.petal_crashes;
+  Faultpoint.enable ();
+  nf
+
+(* The paced ledger workers: each op (now and then an unlink of the
+   newest acked file, then create + write, sometimes a rename, then
+   sync) is acked only once its sync returns. *)
+let start_workers w (sh : shape) =
+  Array.iteri
+    (fun i fs ->
+      let dname = Printf.sprintf "w%d" i in
+      let led = w.ledgers.(i) in
+      let pace = if i < sh.tracked then sh.pace else s 3.0 in
+      let finished k =
+        match sh.budget with Some n -> k >= n | None -> w.stop_all
+      in
+      spawn_fiber w (fun () ->
+          let dir = try Fs.mkdir fs ~dir:Fs.root dname with _ -> -1 in
+          let seq = ref 0 and stopped = ref false in
+          while not (finished !seq || !stopped) do
+            if w.paused then begin
+              w.idle.(i) <- true;
+              Sim.sleep (Sim.ms 500)
+            end
+            else begin
+              w.idle.(i) <- false;
+              (try
+                 let k = !seq in
+                 incr seq;
+                 if k mod 9 = 5 then (
+                   match Invariants.pop_latest led with
+                   | Some (path, _) ->
+                     Fs.unlink fs ~dir (List.nth path (List.length path - 1));
+                     Fs.sync fs
+                   | None -> ());
+                 let name = Printf.sprintf "f%05d" k in
+                 let f = Fs.create fs ~dir name in
+                 let data =
+                   Invariants.bytes_pat (512 * (1 + (k mod 4))) ((i * 1000) + k)
+                 in
+                 Fs.write fs f ~off:0 data;
+                 let final =
+                   if k mod 5 = 2 then begin
+                     Fs.rename fs ~sdir:dir name ~ddir:dir (name ^ ".r");
+                     name ^ ".r"
+                   end
+                   else name
+                 in
+                 Fs.sync fs;
+                 Invariants.ack led ~path:[ dname; final ] data
+               with ex -> (
+                 w.failed_ops <- w.failed_ops + 1;
+                 match Invariants.classify fs ex with
+                 | Invariants.Expired ->
+                   w.expired.(i) <- true;
+                   stopped := true;
+                   ev w "worker %d stopped: lease expired" i
+                 | Invariants.Failed -> ()
+                 | exception _ ->
+                   stopped := true;
+                   ev w "worker %d stopped: unexpected error" i;
+                   Invariants.check w.eng false
+                     (Printf.sprintf "worker %d stopped on an unclassified error: %s"
+                        i (Printexc.to_string ex))));
+              if not (Host.is_alive (Fs.host fs)) then stopped := true;
+              if not !stopped then Sim.sleep pace
+            end
+          done;
+          w.idle.(i) <- true))
+    w.workers
+
+(* Ambient multi-tenant rounds on a rotating subset of the pool. *)
+let start_ambient w sched pool =
+  spawn_fiber w (fun () ->
+      List.iter
+        (fun (at, ridx) ->
+          sleep_until at;
+          while w.paused do
+            Sim.sleep (s 1.0)
+          done;
+          if not w.stop_all then begin
+            w.amb_busy <- true;
+            let live = List.filter healthy (Array.to_list pool) in
+            let n = List.length live in
+            let take = min 7 n in
+            let start = if n = 0 then 0 else ridx * take mod n in
+            let picked =
+              List.filteri (fun j _ -> (j - start + n) mod n < take) live
+            in
+            if picked <> [] then begin
+              ev w "ambient round %d on %d servers" ridx (List.length picked);
+              (* Every picked server runs the round under one shared
+                 per-round directory: the first mkdir wins, the rest
+                 resolve it by lookup, so the tenants exercise
+                 cross-server directory sharing without colliding with
+                 earlier rounds. The setup uses the raw vfs —
+                 [amb_failed] counts only real workload ops. *)
+              let vfss =
+                List.mapi
+                  (fun j fs ->
+                    let raw = Vfs.of_frangipani fs in
+                    let name = Printf.sprintf "amb%d" ridx in
+                    let root =
+                      match raw.Vfs.mkdir ~dir:raw.Vfs.root name with
+                      | inum -> inum
+                      | exception _ -> (
+                        try raw.Vfs.lookup ~dir:raw.Vfs.root name
+                        with _ -> (
+                          try
+                            raw.Vfs.mkdir ~dir:raw.Vfs.root
+                              (Printf.sprintf "amb%d_s%d" ridx j)
+                          with _ -> raw.Vfs.root))
+                    in
+                    let sh = Invariants.shield ~failed:w.amb_failed raw in
+                    { sh with Vfs.root })
+                  picked
+              in
+              let r =
+                Multitenant.run vfss ~users_per_server:4 ~ops_per_user:12
+                  ~namespace:64 ~think:(Sim.ms 20) ()
+              in
+              w.amb_ops <- w.amb_ops + r.Multitenant.ops
+            end;
+            w.amb_busy <- false
+          end)
+        sched.ambient)
+
+(* The reconfiguration driver: its own machine, talking straight to
+   the Petal cluster. Each change is proposed at its time; a proposal
+   refused because a transfer is pending or a snapshot pins the map
+   (or lost to the nemesis) is retried every 2 s. *)
+let start_reconfig w sched =
+  let _, drv_rpc = Testbed.fresh_client w.t "soak-drv" in
+  let pc = Petal.Testbed.client w.t.petal ~rpc:drv_rpc in
+  spawn_fiber w (fun () ->
+      List.iteri
+        (fun idx (at, op) ->
+          sleep_until at;
+          w.requested <- w.requested + 1;
+          ev w "reconfiguration %d proposed: %s" (idx + 1)
+            (match op with
+            | Add i -> Printf.sprintf "add %d" i
+            | Remove i -> Printf.sprintf "remove %d" i);
+          let propose () =
+            match op with
+            | Add i -> Petal.Client.add_server pc ~idx:i
+            | Remove i -> Petal.Client.remove_server pc ~idx:i
+          in
+          let rec attempt n =
+            match propose () with
+            | () -> true
+            | exception Failure _ when n > 0 ->
+              w.reconf_rejected <- w.reconf_rejected + 1;
+              Sim.sleep (s 2.0);
+              attempt (n - 1)
+            | exception Petal.Protocol.Unavailable _ when n > 0 ->
+              Sim.sleep (s 2.0);
+              attempt (n - 1)
+            | exception _ -> false
+          in
+          if attempt 200 then begin
+            (* Poll until this change's epoch commits. If the next
+               change falls due first, it is proposed while this
+               handoff is pending and refused until it commits. *)
+            let want = idx + 1 in
+            let next_at =
+              match List.nth_opt sched.reconfigs want with
+              | Some (t, _) -> t
+              | None -> max_int
+            in
+            let rec await n =
+              let ep =
+                match Petal.Client.fetch_map pc with
+                | ep, _ -> ep
+                | exception _ -> -1
+              in
+              w.committed <- max w.committed ep;
+              if ep >= want || n = 0 then true
+              else if Sim.now () + s 2.0 > next_at then false
+              else begin
+                Sim.sleep (s 2.0);
+                await (n - 1)
+              end
+            in
+            if await 240 then
+              ev w "reconfiguration %d committed (map epoch %d)" (idx + 1)
+                w.committed
+          end
+          else ev w "reconfiguration %d abandoned" (idx + 1))
+        sched.reconfigs);
+  pc
+
+(* §8 snapshot barriers: take, mount read-only, spot-check the ledger
+   sampled before the barrier, delete. *)
+let start_snapshots w sched pc =
+  spawn_fiber w (fun () ->
+      if sched.snapshots <> [] then begin
+        let t = w.t in
+        let _, brpc = Testbed.fresh_client t "soak-backup" in
+        let bk =
+          Frangipani.Backup.connect ~rpc:brpc ~lock_servers:t.lock_addrs
+            ~table:"fs0"
+        in
+        let vd_live = Testbed.open_vdisk t ~rpc:brpc t.vdisk_id in
+        List.iter
+          (fun at ->
+            sleep_until at;
+            (* everything acked by now must be inside the snapshot (skip
+               the newest entries, the only ones a worker may still
+               unlink) *)
+            let pre =
+              List.concat_map
+                (fun l -> Invariants.recent l ~skip:12 ~n:3)
+                (all_ledgers w)
+            in
+            let rec attempt n =
+              match Frangipani.Backup.snapshot bk vd_live with
+              | id -> Some id
+              | exception Failure _ when n > 0 ->
+                w.snap_rej <- w.snap_rej + 1;
+                ev w "snapshot refused (transfer pending), retrying";
+                Sim.sleep (s 2.0);
+                attempt (n - 1)
+              | exception Petal.Protocol.Unavailable _ when n > 0 ->
+                Sim.sleep (s 2.0);
+                attempt (n - 1)
+              | exception _ -> None
+            in
+            match attempt 150 with
+            | None ->
+              Invariants.check w.eng false "snapshot barrier exhausted its retries"
+            | Some id ->
+              w.snap_ok <- w.snap_ok + 1;
+              ev w "snapshot taken: vdisk %d" id;
+              (try
+                 let mh, mrpc =
+                   Testbed.fresh_client t (Printf.sprintf "soak-snapm%d" id)
+                 in
+                 let vd_snap = Testbed.open_vdisk t ~rpc:mrpc id in
+                 let sfs =
+                   Fs.mount ~host:mh ~rpc:mrpc ~vd:vd_snap
+                     ~lock_servers:t.lock_addrs
+                     ~table:(Printf.sprintf "fs0@snap%d" id)
+                     ~readonly:true ()
+                 in
+                 let missing = Invariants.verify_entries pre sfs in
+                 Invariants.check w.eng (missing = [])
+                   (Printf.sprintf "snapshot %d misses pre-barrier acked data: %s"
+                      id (String.concat "; " missing));
+                 Fs.unmount sfs
+               with _ ->
+                 Invariants.check w.eng false
+                   (Printf.sprintf "snapshot %d could not be mounted and checked" id));
+              Sim.sleep (s 20.0);
+              let rec del n =
+                match Petal.Client.delete_vdisk pc ~id with
+                | () ->
+                  w.snap_del <- w.snap_del + 1;
+                  ev w "snapshot %d deleted" id
+                | exception (Failure _ | Petal.Protocol.Unavailable _) when n > 0 ->
+                  Sim.sleep (s 2.0);
+                  del (n - 1)
+                | exception _ ->
+                  Invariants.check w.eng false
+                    (Printf.sprintf "snapshot %d delete failed" id)
+              in
+              del 90)
+          sched.snapshots
+      end)
+
+(* Frangipani crashes, each with a bounded-recovery monitor: some live
+   server must replay the victim's log within 300 s. *)
+let start_fs_crashes w sched (sh : shape) =
+  let nvict = Array.length w.workers - sh.tracked in
+  List.iteri
+    (fun k at ->
+      spawn_fiber w (fun () ->
+          sleep_until at;
+          let wk = sh.tracked + k in
+          if (not w.stop_all) && k < nvict then begin
+            let vfs = w.workers.(wk) in
+            if Host.is_alive (Fs.host vfs) then begin
+              let before = total_replays w in
+              ev w "fs server w%d crashed" wk;
+              w.crashed_fs <- w.crashed_fs + 1;
+              Fs.crash vfs;
+              let rec wait n =
+                if total_replays w > before then
+                  ev w "recovery replay observed for w%d" wk
+                else if n = 0 then
+                  Invariants.check w.eng false
+                    (Printf.sprintf "w%d's log not replayed within 300 s of its crash"
+                       wk)
+                else begin
+                  Sim.sleep (s 10.0);
+                  wait (n - 1)
+                end
+              in
+              wait 30
+            end
+          end))
+    sched.fs_crashes
+
+(* WAL log-pressure bursts: unsynced create/write/unlink churn. *)
+let start_pressure w sched =
+  List.iteri
+    (fun pi at ->
+      spawn_fiber w (fun () ->
+          sleep_until at;
+          let fs = w.servers.(2) in
+          if (not w.stop_all) && healthy fs then begin
+            ev w "log-pressure burst %d" pi;
+            try
+              let dir =
+                match Fs.lookup fs ~dir:Fs.root "press" with
+                | d -> d
+                | exception _ -> Fs.mkdir fs ~dir:Fs.root "press"
+              in
+              for j = 0 to 399 do
+                (try
+                   let name = Printf.sprintf "p%d_%d" pi j in
+                   let f = Fs.create fs ~dir name in
+                   Fs.write fs f ~off:0 (Invariants.bytes_pat 2048 j);
+                   if j mod 3 <> 0 then Fs.unlink fs ~dir name
+                 with _ -> w.failed_ops <- w.failed_ops + 1);
+                if j mod 16 = 15 then Sim.sleep (Sim.ms 5)
+              done
+            with _ -> ()
+          end))
+    sched.pressure
+
+(* The FS-level hot-chunk writer. *)
+let start_hot w (hstart, hstop) =
+  spawn_fiber w (fun () ->
+      sleep_until hstart;
+      let fs = w.servers.(1) in
+      let cb = Petal.Protocol.chunk_bytes in
+      try
+        let dir = Fs.mkdir fs ~dir:Fs.root "hotd" in
+        let f = Fs.create fs ~dir "hot" in
+        (* preallocate 16 chunks' worth so the rotating writes touch
+           many chunks: under any ring change at least one of them
+           moves, so the writer provably collides with the handoff *)
+        Fs.write fs f ~off:0 (Invariants.bytes_pat (16 * cb) 7);
+        Fs.sync fs;
+        ev w "hot-chunk writer started";
+        let k = ref 0 in
+        while Sim.now () < hstop && (not w.stop_all) && healthy fs do
+          (try
+             Fs.write fs f ~off:(!k mod 16 * cb) (Invariants.bytes_pat 4096 (100 + !k));
+             Fs.sync fs;
+             w.hot_writes <- w.hot_writes + 1
+           with _ -> w.failed_ops <- w.failed_ops + 1);
+          incr k;
+          Sim.sleep (Sim.ms 40)
+        done;
+        ev w "hot-chunk writer stopped after %d writes" w.hot_writes;
+        (* one acked write after the window: the post-freeze,
+           post-cutover write path must work and survive *)
+        let rec final n =
+          match
+            let g =
+              match Fs.lookup fs ~dir "hotfinal" with
+              | g -> g
+              | exception _ -> Fs.create fs ~dir "hotfinal"
+            in
+            let data = Invariants.bytes_pat 2048 9 in
+            Fs.write fs g ~off:0 data;
+            Fs.sync fs;
+            Invariants.ack w.hot_led ~path:[ "hotd"; "hotfinal" ] data
+          with
+          | () -> ()
+          | exception _ when n > 0 ->
+            Sim.sleep (s 2.0);
+            final (n - 1)
+          | exception _ -> ()
+        in
+        final 10
+      with _ -> ev w "hot-chunk writer failed to start")
+
+(* The raw-Petal hot writer (freeze_retry). *)
+let start_raw_hot w (rstart, rstop) =
+  spawn_fiber w (fun () ->
+      sleep_until rstart;
+      w.raw_errors <- 0;
+      let _, rrpc = Testbed.fresh_client w.t "soak-raw" in
+      let rawc = Petal.Testbed.client w.t.petal ~rpc:rrpc in
+      let aux_id = Petal.Client.create_vdisk rawc ~nrep:2 in
+      let vd = Petal.Client.open_vdisk rawc aux_id in
+      let cb = Petal.Protocol.chunk_bytes in
+      (* mirror the servers' ring placement to pick a chunk whose owner
+         pair provably changes when member 6 activates (the schedule's
+         [Add 6]) — a non-moving chunk would never be frozen and the
+         case would assert nothing *)
+      let owners act chunk =
+        List.sort compare
+          (Petal.Protocol.owners
+             (Array.of_list (List.sort compare act))
+             ~nrep:2 ~root:aux_id ~chunk)
+      in
+      let before = initial_active Composed in
+      let rec moving c =
+        if owners before c <> owners (before @ [ 6 ]) c then c else moving (c + 1)
+      in
+      let off = moving 0 * cb in
+      ev w "raw hot writer started on aux vdisk %d" aux_id;
+      let k = ref 0 and last = ref (-1) in
+      while Sim.now () < rstop && not w.stop_all do
+        (try
+           Petal.Client.write vd ~off (Invariants.bytes_pat 4096 (200 + !k));
+           last := !k
+         with _ -> w.raw_errors <- w.raw_errors + 1);
+        incr k;
+        Sim.sleep (Sim.ms 20)
+      done;
+      (* the freeze must have been invisible: no surfaced error, and
+         the last write's bytes are what a read returns *)
+      (try
+         let got = Petal.Client.read vd ~off ~len:4096 in
+         w.raw_ok <-
+           !last >= 0 && Bytes.equal got (Invariants.bytes_pat 4096 (200 + !last))
+       with _ -> w.raw_ok <- false);
+      w.raw_waits <- (Petal.Client.op_stats vd).Petal.Client.freeze_waits;
+      ev w "raw hot writer: %d writes, %d errors, %d freeze waits" !k w.raw_errors
+        w.raw_waits)
+
+(* --- checkpoints and the verdict --------------------------------------- *)
+
+(* Quiesce checkpoints: park the workers and the ambient round, sync,
+   then check the cluster-wide invariants mid-run. *)
+let start_checkpoints w sched =
+  let check = Invariants.check w.eng in
+  spawn_fiber w (fun () ->
+      List.iteri
+        (fun ci at ->
+          sleep_until at;
+          if not w.stop_all then begin
+            ev w "checkpoint %d: quiescing" ci;
+            w.paused <- true;
+            let rec wait_idle n =
+              if Array.for_all Fun.id w.idle || n = 0 then ()
+              else begin
+                Sim.sleep (Sim.ms 500);
+                wait_idle (n - 1)
+              end
+            in
+            wait_idle 720;
+            let rec wait_amb n =
+              if (not w.amb_busy) || n = 0 then ()
+              else begin
+                Sim.sleep (s 1.0);
+                wait_amb (n - 1)
+              end
+            in
+            wait_amb 180;
+            Array.iter
+              (fun fs -> if healthy fs then try Fs.sync fs with _ -> ())
+              w.servers;
+            let degraded = Invariants.drain_backlog ~rounds:12 w.psrv in
+            let pending_left, leftover =
+              Invariants.settle_transfers ~rounds:8 w.psrv
+            in
+            check (degraded = 0)
+              (Printf.sprintf "checkpoint %d: push backlog not drained (%d left)"
+                 ci degraded);
+            check (not pending_left)
+              (Printf.sprintf "checkpoint %d: a transfer is still pending" ci);
+            check (leftover = 0)
+              (Printf.sprintf "checkpoint %d: %d chunks left on non-owning members"
+                 ci leftover);
+            check
+              (Invariants.sum Petal.Server.stale_applied_count w.psrv = 0)
+              (Printf.sprintf "checkpoint %d: an expired-stamp write was applied" ci);
+            (match List.find_opt healthy (Array.to_list w.servers) with
+            | None -> ev w "checkpoint %d: no healthy server to verify through" ci
+            | Some fs ->
+              let missing =
+                List.concat_map
+                  (fun l ->
+                    Invariants.verify_entries (Invariants.recent l ~skip:0 ~n:80) fs)
+                  (all_ledgers w)
+              in
+              check (missing = [])
+                (Printf.sprintf "checkpoint %d: acked data lost: %s" ci
+                   (String.concat "; " missing));
+              let findings = Invariants.fsck fs in
+              check (findings = [])
+                (Printf.sprintf "checkpoint %d: fsck: %s" ci
+                   (String.concat "; " findings)));
+            w.paused <- false;
+            ev w "checkpoint %d: done (%d checks so far, %d violations)" ci
+              (Invariants.checks_run w.eng)
+              (List.length (Invariants.violations w.eng))
+          end)
+        sched.checkpoints)
+
+(* Run out the clock, let everything settle, and judge the run through
+   a fresh server. *)
+let verdict w (sh : shape) sched ~profile ~label ~pc ~nf =
+  sleep_until sched.duration;
+  w.stop_all <- true;
+  List.iter Sim.Ivar.read (List.rev w.fibers);
+  Sim.sleep sh.settle;
+  let degraded_left = Invariants.drain_backlog w.psrv in
+  let pending_left, leftover_chunks = Invariants.settle_transfers w.psrv in
+  (* One post-run acked write through the first worker. Its cached
+     routing map predates any committed cutover, so this op also
+     exercises the client's [Wrong_epoch] refresh-and-retry path, and
+     the final verify proves a post-cutover write lands on the new
+     owners. *)
+  (try
+     let fs = w.servers.(0) in
+     if healthy fs then begin
+       let dir = Fs.lookup fs ~dir:Fs.root "w0" in
+       let f = Fs.create fs ~dir "post" in
+       let data = Invariants.bytes_pat 768 99 in
+       Fs.write fs f ~off:0 data;
+       Fs.sync fs;
+       Invariants.ack w.ledgers.(0) ~path:[ "w0"; "post" ] data
+     end
+   with _ -> ());
+  let final_active =
+    match Petal.Client.fetch_map pc with _, act -> act | exception _ -> []
+  in
+  let worker_sum f = sum_fs f w.workers in
+  let renew_misses =
+    worker_sum (fun fs -> (Fs.lease_stats fs).Locksvc.Clerk.renew_misses)
+  in
+  let rpc_retries = worker_sum (fun fs -> (Fs.net_stats fs).Rpc.retries) in
+  let map_refreshes =
+    worker_sum (fun fs ->
+        (Petal.Client.op_stats fs.Frangipani.Ctx.vd).Petal.Client.map_refreshes)
+  in
+  let unclean =
+    sh.unmount
+    && Array.exists Fun.id
+         (Array.mapi
+            (fun i fs ->
+              match Fs.unmount fs with
+              | () -> w.expired.(i)
+              | exception _ -> true)
+            w.workers)
+  in
+  (* The full-ledger verify and fsck go through a fresh server, so
+     they also prove a newcomer converges on the final map. If a
+     worker's lease died, its log is replayed by the next live clerk
+     with the table open — which is this one, just now: wait for the
+     lock service's nag to reach it and the replay to finish. *)
+  let c = Testbed.add_server w.t ~name:"soak-fresh" () in
+  if unclean then Invariants.await_replay c;
+  let lost = List.concat_map (fun l -> Invariants.verify l c) (all_ledgers w) in
+  let fsck_findings = Invariants.fsck c in
+  let sum f = Invariants.sum f w.psrv in
+  {
+    label;
+    sim_hours = Sim.to_sec (Sim.now ()) /. 3600.0;
+    acked =
+      List.fold_left (fun acc l -> acc + Invariants.acked_count l) 0 (all_ledgers w);
+    failed_ops = w.failed_ops;
+    expired_servers = Array.fold_left (fun n e -> if e then n + 1 else n) 0 w.expired;
+    crashed_fs = w.crashed_fs;
+    requested = w.requested;
+    committed = w.committed;
+    reconf_rejected = w.reconf_rejected;
+    snapshots_ok = w.snap_ok;
+    snapshots_deleted = w.snap_del;
+    snap_rejected = w.snap_rej;
+    freeze_rejects = sum Petal.Server.freeze_reject_count;
+    freeze_waits =
+      sum_fs
+        (fun fs ->
+          (Petal.Client.op_stats fs.Frangipani.Ctx.vd).Petal.Client.freeze_waits)
+        w.servers
+      + w.raw_waits;
+    max_cutover_ns =
+      Array.fold_left
+        (fun acc srv -> max acc (Petal.Server.max_cutover_time srv))
+        0 w.psrv;
+    cutover_bound_ns = sched.cutover_bound;
+    raw_errors = w.raw_errors;
+    raw_ok = w.raw_ok;
+    raw_freeze_waits = w.raw_waits;
+    hot_writes = w.hot_writes;
+    log_pressure_stalls =
+      sum_fs (fun fs -> (Fs.wal_stats fs).Frangipani.Wal.log_pressure_stalls) w.servers;
+    wal_reclaims =
+      sum_fs (fun fs -> (Fs.wal_stats fs).Frangipani.Wal.reclaim_rounds) w.servers;
+    replays = total_replays w;
+    ambient_ops = w.amb_ops;
+    ambient_failed = !(w.amb_failed);
+    renew_misses;
+    rpc_retries;
+    map_refreshes;
+    xfer_pushes = sum Petal.Server.xfer_push_count;
+    wrong_epoch_rejects = sum Petal.Server.wrong_epoch_count;
+    gc_chunks = sum Petal.Server.gc_chunk_count;
+    checks_run = Invariants.checks_run w.eng;
+    violations = Invariants.violations w.eng;
+    timeline = List.rev w.timeline;
+    lost;
+    fsck_findings;
+    stale_applied = sum Petal.Server.stale_applied_count;
+    degraded_left;
+    pending_left;
+    leftover_chunks;
+    final_active;
+    expected_active = expected_active_of profile sched;
+    nf = Netfault.stats nf;
+    end_ns = Sim.now ();
+  }
+
+(** One complete simulation of [spec]. [duration] (default one hour)
+    is a composed seed's horizon; [fs_servers] overrides the profile's
+    Frangipani server count and raises [Invalid_argument] below what
+    its roles need, as does an unknown scripted label. *)
 let run ?duration ?fs_servers spec =
-  let label, sim_seed, nf_seed =
-    match spec with
-    | Scripted name -> (name, 42, 42)
-    | Random n -> (Printf.sprintf "random_%d" n, 3000 + n, n)
+  let profile = profile_of spec in
+  let sh = shape profile in
+  let label = label_of spec in
+  let sim_seed, nf_seed =
+    match spec with Scripted _ -> (42, 42) | Random (_, n) -> (sh.seed_base + n, n)
   in
-  let dur_req =
-    match duration with Some d -> d | None -> Sim.sec 3600.0
+  let nfs =
+    match (fs_servers, spec) with
+    | Some n, _ -> n
+    | None, Random (Composed, _) -> 32
+    | None, Scripted "composed_quick" -> 8
+    | None, _ -> if profile = Composed then 6 else 1
   in
-  let until =
-    match spec with
-    | Random _ -> dur_req + Sim.sec 3600.0
-    | Scripted _ -> Sim.sec 7200.0
-  in
-  Sim.run ~seed:sim_seed ~until (fun () ->
+  if nfs < sh.min_servers then
+    invalid_arg
+      (Printf.sprintf "Soak.run: %s needs at least %d Frangipani servers, got %d"
+         label sh.min_servers nfs);
+  let duration = Option.value duration ~default:(s 3600.0) in
+  Sim.run ~seed:sim_seed ~until:(duration + s 3600.0) (fun () ->
       Faultpoint.reset ();
-      let nfs =
-        match fs_servers with
-        | Some n -> max 5 n
-        | None -> (
-          match spec with
-          | Random _ -> 32
-          | Scripted "composed_quick" -> 8
-          | Scripted _ -> 6)
-      in
-      let t =
-        Testbed.build ~petal_servers:8 ~petal_active:6 ~ndisks:2
-          ~disk_capacity:(256 * 1024 * 1024) ()
-      in
+      let t = build_testbed profile in
       let servers =
         Array.init nfs (fun i ->
-            Testbed.add_server t ~config:sweep_config
+            Testbed.add_server t ~config:Invariants.sweep_config
               ~name:(Printf.sprintf "soak%02d" i) ())
       in
+      let nworkers = sh.tracked + sh.victims nfs in
       let roles =
         { petal = t.petal.Petal.Testbed.addrs;
-          tracked = Array.map (Testbed.addr_of t) (Array.sub servers 0 3) }
+          tracked = Array.map (Testbed.addr_of t) (Array.sub servers 0 sh.tracked) }
       in
-      let sched =
-        match spec with
-        | Scripted name -> scripted_schedule name roles
-        | Random n -> random_schedule n ~duration:dur_req roles
+      let sched = schedule_of spec ~duration roles in
+      let w =
+        {
+          t;
+          servers;
+          workers = Array.sub servers 0 nworkers;
+          psrv = t.petal.Petal.Testbed.servers;
+          eng = Invariants.engine ();
+          ledgers = Array.init nworkers (fun _ -> Invariants.ledger ());
+          hot_led = Invariants.ledger ();
+          idle = Array.make nworkers false;
+          expired = Array.make nworkers false;
+          timeline = [];
+          paused = false;
+          stop_all = false;
+          fibers = [];
+          failed_ops = 0;
+          crashed_fs = 0;
+          requested = 0;
+          committed = 0;
+          reconf_rejected = 0;
+          snap_ok = 0;
+          snap_rej = 0;
+          snap_del = 0;
+          amb_busy = false;
+          amb_ops = 0;
+          amb_failed = ref 0;
+          hot_writes = 0;
+          raw_errors = -1;
+          raw_ok = true;
+          raw_waits = 0;
+        }
       in
-      let psrv = t.petal.Petal.Testbed.servers in
-      let sum f = Invariants.sum f psrv in
-      (* Role partition: 3 tracked workers, a few crash victims (also
-         paced workers, so a crash always has acked state at stake),
-         the rest ambient. *)
-      let ntracked = 3 in
-      let nvict = max 1 (min 7 (nfs / 4)) in
-      let victims = Array.sub servers ntracked nvict in
-      let ambient_pool =
-        Array.sub servers (ntracked + nvict) (nfs - ntracked - nvict)
-      in
-      (* shared orchestrator state *)
-      let eng = Invariants.engine () in
-      let timeline = ref [] in
-      let ev fmt =
-        Printf.ksprintf
-          (fun m -> timeline := (Sim.now (), m) :: !timeline)
-          fmt
-      in
-      let paused = ref false and stop_all = ref false in
-      let failed_ops = ref 0 and expired = ref 0 and crashed_fs = ref 0 in
-      let aux_done = ref [] in
-      let spawn_tracked f =
-        let iv = Sim.Ivar.create () in
-        aux_done := iv :: !aux_done;
-        Sim.spawn (fun () ->
-            f ();
-            Sim.Ivar.fill iv ())
-      in
-      let total_replays () =
-        Array.fold_left
-          (fun acc fs ->
-            acc + (try (Fs.recovery_stats fs).Fs.replays with _ -> 0))
-          0 servers
-      in
-      (* nemesis + petal faultpoint crashes *)
-      let nf = Netfault.create ~seed:nf_seed t.net in
-      Netfault.schedule nf
-        (List.map
-           (fun (at, desc, fn) ->
-             ( at,
-               fun nf ->
-                 ev "nemesis: %s" desc;
-                 fn nf ))
-           sched.nemesis
-        @ [ (sched.duration, Netfault.clear) ]);
-      List.iter
-        (fun c ->
-          Faultpoint.arm_site c.site ~at:c.at_hit
-            (Faultpoint.Crash
-               (fun _site ->
-                 let h = t.petal.Petal.Testbed.hosts.(c.victim) in
-                 if Host.is_alive h then begin
-                   ev "petal member %d crashed (faultpoint %s)" c.victim c.site;
-                   Host.crash h;
-                   ignore
-                     (Sim.Timer.after c.restart_after (fun () ->
-                          ev "petal member %d restarted" c.victim;
-                          Host.restart h))
-                 end)))
-        sched.petal_crashes;
-      Faultpoint.enable ();
-      (* --- tracked + victim workers --------------------------------- *)
-      let nworkers = ntracked + nvict in
-      let wservers = Array.sub servers 0 nworkers in
-      let ledgers = Array.init nworkers (fun _ -> Invariants.ledger ()) in
-      let hot_led = Invariants.ledger () in
-      let all_ledgers () = hot_led :: Array.to_list ledgers in
-      let idle = Array.make nworkers false in
-      let wdone = Array.init nworkers (fun _ -> Sim.Ivar.create ()) in
-      Array.iteri
-        (fun i fs ->
-          let dname = Printf.sprintf "w%d" i in
-          let led = ledgers.(i) in
-          let pace = if i < ntracked then s 2.0 else s 3.0 in
-          Sim.spawn (fun () ->
-              let dir = try Fs.mkdir fs ~dir:Fs.root dname with _ -> -1 in
-              let seq = ref 0 and stopped = ref false in
-              while not (!stop_all || !stopped) do
-                if !paused then begin
-                  idle.(i) <- true;
-                  Sim.sleep (Sim.ms 500)
-                end
-                else begin
-                  idle.(i) <- false;
-                  (try
-                     let k = !seq in
-                     incr seq;
-                     if k mod 9 = 5 then (
-                       match Invariants.pop_latest led with
-                       | Some (path, _) ->
-                         Fs.unlink fs ~dir
-                           (List.nth path (List.length path - 1));
-                         Fs.sync fs
-                       | None -> ());
-                     let name = Printf.sprintf "f%05d" k in
-                     let f = Fs.create fs ~dir name in
-                     let data =
-                       Invariants.bytes_pat
-                         (512 * (1 + (k mod 4)))
-                         ((i * 1000) + k)
-                     in
-                     Fs.write fs f ~off:0 data;
-                     let final =
-                       if k mod 5 = 2 then begin
-                         Fs.rename fs ~sdir:dir name ~ddir:dir (name ^ ".r");
-                         name ^ ".r"
-                       end
-                       else name
-                     in
-                     Fs.sync fs;
-                     Invariants.ack led ~path:[ dname; final ] data
-                   with ex -> (
-                     incr failed_ops;
-                     match Invariants.classify fs ex with
-                     | Invariants.Expired ->
-                       incr expired;
-                       stopped := true;
-                       ev "worker %d stopped: lease expired" i
-                     | Invariants.Failed -> ()
-                     | exception _ ->
-                       stopped := true;
-                       ev "worker %d stopped: unexpected error" i));
-                  if not (Host.is_alive (Fs.host fs)) then stopped := true;
-                  if not !stopped then Sim.sleep pace
-                end
-              done;
-              idle.(i) <- true;
-              Sim.Ivar.fill wdone.(i) ()))
-        wservers;
-      (* --- ambient multi-tenant rounds ------------------------------ *)
-      let amb_ops = ref 0 and amb_failed = ref 0 in
-      let amb_busy = ref false in
-      let amb_done = Sim.Ivar.create () in
-      Sim.spawn (fun () ->
-          List.iter
-            (fun (at, ridx) ->
-              if Sim.now () < at then Sim.sleep (at - Sim.now ());
-              while !paused do
-                Sim.sleep (s 1.0)
-              done;
-              if not !stop_all then begin
-                amb_busy := true;
-                let live =
-                  Array.to_list ambient_pool
-                  |> List.filter (fun fs ->
-                         Host.is_alive (Fs.host fs)
-                         && not (Fs.is_poisoned fs))
-                in
-                let n = List.length live in
-                let take = min 7 n in
-                let start = if n = 0 then 0 else ridx * take mod n in
-                let picked =
-                  List.filteri
-                    (fun j _ -> (j - start + n) mod n < take)
-                    live
-                in
-                if picked <> [] then begin
-                  ev "ambient round %d on %d servers" ridx
-                    (List.length picked);
-                  (* Every picked server runs the round under one shared
-                     per-round directory: the first mkdir wins, the rest
-                     resolve it by lookup, so the tenants exercise
-                     cross-server directory sharing without colliding
-                     with earlier rounds. The setup uses the raw vfs —
-                     [amb_failed] counts only real workload ops. *)
-                  let vfss =
-                    List.mapi
-                      (fun j fs ->
-                        let raw = Vfs.of_frangipani fs in
-                        let name = Printf.sprintf "amb%d" ridx in
-                        let root =
-                          match raw.Vfs.mkdir ~dir:raw.Vfs.root name with
-                          | inum -> inum
-                          | exception _ -> (
-                            try raw.Vfs.lookup ~dir:raw.Vfs.root name
-                            with _ -> (
-                              try
-                                raw.Vfs.mkdir ~dir:raw.Vfs.root
-                                  (Printf.sprintf "amb%d_s%d" ridx j)
-                              with _ -> raw.Vfs.root))
-                        in
-                        let sh = Invariants.shield ~failed:amb_failed raw in
-                        { sh with Vfs.root })
-                      picked
-                  in
-                  let r =
-                    Multitenant.run vfss ~users_per_server:4 ~ops_per_user:12
-                      ~namespace:64 ~think:(Sim.ms 20) ()
-                  in
-                  amb_ops := !amb_ops + r.Multitenant.ops
-                end;
-                amb_busy := false
-              end)
-            sched.ambient;
-          Sim.Ivar.fill amb_done ());
-      (* --- reconfiguration driver ----------------------------------- *)
-      let _, drv_rpc = Testbed.fresh_client t "soak-drv" in
-      let pc = Petal.Testbed.client t.petal ~rpc:drv_rpc in
-      let requested = ref 0
-      and committed = ref 0
-      and reconf_rejected = ref 0 in
-      let reconf_done = Sim.Ivar.create () in
-      Sim.spawn (fun () ->
-          List.iteri
-            (fun idx (at, op) ->
-              if Sim.now () < at then Sim.sleep (at - Sim.now ());
-              incr requested;
-              ev "reconfiguration %d proposed: %s" (idx + 1)
-                (match op with
-                | Add i -> Printf.sprintf "add %d" i
-                | Remove i -> Printf.sprintf "remove %d" i);
-              let propose () =
-                match op with
-                | Add i -> Petal.Client.add_server pc ~idx:i
-                | Remove i -> Petal.Client.remove_server pc ~idx:i
-              in
-              let rec attempt n =
-                match propose () with
-                | () -> true
-                | exception Failure _ when n > 0 ->
-                  (* refused: a transfer is pending or a snapshot pins
-                     the current map — retry until it clears *)
-                  incr reconf_rejected;
-                  Sim.sleep (s 2.0);
-                  attempt (n - 1)
-                | exception Petal.Protocol.Unavailable _ when n > 0 ->
-                  Sim.sleep (s 2.0);
-                  attempt (n - 1)
-                | exception _ -> false
-              in
-              if attempt 200 then begin
-                let want = idx + 1 in
-                let rec await n =
-                  match Petal.Client.fetch_map pc with
-                  | ep, _ ->
-                    committed := max !committed ep;
-                    if ep < want && n > 0 then begin
-                      Sim.sleep (s 2.0);
-                      await (n - 1)
-                    end
-                  | exception _ ->
-                    if n > 0 then begin
-                      Sim.sleep (s 2.0);
-                      await (n - 1)
-                    end
-                in
-                await 240;
-                ev "reconfiguration %d committed (map epoch %d)" (idx + 1)
-                  !committed
-              end
-              else ev "reconfiguration %d abandoned" (idx + 1))
-            sched.reconfigs;
-          Sim.Ivar.fill reconf_done ());
-      (* --- snapshot barriers ---------------------------------------- *)
-      let snap_ok = ref 0 and snap_rej = ref 0 and snap_del = ref 0 in
-      let snap_done = Sim.Ivar.create () in
-      Sim.spawn (fun () ->
-          (if sched.snapshots <> [] then begin
-             let _, brpc = Testbed.fresh_client t "soak-backup" in
-             let bk =
-               Frangipani.Backup.connect ~rpc:brpc
-                 ~lock_servers:t.lock_addrs ~table:"fs0"
-             in
-             let vd_live = Testbed.open_vdisk t ~rpc:brpc t.vdisk_id in
-             List.iter
-               (fun at ->
-                 if Sim.now () < at then Sim.sleep (at - Sim.now ());
-                 (* sample the ledger before the barrier: everything
-                    acked by now must be inside the snapshot (skip the
-                    newest entries, the only ones a worker may still
-                    unlink) *)
-                 let pre =
-                   List.concat_map
-                     (fun l -> Invariants.recent l ~skip:12 ~n:3)
-                     (all_ledgers ())
-                 in
-                 let rec attempt n =
-                   match Frangipani.Backup.snapshot bk vd_live with
-                   | id -> Some id
-                   | exception Failure _ when n > 0 ->
-                     incr snap_rej;
-                     ev "snapshot refused (transfer pending), retrying";
-                     Sim.sleep (s 2.0);
-                     attempt (n - 1)
-                   | exception Petal.Protocol.Unavailable _ when n > 0 ->
-                     Sim.sleep (s 2.0);
-                     attempt (n - 1)
-                   | exception _ -> None
-                 in
-                 match attempt 150 with
-                 | None ->
-                   Invariants.check eng false
-                     "snapshot barrier exhausted its retries"
-                 | Some id ->
-                   incr snap_ok;
-                   ev "snapshot taken: vdisk %d" id;
-                   (try
-                      let mh, mrpc =
-                        Testbed.fresh_client t
-                          (Printf.sprintf "soak-snapm%d" id)
-                      in
-                      let vd_snap = Testbed.open_vdisk t ~rpc:mrpc id in
-                      let sfs =
-                        Fs.mount ~host:mh ~rpc:mrpc ~vd:vd_snap
-                          ~lock_servers:t.lock_addrs
-                          ~table:(Printf.sprintf "fs0@snap%d" id)
-                          ~readonly:true ()
-                      in
-                      let missing = Invariants.verify_entries pre sfs in
-                      Invariants.check eng (missing = [])
-                        (Printf.sprintf
-                           "snapshot %d misses pre-barrier acked data: %s" id
-                           (String.concat "; " missing));
-                      Fs.unmount sfs
-                    with _ ->
-                      Invariants.check eng false
-                        (Printf.sprintf
-                           "snapshot %d could not be mounted and checked" id));
-                   Sim.sleep (s 20.0);
-                   let rec del n =
-                     match Petal.Client.delete_vdisk pc ~id with
-                     | () ->
-                       incr snap_del;
-                       ev "snapshot %d deleted" id
-                     | exception (Failure _ | Petal.Protocol.Unavailable _)
-                       when n > 0 ->
-                       Sim.sleep (s 2.0);
-                       del (n - 1)
-                     | exception _ ->
-                       Invariants.check eng false
-                         (Printf.sprintf "snapshot %d delete failed" id)
-                   in
-                   del 90)
-               sched.snapshots
-           end);
-          Sim.Ivar.fill snap_done ());
-      (* --- Frangipani crashes + bounded-recovery monitor ------------- *)
-      List.iteri
-        (fun k at ->
-          spawn_tracked (fun () ->
-              if Sim.now () < at then Sim.sleep (at - Sim.now ());
-              if (not !stop_all) && k < Array.length victims then begin
-                let vfs = victims.(k) in
-                if Host.is_alive (Fs.host vfs) then begin
-                  let before = total_replays () in
-                  ev "fs server w%d crashed" (ntracked + k);
-                  incr crashed_fs;
-                  Fs.crash vfs;
-                  (* some live server must replay the victim's log *)
-                  let rec wait n =
-                    if total_replays () > before then
-                      ev "recovery replay observed for w%d" (ntracked + k)
-                    else if n = 0 then
-                      Invariants.check eng false
-                        (Printf.sprintf
-                           "w%d's log not replayed within 300 s of its crash"
-                           (ntracked + k))
-                    else begin
-                      Sim.sleep (s 10.0);
-                      wait (n - 1)
-                    end
-                  in
-                  wait 30
-                end
-              end))
-        sched.fs_crashes;
-      (* --- WAL log-pressure bursts ----------------------------------- *)
-      List.iteri
-        (fun pi at ->
-          spawn_tracked (fun () ->
-              if Sim.now () < at then Sim.sleep (at - Sim.now ());
-              let fs = servers.(2) in
-              if
-                (not !stop_all)
-                && Host.is_alive (Fs.host fs)
-                && not (Fs.is_poisoned fs)
-              then begin
-                ev "log-pressure burst %d" pi;
-                try
-                  let dir =
-                    match Fs.lookup fs ~dir:Fs.root "press" with
-                    | d -> d
-                    | exception _ -> Fs.mkdir fs ~dir:Fs.root "press"
-                  in
-                  for j = 0 to 399 do
-                    (try
-                       let name = Printf.sprintf "p%d_%d" pi j in
-                       let f = Fs.create fs ~dir name in
-                       Fs.write fs f ~off:0 (Invariants.bytes_pat 2048 j);
-                       if j mod 3 <> 0 then Fs.unlink fs ~dir name
-                     with _ -> incr failed_ops);
-                    if j mod 16 = 15 then Sim.sleep (Sim.ms 5)
-                  done
-                with _ -> ()
-              end))
-        sched.pressure;
-      (* --- the FS-level hot-chunk writer ----------------------------- *)
-      let hot_writes = ref 0 in
-      (match sched.hot with
-      | None -> ()
-      | Some (hstart, hstop) ->
-        spawn_tracked (fun () ->
-            if Sim.now () < hstart then Sim.sleep (hstart - Sim.now ());
-            let fs = servers.(1) in
-            let cb = Petal.Protocol.chunk_bytes in
-            try
-              let dir = Fs.mkdir fs ~dir:Fs.root "hotd" in
-              let f = Fs.create fs ~dir "hot" in
-              (* preallocate 16 chunks' worth so the rotating writes
-                 touch many chunks: under any ring change at least one
-                 of them moves, so the writer provably collides with
-                 the handoff *)
-              Fs.write fs f ~off:0 (Invariants.bytes_pat (16 * cb) 7);
-              Fs.sync fs;
-              ev "hot-chunk writer started";
-              let k = ref 0 in
-              while
-                Sim.now () < hstop
-                && (not !stop_all)
-                && Host.is_alive (Fs.host fs)
-                && not (Fs.is_poisoned fs)
-              do
-                (try
-                   Fs.write fs f
-                     ~off:(!k mod 16 * cb)
-                     (Invariants.bytes_pat 4096 (100 + !k));
-                   Fs.sync fs;
-                   incr hot_writes
-                 with _ -> incr failed_ops);
-                incr k;
-                Sim.sleep (Sim.ms 40)
-              done;
-              ev "hot-chunk writer stopped after %d writes" !hot_writes;
-              (* one acked write after the window: the post-freeze,
-                 post-cutover write path must work and survive *)
-              let rec final n =
-                match
-                  let g =
-                    match Fs.lookup fs ~dir "hotfinal" with
-                    | g -> g
-                    | exception _ -> Fs.create fs ~dir "hotfinal"
-                  in
-                  let data = Invariants.bytes_pat 2048 9 in
-                  Fs.write fs g ~off:0 data;
-                  Fs.sync fs;
-                  Invariants.ack hot_led ~path:[ "hotd"; "hotfinal" ] data
-                with
-                | () -> ()
-                | exception _ when n > 0 ->
-                  Sim.sleep (s 2.0);
-                  final (n - 1)
-                | exception _ -> ()
-              in
-              final 10
-            with _ -> ev "hot-chunk writer failed to start"));
-      (* --- the raw-Petal hot writer (freeze_retry) ------------------- *)
-      let raw_errors = ref (-1)
-      and raw_ok = ref true
-      and raw_waits = ref 0 in
-      (match sched.raw_hot with
-      | None -> ()
-      | Some (rstart, rstop) ->
-        spawn_tracked (fun () ->
-            if Sim.now () < rstart then Sim.sleep (rstart - Sim.now ());
-            raw_errors := 0;
-            let _, rrpc = Testbed.fresh_client t "soak-raw" in
-            let rawc = Petal.Testbed.client t.petal ~rpc:rrpc in
-            let aux_id = Petal.Client.create_vdisk rawc ~nrep:2 in
-            let vd = Petal.Client.open_vdisk rawc aux_id in
-            let cb = Petal.Protocol.chunk_bytes in
-            (* mirror the servers' ring placement to pick a chunk whose
-               owner pair provably changes when member 6 activates (the
-               schedule's [Add 6]) — a non-moving chunk would never be
-               frozen and the case would assert nothing *)
-            let owners act chunk =
-              List.sort compare
-                (Petal.Protocol.owners
-                   (Array.of_list (List.sort compare act))
-                   ~nrep:2 ~root:aux_id ~chunk)
-            in
-            let rec moving c =
-              if owners initial_active c <> owners (initial_active @ [ 6 ]) c
-              then c
-              else moving (c + 1)
-            in
-            let off = moving 0 * cb in
-            ev "raw hot writer started on aux vdisk %d" aux_id;
-            let k = ref 0 and last = ref (-1) in
-            while Sim.now () < rstop && not !stop_all do
-              (try
-                 Petal.Client.write vd ~off
-                   (Invariants.bytes_pat 4096 (200 + !k));
-                 last := !k
-               with _ -> incr raw_errors);
-              incr k;
-              Sim.sleep (Sim.ms 20)
-            done;
-            (* the freeze must have been invisible: no surfaced error,
-               and the last write's bytes are what a read returns *)
-            (try
-               let got = Petal.Client.read vd ~off ~len:4096 in
-               raw_ok :=
-                 !last >= 0
-                 && Bytes.equal got (Invariants.bytes_pat 4096 (200 + !last))
-             with _ -> raw_ok := false);
-            raw_waits :=
-              (Petal.Client.op_stats vd).Petal.Client.freeze_waits;
-            ev "raw hot writer: %d writes, %d errors, %d freeze waits" !k
-              !raw_errors !raw_waits));
-      (* --- quiesce checkpoints --------------------------------------- *)
-      let ck_done = Sim.Ivar.create () in
-      Sim.spawn (fun () ->
-          List.iteri
-            (fun ci at ->
-              if Sim.now () < at then Sim.sleep (at - Sim.now ());
-              if not !stop_all then begin
-                ev "checkpoint %d: quiescing" ci;
-                paused := true;
-                let rec wait_idle n =
-                  if Array.for_all (fun b -> b) idle || n = 0 then ()
-                  else begin
-                    Sim.sleep (Sim.ms 500);
-                    wait_idle (n - 1)
-                  end
-                in
-                wait_idle 720;
-                let rec wait_amb n =
-                  if (not !amb_busy) || n = 0 then ()
-                  else begin
-                    Sim.sleep (s 1.0);
-                    wait_amb (n - 1)
-                  end
-                in
-                wait_amb 180;
-                Array.iter
-                  (fun fs ->
-                    if Host.is_alive (Fs.host fs) && not (Fs.is_poisoned fs)
-                    then try Fs.sync fs with _ -> ())
-                  servers;
-                let degraded = Invariants.drain_backlog ~rounds:12 psrv in
-                let pending_left, leftover =
-                  Invariants.settle_transfers ~rounds:8 psrv
-                in
-                Invariants.check eng (degraded = 0)
-                  (Printf.sprintf
-                     "checkpoint %d: push backlog not drained (%d left)" ci
-                     degraded);
-                Invariants.check eng (not pending_left)
-                  (Printf.sprintf "checkpoint %d: a transfer is still pending"
-                     ci);
-                Invariants.check eng (leftover = 0)
-                  (Printf.sprintf
-                     "checkpoint %d: %d chunks left on non-owning members" ci
-                     leftover);
-                Invariants.check eng
-                  (sum Petal.Server.stale_applied_count = 0)
-                  (Printf.sprintf
-                     "checkpoint %d: an expired-stamp write was applied" ci);
-                let checker =
-                  Array.to_list servers
-                  |> List.find_opt (fun fs ->
-                         Host.is_alive (Fs.host fs)
-                         && not (Fs.is_poisoned fs))
-                in
-                (match checker with
-                | None ->
-                  ev "checkpoint %d: no healthy server to verify through" ci
-                | Some fs ->
-                  let missing =
-                    List.concat_map
-                      (fun l ->
-                        Invariants.verify_entries
-                          (Invariants.recent l ~skip:0 ~n:80)
-                          fs)
-                      (all_ledgers ())
-                  in
-                  Invariants.check eng (missing = [])
-                    (Printf.sprintf "checkpoint %d: acked data lost: %s" ci
-                       (String.concat "; " missing));
-                  let findings = Invariants.fsck fs in
-                  Invariants.check eng (findings = [])
-                    (Printf.sprintf "checkpoint %d: fsck: %s" ci
-                       (String.concat "; " findings)));
-                paused := false;
-                ev "checkpoint %d: done (%d checks so far, %d violations)" ci
-                  (Invariants.checks_run eng)
-                  (List.length (Invariants.violations eng))
-              end)
-            sched.checkpoints;
-          Sim.Ivar.fill ck_done ());
-      (* --- run out the clock, settle, final verdict ------------------ *)
-      if Sim.now () < sched.duration then
-        Sim.sleep (sched.duration - Sim.now ());
-      stop_all := true;
-      Array.iter Sim.Ivar.read wdone;
-      Sim.Ivar.read amb_done;
-      Sim.Ivar.read reconf_done;
-      Sim.Ivar.read snap_done;
-      Sim.Ivar.read ck_done;
-      List.iter Sim.Ivar.read !aux_done;
-      Sim.sleep (s 60.0);
-      let degraded_left = Invariants.drain_backlog psrv in
-      let pending_left, leftover_chunks = Invariants.settle_transfers psrv in
-      (* one post-run acked write through a surviving tracked server *)
-      (try
-         let fs = servers.(0) in
-         if Host.is_alive (Fs.host fs) && not (Fs.is_poisoned fs) then begin
-           let dir = Fs.lookup fs ~dir:Fs.root "w0" in
-           let f = Fs.create fs ~dir "post" in
-           let data = Invariants.bytes_pat 768 99 in
-           Fs.write fs f ~off:0 data;
-           Fs.sync fs;
-           Invariants.ack ledgers.(0) ~path:[ "w0"; "post" ] data
-         end
-       with _ -> ());
-      let final_active =
-        match Petal.Client.fetch_map pc with
-        | _, act -> act
-        | exception _ -> []
-      in
-      (* the full-ledger verify and fsck go through a fresh server, so
-         they also prove a newcomer converges on the final map *)
-      let c = Testbed.add_server t ~name:"soak-fresh" () in
-      let lost =
-        List.concat_map (fun l -> Invariants.verify l c) (all_ledgers ())
-      in
-      let fsck_findings = Invariants.fsck c in
-      let freeze_waits =
-        Array.fold_left
-          (fun acc fs ->
-            acc
-            + (Petal.Client.op_stats fs.Frangipani.Ctx.vd)
-                .Petal.Client.freeze_waits)
-          0 servers
-        + !raw_waits
-      in
-      {
-        label;
-        sim_hours = Sim.to_sec (Sim.now ()) /. 3600.0;
-        acked =
-          List.fold_left
-            (fun acc l -> acc + Invariants.acked_count l)
-            0 (all_ledgers ());
-        failed_ops = !failed_ops;
-        expired_servers = !expired;
-        crashed_fs = !crashed_fs;
-        requested = !requested;
-        committed = !committed;
-        reconf_rejected = !reconf_rejected;
-        snapshots_ok = !snap_ok;
-        snapshots_deleted = !snap_del;
-        snap_rejected = !snap_rej;
-        freeze_rejects = sum Petal.Server.freeze_reject_count;
-        freeze_waits;
-        max_cutover_ns =
-          Array.fold_left
-            (fun acc srv -> max acc (Petal.Server.max_cutover_time srv))
-            0 psrv;
-        cutover_bound_ns = sched.cutover_bound;
-        raw_errors = !raw_errors;
-        raw_ok = !raw_ok;
-        raw_freeze_waits = !raw_waits;
-        hot_writes = !hot_writes;
-        log_pressure_stalls =
-          Array.fold_left
-            (fun acc fs ->
-              acc
-              + (try (Fs.wal_stats fs).Frangipani.Wal.log_pressure_stalls
-                 with _ -> 0))
-            0 servers;
-        wal_reclaims =
-          Array.fold_left
-            (fun acc fs ->
-              acc
-              + (try (Fs.wal_stats fs).Frangipani.Wal.reclaim_rounds
-                 with _ -> 0))
-            0 servers;
-        replays = total_replays ();
-        ambient_ops = !amb_ops;
-        ambient_failed = !amb_failed;
-        checks_run = Invariants.checks_run eng;
-        violations = Invariants.violations eng;
-        timeline = List.rev !timeline;
-        lost;
-        fsck_findings;
-        stale_applied = sum Petal.Server.stale_applied_count;
-        degraded_left;
-        pending_left;
-        leftover_chunks;
-        final_active;
-        expected_active = expected_active_of sched;
-        nf = Netfault.stats nf;
-        end_ns = Sim.now ();
-      })
+      let nf = start_faults w sched ~seed:nf_seed in
+      start_workers w sh;
+      start_ambient w sched (Array.sub servers nworkers (nfs - nworkers));
+      let pc = start_reconfig w sched in
+      start_snapshots w sched pc;
+      start_fs_crashes w sched sh;
+      start_pressure w sched;
+      Option.iter (start_hot w) sched.hot;
+      Option.iter (start_raw_hot w) sched.raw_hot;
+      start_checkpoints w sched;
+      verdict w sh sched ~profile ~label ~pc ~nf)
 
 (** What an outcome violates; [] = every invariant held. The scripted
     labels add their scenario-specific teeth, so [debug_soak] reports

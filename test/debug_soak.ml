@@ -1,33 +1,39 @@
-(* Replay driver for the soak harness: re-runs any schedule
-   bit-identically from its label or seed and dumps the orchestrator
-   timeline, the first violated invariant and the full failure list.
+(* Replay driver for the nemesis harness: re-runs any schedule
+   bit-identically from its label (as a runner prints it) or from a
+   profile and seed, and dumps the orchestrator timeline, the first
+   violated invariant and the full failure list.
 
      dune exec test/debug_soak.exe -- hot_cutover
      dune exec test/debug_soak.exe -- 17 --duration 1200 --servers 16
-     dune exec test/debug_soak.exe -- 3 --timeline *)
+     dune exec test/debug_soak.exe -- 3 --timeline
+     dune exec test/debug_soak.exe -- 42 --profile reconfig
+     dune exec test/debug_soak.exe -- partition_random_42 *)
 
 module Soak = Workloads.Soak
 module Sim = Simkit.Sim
 
 let () =
   let duration = ref 0.0 and servers = ref 0 and show_timeline = ref false in
-  let spec = ref None in
+  let profile = ref Soak.Composed and arg = ref None in
   Arg.parse
     [
       ("--duration", Arg.Set_float duration, "S  simulated seconds (random specs; default 3600)");
       ("--servers", Arg.Set_int servers, "N  Frangipani server count override");
       ("--timeline", Arg.Set show_timeline, "  dump the full orchestrator timeline");
+      ( "--profile",
+        Arg.Symbol
+          ( List.map fst Soak.profiles,
+            fun p -> profile := List.assoc p Soak.profiles ),
+        "  profile of a bare seed (default composed)" );
     ]
-    (fun a ->
-      spec :=
-        Some
-          (if String.length a > 0 && a.[0] >= '0' && a.[0] <= '9' then
-             Soak.Random (int_of_string a)
-           else Soak.Scripted a))
-    "debug_soak (label | seed) [--duration S] [--servers N] [--timeline]";
+    (fun a -> arg := Some a)
+    "debug_soak (label | seed) [--profile P] [--duration S] [--servers N] [--timeline]";
   let spec =
-    match !spec with
-    | Some sp -> sp
+    match !arg with
+    | Some a -> (
+      match int_of_string_opt a with
+      | Some n -> Soak.Random (!profile, n)
+      | None -> Soak.spec_of_label a)
     | None ->
       prerr_endline "usage: debug_soak (label | seed)";
       exit 2
@@ -47,6 +53,14 @@ let () =
     o.Soak.requested o.Soak.committed o.Soak.reconf_rejected
     (Sim.to_sec o.Soak.max_cutover_ns)
     (Sim.to_sec o.Soak.cutover_bound_ns);
+  Printf.printf
+    "petal: pushes=%d wrong_epoch=%d refreshes=%d gc=%d final=[%s] expected=[%s]\n"
+    o.Soak.xfer_pushes o.Soak.wrong_epoch_rejects o.Soak.map_refreshes
+    o.Soak.gc_chunks
+    (String.concat ";" (List.map string_of_int o.Soak.final_active))
+    (String.concat ";" (List.map string_of_int o.Soak.expected_active));
+  Printf.printf "lease: renew_misses=%d rpc_retries=%d\n" o.Soak.renew_misses
+    o.Soak.rpc_retries;
   Printf.printf
     "freeze: rejects=%d waits=%d  raw: errors=%d ok=%b waits=%d hot_writes=%d\n"
     o.Soak.freeze_rejects o.Soak.freeze_waits o.Soak.raw_errors o.Soak.raw_ok

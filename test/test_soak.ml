@@ -1,7 +1,8 @@
-(* The quick soak subset: the scripted freeze/interlock scenarios,
-   one short seeded round at reduced scale, and the determinism
-   contract. The 20-seed x 1-simulated-hour soak is
-   test_soak_full.exe, run from the verify workflow. *)
+(* The quick nemesis subset, per profile: the scripted partition and
+   reconfiguration schedules most likely to regress, the scripted
+   freeze/interlock scenarios, short seeded rounds, and the
+   determinism contract. The exhaustive runs are test_soak_full.exe,
+   run from the verify workflow. *)
 
 module Soak = Workloads.Soak
 module Sim = Simkit.Sim
@@ -9,17 +10,99 @@ module Sim = Simkit.Sim
 let check_clean what (o : Soak.outcome) =
   Alcotest.(check (list string)) what [] (Soak.failures o)
 
+let run_clean label =
+  let o = Soak.run (Soak.Scripted label) in
+  check_clean label o;
+  o
+
+let check_positive what n =
+  Alcotest.(check bool) (Printf.sprintf "%s (got %d)" what n) true (n > 0)
+
+(* Same spec, twice: every outcome field — timeline, violations and
+   the simulated end time included — must match, or a failing label
+   from a full run would be unreproducible in debug_soak. *)
+let check_replay ?duration ?fs_servers what spec =
+  let o = Soak.run ?duration ?fs_servers spec in
+  check_clean what o;
+  Alcotest.(check bool) (what ^ " replay is bit-identical") true
+    (o = Soak.run ?duration ?fs_servers spec)
+
+let check_seeds profile seeds =
+  List.iter
+    (fun n ->
+      let spec = Soak.Random (profile, n) in
+      check_clean (Soak.label_of spec) (Soak.run spec))
+    seeds
+
+(* --- partition ----------------------------------------------------------- *)
+
+(* A full isolation that forces the §6 expiry path, a brief one that
+   must NOT, the asymmetric cut that makes request retransmission
+   dangerous (requests execute, replies vanish), and a replica-set
+   split that leaves a resync backlog. *)
+let test_partition_scripted () =
+  let o = run_clean "isolate_server" in
+  Alcotest.(check bool) "45 s isolation expires the lease" true
+    (o.Soak.expired_servers > 0);
+  check_positive "renewals were missed" o.Soak.renew_misses;
+  let o = run_clean "isolate_brief" in
+  Alcotest.(check int) "10 s outage stays inside the lease" 0
+    o.Soak.expired_servers;
+  ignore (run_clean "oneway_from_petal0");
+  ignore (run_clean "split_petal")
+
+(* A lossy network exercises the retry path end to end: drops must
+   show up in the nemesis counters and retries in the RPC counters,
+   and everything still lands. *)
+let test_partition_lossy () =
+  let o = run_clean "lossy" in
+  check_positive "nemesis dropped messages" o.Soak.nf.Cluster.Netfault.loss_drops;
+  check_positive "rpc layer retried" o.Soak.rpc_retries
+
+let test_partition_replay () =
+  check_replay "flap" (Soak.Scripted "flap");
+  check_replay "partition seed 7" (Soak.Random (Soak.Partition, 7))
+
+let test_partition_seeds () = check_seeds Soak.Partition [ 1; 2; 3 ]
+
+(* --- reconfig ------------------------------------------------------------ *)
+
+(* A plain join (did anything move at all? did clients actually
+   re-route?), a plain drain-out, serialized back-to-back changes, and
+   the partitioned joiner. *)
+let test_reconfig_scripted () =
+  let o = run_clean "add_plain" in
+  check_positive "handoff streamed chunks" o.Soak.xfer_pushes;
+  check_positive "client hit Wrong_epoch and refreshed" o.Soak.map_refreshes;
+  let o = run_clean "remove_plain" in
+  check_positive "decommissioned member was emptied" o.Soak.gc_chunks;
+  let o = run_clean "back_to_back" in
+  Alcotest.(check int) "three epochs committed" 3 o.Soak.committed;
+  ignore (run_clean "add_joiner_partitioned")
+
+(* A transfer source dying mid-stream and the proposing server dying
+   inside the management call must both leave the handoff able to
+   finish. *)
+let test_reconfig_crashes () =
+  List.iter
+    (fun l -> ignore (run_clean l))
+    [ "owner_dies_mid_transfer"; "proposer_dies_mid_add"; "cutover_proposer_dies" ]
+
+let test_reconfig_replay () =
+  check_replay "add_then_remove" (Soak.Scripted "add_then_remove");
+  check_replay "reconfig seed 5" (Soak.Random (Soak.Reconfig, 5))
+
+let test_reconfig_seeds () = check_seeds Soak.Reconfig [ 1; 2; 3 ]
+
+(* --- composed ------------------------------------------------------------ *)
+
 (* The drain-time write freeze: a sustained hot-chunk writer spans the
    whole handoff, yet the cutover commits within the bound — and the
    writer was provably frozen at least once (otherwise the case shows
    nothing). Bounded cutover is asserted inside [failures]. *)
 let test_hot_cutover () =
-  let o = Soak.run (Soak.Scripted "hot_cutover") in
-  check_clean "hot_cutover" o;
-  Alcotest.(check bool)
-    (Printf.sprintf "freeze engaged (rejects %d)" o.Soak.freeze_rejects)
-    true
-    (o.Soak.freeze_rejects > 0);
+  let o = run_clean "hot_cutover" in
+  check_positive "freeze engaged" o.Soak.freeze_rejects;
   Alcotest.(check bool)
     (Printf.sprintf "cutover %.1fs within 30s bound"
        (Sim.to_sec o.Soak.max_cutover_ns))
@@ -29,54 +112,100 @@ let test_hot_cutover () =
 (* A writer frozen at handoff drain time must retry invisibly through
    the Wrong_epoch route — no error surfaces, its data lands. *)
 let test_freeze_retry () =
-  let o = Soak.run (Soak.Scripted "freeze_retry") in
-  check_clean "freeze_retry" o;
+  let o = run_clean "freeze_retry" in
   Alcotest.(check int) "no surfaced errors" 0 o.Soak.raw_errors;
-  Alcotest.(check bool) "rode through the freeze" true
-    (o.Soak.raw_freeze_waits > 0)
+  check_positive "rode through the freeze" o.Soak.raw_freeze_waits
 
 (* The §8 snapshot / reconfiguration interlock, in both orders. *)
 let test_snapshot_reconf_interlock () =
-  let o = Soak.run (Soak.Scripted "snap_during_reconf") in
-  check_clean "snap_during_reconf" o;
-  let o = Soak.run (Soak.Scripted "reconf_during_snap") in
-  check_clean "reconf_during_snap" o
+  ignore (run_clean "snap_during_reconf");
+  ignore (run_clean "reconf_during_snap")
 
 (* One full random-style round with everything composed. *)
-let test_composed_quick () =
-  check_clean "composed_quick" (Soak.run (Soak.Scripted "composed_quick"))
+let test_composed_quick () = ignore (run_clean "composed_quick")
 
 (* A short seeded soak at reduced scale: one 10-minute round on a
    16-server cluster. *)
 let test_seeded_round () =
   check_clean "random_1"
-    (Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16 (Soak.Random 1))
+    (Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16
+       (Soak.Random (Soak.Composed, 1)))
 
-(* Same spec, twice: every outcome field — timeline, violations and
-   the simulated end time included — must match, or a failing seed
-   from the full soak would be unreproducible in debug_soak. *)
-let test_deterministic_replay () =
+let test_composed_replay () =
   let o = Soak.run (Soak.Scripted "hot_cutover") in
-  let o' = Soak.run (Soak.Scripted "hot_cutover") in
-  Alcotest.(check bool) "scripted replay is bit-identical" true (o = o');
-  let r = Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16 (Soak.Random 2) in
-  let r' = Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16 (Soak.Random 2) in
-  Alcotest.(check bool) "seeded replay is bit-identical" true (r = r')
+  Alcotest.(check bool) "scripted replay is bit-identical" true
+    (o = Soak.run (Soak.Scripted "hot_cutover"));
+  let seeded () =
+    Soak.run ~duration:(Sim.sec 600.0) ~fs_servers:16
+      (Soak.Random (Soak.Composed, 2))
+  in
+  Alcotest.(check bool) "seeded replay is bit-identical" true
+    (seeded () = seeded ())
+
+(* --- labels -------------------------------------------------------------- *)
+
+(* A scripted label names its profile: every label belongs to exactly
+   one profile's list, round-trips through [spec_of_label], and an
+   unknown label or a server count below the profile's roles is
+   refused up front. *)
+let test_label_dispatch () =
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun l ->
+          let owners =
+            List.filter
+              (fun (_, q) -> List.mem l (Soak.scripted_labels q))
+              Soak.profiles
+          in
+          Alcotest.(check int) (l ^ " is in one profile") 1 (List.length owners);
+          Alcotest.(check bool) (l ^ " dispatches to " ^ name) true
+            (Soak.profile_of_label l = p);
+          Alcotest.(check bool) (l ^ " round-trips") true
+            (Soak.spec_of_label l = Soak.Scripted l))
+        (Soak.scripted_labels p);
+      let seeded = Soak.Random (p, 17) in
+      Alcotest.(check bool) (name ^ " seed round-trips") true
+        (Soak.spec_of_label (Soak.label_of seeded) = seeded))
+    Soak.profiles;
+  let refused what f =
+    Alcotest.(check bool) what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  refused "unknown label" (fun () -> Soak.run (Soak.Scripted "no_such_label"));
+  refused "unknown label in spec_of_label" (fun () ->
+      Soak.spec_of_label "no_such_label");
+  refused "composed with 4 servers" (fun () ->
+      Soak.run ~fs_servers:4 (Soak.Random (Soak.Composed, 1)));
+  refused "partition with 0 servers" (fun () ->
+      Soak.run ~fs_servers:0 (Soak.Scripted "lossy"))
 
 let () =
+  let case name f = Alcotest.test_case name `Quick f in
   Alcotest.run "soak"
     [
+      ( "partition",
+        [
+          case "scripted subset" test_partition_scripted;
+          case "lossy network, retries" test_partition_lossy;
+          case "deterministic replay" test_partition_replay;
+          case "seeded schedules" test_partition_seeds;
+        ] );
+      ( "reconfig",
+        [
+          case "scripted subset" test_reconfig_scripted;
+          case "crash schedules" test_reconfig_crashes;
+          case "deterministic replay" test_reconfig_replay;
+          case "seeded schedules" test_reconfig_seeds;
+        ] );
       ( "soak",
         [
-          Alcotest.test_case "hot-chunk cutover is bounded" `Quick
-            test_hot_cutover;
-          Alcotest.test_case "frozen writer retries invisibly" `Quick
-            test_freeze_retry;
-          Alcotest.test_case "snapshot/reconf interlock" `Quick
-            test_snapshot_reconf_interlock;
-          Alcotest.test_case "composed quick round" `Quick test_composed_quick;
-          Alcotest.test_case "seeded round" `Quick test_seeded_round;
-          Alcotest.test_case "deterministic replay" `Quick
-            test_deterministic_replay;
+          case "hot-chunk cutover is bounded" test_hot_cutover;
+          case "frozen writer retries invisibly" test_freeze_retry;
+          case "snapshot/reconf interlock" test_snapshot_reconf_interlock;
+          case "composed quick round" test_composed_quick;
+          case "seeded round" test_seeded_round;
+          case "deterministic replay" test_composed_replay;
+          case "labels dispatch to one profile" test_label_dispatch;
         ] );
     ]
