@@ -89,11 +89,16 @@ let free_slot ctx txn inum (ino : Ondisk.inode) =
     Inode.write ctx txn inum ino;
     (ino, base, 0)
 
+(** Reject a name no directory slot can hold: empty, containing ['/']
+    or longer than {!Layout.max_name}. *)
+let check_name name =
+  if String.length name > Layout.max_name then fail Enametoolong;
+  if name = "" || String.contains name '/' then fail Einval
+
 (** Insert [name -> target]; the caller has checked absence. Returns
     the updated directory inode. *)
 let insert ctx txn inum ino name target =
-  if String.length name > Layout.max_name then fail Enametoolong;
-  if name = "" || String.contains name '/' then fail Einval;
+  check_name name;
   let ino, saddr, k = free_slot ctx txn inum ino in
   Cache.update ctx.Ctx.cache txn ~lock:(lock_of inum) ~addr:saddr
     ~off:(Ondisk.dir_slot_off k) ~bytes:(Ondisk.encode_slot name target);

@@ -115,17 +115,31 @@ let drop_link ctx txn inum (ino : Ondisk.inode) =
     Ctx.forget_read_ahead ctx inum
   end
 
-let new_inode ctx txn (proto : Ondisk.inode) =
-  let inum = Alloc.alloc ctx txn Layout.Inode_pool in
+(* Reserve an inode bit, lock and fetch the fresh inode with no
+   segment lock held, then claim the bit (Alloc); a bit another server
+   claimed in between sends the create round again. The fresh inode's
+   lock is uncontended except for stale sticky holders, which revoke
+   cleanly. *)
+let rec new_inode ctx txn (proto : Ondisk.inode) =
+  let inum = Alloc.reserve ctx txn Layout.Inode_pool in
   if inum >= Layout.max_inodes then fail Enospc;
-  (* Fresh inode: take its lock for the initialisation. Uncontended
-     except for stale sticky holders, which revoke cleanly. *)
-  Clerk.acquire ctx.Ctx.clerk ~lock:(ilock inum) Types.W;
-  Cache.on_commit txn (fun () ->
-      Clerk.release ctx.Ctx.clerk ~lock:(ilock inum) Types.W);
-  let now = Sim.now () in
-  Inode.write ctx txn inum { proto with mtime = now; ctime = now; atime = now };
-  inum
+  let lock = ilock inum in
+  Clerk.acquire ctx.Ctx.clerk ~lock Types.W;
+  match
+    ignore (Inode.read ctx inum);
+    Alloc.claim ctx txn Layout.Inode_pool inum
+  with
+  | true ->
+    Cache.on_commit txn (fun () -> Clerk.release ctx.Ctx.clerk ~lock Types.W);
+    let now = Sim.now () in
+    Inode.write ctx txn inum { proto with mtime = now; ctime = now; atime = now };
+    inum
+  | false ->
+    Clerk.release ctx.Ctx.clerk ~lock Types.W;
+    new_inode ctx txn proto
+  | exception e ->
+    Clerk.release ctx.Ctx.clerk ~lock Types.W;
+    raise e
 
 (* --- namespace operations -------------------------------------------------- *)
 
@@ -135,6 +149,8 @@ let prologue (ctx : t) =
 
 let make_child ctx ~dir name proto ~bump_parent =
   prologue ctx;
+  (* Before any lock, fetch or inode reservation. *)
+  Dir.check_name name;
   modifying ctx [ (ilock dir, Types.W) ] (fun () ->
       let dino = dir_inode ctx dir in
       if name = "." || Dir.lookup ctx dir dino name <> None then fail Eexist;

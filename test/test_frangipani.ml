@@ -172,6 +172,22 @@ let test_sparse_and_truncate () =
       Alcotest.(check string) "zeros after shrink-grow" "abc\000\000"
         (Bytes.to_string (Fs.read fs f ~off:0 ~len:5)))
 
+(* A name no directory slot can hold is refused before an inode is
+   reserved, locked or fetched. *)
+let test_bad_name_refused_early () =
+  Sim.run (fun () ->
+      let _, fs = one () in
+      let d = Fs.mkdir fs ~dir:Fs.root "d" in
+      ignore (Fs.create fs ~dir:d "ok");
+      let reads () = (Fs.petal_stats fs).Petal.Client.reads in
+      let before = reads () in
+      check_err Errors.Enametoolong (fun () ->
+          Fs.create fs ~dir:d (String.make (Layout.max_name + 1) 'n'));
+      check_err Errors.Einval (fun () -> Fs.mkdir fs ~dir:d "a/b");
+      check_err Errors.Einval (fun () -> Fs.create fs ~dir:d "");
+      Alcotest.(check int) "no Petal read" before (reads ());
+      ignore (Fs.create fs ~dir:d (String.make Layout.max_name 'n')))
+
 let test_path_helpers () =
   Sim.run (fun () ->
       let _, fs = one () in
@@ -276,6 +292,92 @@ let test_writeback_skips_revoked_entry () =
         (Faultpoint.count "wal.group" >= held);
       Alcotest.(check string) "B's bytes survive" (String.make 8 'B')
         (Bytes.to_string (Fs.read a f ~off:0 ~len:8)))
+
+let spawn_create fs ~dir name =
+  let iv = Sim.Ivar.create () in
+  Sim.spawn (fun () -> Sim.Ivar.fill iv (Fs.create fs ~dir name));
+  iv
+
+let distinct l = List.length (List.sort_uniq compare l) = List.length l
+
+(* Sixteen concurrent creates on one server, eight in each of two
+   directories. Creates in one directory queue on its lock, but the
+   inode-bitmap segment lock covers only each create's bit flip, so
+   the two directories' creates overlap their fresh-inode lock RPCs
+   and sector fetches instead of queueing behind each other's. *)
+let test_create_storm () =
+  Sim.run (fun () ->
+      let _, fs = one () in
+      let dirs = List.map (fun n -> Fs.mkdir fs ~dir:Fs.root n) [ "d0"; "d1" ] in
+      (* Give each directory its block, so no create below grows one. *)
+      List.iter
+        (fun d ->
+          ignore (Fs.create fs ~dir:d "grow");
+          Fs.unlink fs ~dir:d "grow")
+        dirs;
+      Fs.sync fs;
+      let timed f =
+        let t0 = Sim.now () in
+        let v = f () in
+        (v, Sim.now () - t0)
+      in
+      let one_inum, single = timed (fun () -> Fs.create fs ~dir:(List.hd dirs) "single") in
+      let inums, storm =
+        timed (fun () ->
+            List.concat_map
+              (fun d -> List.init 8 (fun k -> spawn_create fs ~dir:d (Printf.sprintf "f%d" k)))
+              dirs
+            |> List.map Sim.Ivar.read)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "16 creates in %d ns < 4 x one create's %d ns" storm single)
+        true (storm < 4 * single);
+      Alcotest.(check bool) "distinct inode numbers" true (distinct (one_inum :: inums));
+      Fs.sync fs;
+      Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs)))
+
+(* Server A reserves an inode bit, then waits to lock the fresh inode
+   (the test holds that lock at A). Server B, pointed at A's
+   inode-bitmap segment, reserves the same bit — it cannot see A's
+   reservation — takes the inode lock when the test lets go, and
+   claims the bit first. A's claim must find the bit set and reserve
+   another. *)
+let test_lost_reservation () =
+  Sim.run (fun () ->
+      let _, servers = setup ~nservers:2 () in
+      let a, b = (List.nth servers 0, List.nth servers 1) in
+      let da = Fs.mkdir a ~dir:Fs.root "da" in
+      let db = Fs.mkdir b ~dir:Fs.root "db" in
+      let pa = Alloc_state.pool a.Ctx.alloc Layout.Inode_pool in
+      let pb = Alloc_state.pool b.Ctx.alloc Layout.Inode_pool in
+      pb.seg <- pa.seg;
+      pb.hint <- pa.hint;
+      let contested = Layout.segment_first_bit (Option.get pa.seg) + pa.hint in
+      Alcotest.(check bool) "B's directory is another inode" true (contested <> db);
+      let lock = Lockns.inode_lock contested in
+      Locksvc.Clerk.acquire a.Ctx.clerk ~lock Locksvc.Types.W;
+      let fa = spawn_create a ~dir:da "fa" in
+      Sim.sleep (Sim.ms 100);
+      Alcotest.(check bool) "A reserved it" true (Hashtbl.mem pa.reserved contested);
+      let fb = spawn_create b ~dir:db "fb" in
+      Sim.sleep (Sim.ms 100);
+      Alcotest.(check bool) "B reserved it" true (Hashtbl.mem pb.reserved contested);
+      Locksvc.Clerk.release a.Ctx.clerk ~lock Locksvc.Types.W;
+      let fa = Sim.Ivar.read fa and fb = Sim.Ivar.read fb in
+      Alcotest.(check int) "B claimed the contested inode" contested fb;
+      Alcotest.(check bool) "A created another" true (fa <> contested);
+      Alcotest.(check bool) "no inode allocated twice" true (distinct [ da; db; fa; fb ]);
+      Alcotest.(check bool) "reservations dropped" true
+        (Hashtbl.length pa.reserved = 0 && Hashtbl.length pb.reserved = 0);
+      Fs.write a fa ~off:0 (Bytes.of_string "from A");
+      Fs.write b fb ~off:0 (Bytes.of_string "from B");
+      Fs.sync a;
+      Fs.sync b;
+      Alcotest.(check string) "A's file" "from A"
+        (Bytes.to_string (Fs.read b (Fs.lookup b ~dir:da "fa") ~off:0 ~len:6));
+      Alcotest.(check string) "B's file" "from B"
+        (Bytes.to_string (Fs.read a (Fs.lookup a ~dir:db "fb") ~off:0 ~len:6));
+      Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check a)))
 
 (* --- failure handling ------------------------------------------------------ *)
 
@@ -457,6 +559,7 @@ let () =
           Alcotest.test_case "large file" `Quick test_large_file;
           Alcotest.test_case "sparse + truncate" `Quick test_sparse_and_truncate;
           Alcotest.test_case "path helpers" `Quick test_path_helpers;
+          Alcotest.test_case "bad name refused early" `Quick test_bad_name_refused_early;
         ] );
       ( "coherence",
         [
@@ -464,6 +567,8 @@ let () =
           Alcotest.test_case "concurrent creates" `Quick
             test_concurrent_creates_distinct_servers;
           Alcotest.test_case "write/write" `Quick test_write_write_coherence;
+          Alcotest.test_case "create storm" `Quick test_create_storm;
+          Alcotest.test_case "lost reservation" `Quick test_lost_reservation;
           Alcotest.test_case "write-behind skips a revoked block" `Quick
             test_writeback_skips_revoked_entry;
         ] );
