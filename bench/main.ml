@@ -455,14 +455,22 @@ let ms_of t = Sim.to_sec t *. 1000.0
 (* Per-workload Petal driver counters: what a workload cost in Petal
    round trips and simulated device time, and what the read- and
    write-side coalescers saved (plus the NVRAM destage elevator's
-   batch count, a global counter snapshotted like the rest). [prev]
-   is the snapshot taken before the workload. Collected into the
-   json's counter-only "petal_io" section. *)
+   batch count, a global counter snapshotted like the rest, and the
+   disk reads that joined an identical in-flight read). [prev] is the
+   snapshot taken before the workload. Collected into the json's
+   counter-only "petal_io" section. *)
 let petal_rows :
-    (string * (int * int * int * int * int * int * int)) list ref =
+    (string * (int * int * int * int * int * int * int * int)) list ref =
   ref []
 
-let print_petal_delta name ?(destage0 = 0) (prev : Petal.Client.stats)
+(* Disk reads that joined an identical in-flight read, over every disk
+   of a Petal testbed. *)
+let merged_reads (tb : Petal.Testbed.t) =
+  Array.fold_left
+    (Array.fold_left (fun n d -> n + Blockdev.Disk.merged d))
+    0 tb.Petal.Testbed.disks
+
+let print_petal_delta name ?(destage0 = 0) ~merged (prev : Petal.Client.stats)
     (s : Petal.Client.stats) =
   let rp = s.read_pieces - prev.read_pieces
   and rr = s.read_rpcs - prev.read_rpcs
@@ -471,15 +479,15 @@ let print_petal_delta name ?(destage0 = 0) (prev : Petal.Client.stats)
   and wr = s.write_rpcs - prev.write_rpcs
   and wc = s.write_coalesced - prev.write_coalesced in
   let destage = Blockdev.Nvram.destage_batches () - destage0 in
-  petal_rows := !petal_rows @ [ (name, (rp, rr, rc, wp, wr, wc, destage)) ];
+  petal_rows := !petal_rows @ [ (name, (rp, rr, rc, wp, wr, wc, destage, merged)) ];
   Printf.printf
     "  petal[%-22s] reads %5d (%6.3fs)  writes %5d (%6.3fs)  rd p/rpc/coal \
-     %d/%d/%d  wr p/rpc/coal %d/%d/%d  destage %d\n"
+     %d/%d/%d  wr p/rpc/coal %d/%d/%d  destage %d  disk merged %d\n"
     name (s.reads - prev.reads)
     (s.read_seconds -. prev.read_seconds)
     (s.writes - prev.writes)
     (s.write_seconds -. prev.write_seconds)
-    rp rr rc wp wr wc destage
+    rp rr rc wp wr wc destage merged
 
 (* Per-workload log-pipeline counters (the wal section): how many
    sector groups the flush path submitted, how often formatting
@@ -534,7 +542,7 @@ let print_net_delta name (p_rpc : Cluster.Rpc.stats) (p_cl : Locksvc.Clerk.stats
    derived from the filename (BENCH_5.json shipped with a hand-typed
    "pr": 4 — wrong, and silently so); keeping one constant makes the
    two impossible to disagree. *)
-let bench_out = "BENCH_10.json"
+let bench_out = "BENCH_16.json"
 let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
 
 (* Row stores for the emitter: json_bench (workloads, reconf) runs
@@ -566,7 +574,7 @@ let json_bench () =
       let data = Bytes.make unit_b 'J' in
       let inum = v.V.create ~dir:v.V.root "jbig" in
       let lats = ref [] in
-      let p0 = Frangipani.Fs.petal_stats fs in
+      let p0 = Frangipani.Fs.petal_stats fs and m0 = merged_reads t.T.petal in
       let w0 = Frangipani.Fs.wal_stats fs in
       let n0 = Frangipani.Fs.net_stats fs and l0 = Frangipani.Fs.lease_stats fs in
       let t0 = Sim.now () in
@@ -578,13 +586,14 @@ let json_bench () =
       v.V.sync ();
       record "largefile_write_16mb" ~bytes:(units * unit_b)
         ~elapsed:(Sim.now () - t0) !lats;
-      print_petal_delta "largefile_write_16mb" p0 (Frangipani.Fs.petal_stats fs);
+      print_petal_delta "largefile_write_16mb" ~merged:(merged_reads t.T.petal - m0) p0
+        (Frangipani.Fs.petal_stats fs);
       print_wal_delta "largefile_write_16mb" w0 (Frangipani.Fs.wal_stats fs);
       print_net_delta "largefile_write_16mb" n0 l0 (Frangipani.Fs.net_stats fs)
         (Frangipani.Fs.lease_stats fs);
       v.V.drop_caches ();
       let lats = ref [] in
-      let p0 = Frangipani.Fs.petal_stats fs in
+      let p0 = Frangipani.Fs.petal_stats fs and m0 = merged_reads t.T.petal in
       let w0 = Frangipani.Fs.wal_stats fs in
       let n0 = Frangipani.Fs.net_stats fs and l0 = Frangipani.Fs.lease_stats fs in
       let t0 = Sim.now () in
@@ -595,7 +604,8 @@ let json_bench () =
       done;
       record "largefile_read_16mb" ~bytes:(units * unit_b)
         ~elapsed:(Sim.now () - t0) !lats;
-      print_petal_delta "largefile_read_16mb" p0 (Frangipani.Fs.petal_stats fs);
+      print_petal_delta "largefile_read_16mb" ~merged:(merged_reads t.T.petal - m0) p0
+        (Frangipani.Fs.petal_stats fs);
       print_wal_delta "largefile_read_16mb" w0 (Frangipani.Fs.wal_stats fs);
       print_net_delta "largefile_read_16mb" n0 l0 (Frangipani.Fs.net_stats fs)
         (Frangipani.Fs.lease_stats fs));
@@ -613,7 +623,7 @@ let json_bench () =
       v.V.sync ();
       v.V.drop_caches ();
       let lats = ref [] in
-      let p0 = Frangipani.Fs.petal_stats fs in
+      let p0 = Frangipani.Fs.petal_stats fs and m0 = merged_reads t.T.petal in
       let w0 = Frangipani.Fs.wal_stats fs in
       let n0 = Frangipani.Fs.net_stats fs and l0 = Frangipani.Fs.lease_stats fs in
       let t0 = Sim.now () in
@@ -630,7 +640,8 @@ let json_bench () =
         files;
       Sim.Ivar.read all;
       record "small_reads_30x8kb" ~bytes:(30 * 8192) ~elapsed:(Sim.now () - t0) !lats;
-      print_petal_delta "small_reads_30x8kb" p0 (Frangipani.Fs.petal_stats fs);
+      print_petal_delta "small_reads_30x8kb" ~merged:(merged_reads t.T.petal - m0) p0
+        (Frangipani.Fs.petal_stats fs);
       print_wal_delta "small_reads_30x8kb" w0 (Frangipani.Fs.wal_stats fs);
       print_net_delta "small_reads_30x8kb" n0 l0 (Frangipani.Fs.net_stats fs)
         (Frangipani.Fs.lease_stats fs));
@@ -652,7 +663,7 @@ let json_bench () =
         let vd = Petal.Client.open_vdisk c (Petal.Client.create_vdisk c ~nrep:2) in
         let data = Bytes.make len 'p' in
         let lats = ref [] in
-        let p0 = Petal.Client.op_stats vd in
+        let p0 = Petal.Client.op_stats vd and m0 = merged_reads tb in
         let d0 = Blockdev.Nvram.destage_batches () in
         let t0 = Sim.now () in
         for i = 0 to reps - 1 do
@@ -661,7 +672,8 @@ let json_bench () =
           lats := ms_of (Sim.now () - s) :: !lats
         done;
         record name ~bytes:(reps * len) ~elapsed:(Sim.now () - t0) !lats;
-        print_petal_delta name ~destage0:d0 p0 (Petal.Client.op_stats vd))
+        print_petal_delta name ~destage0:d0 ~merged:(merged_reads tb - m0) p0
+          (Petal.Client.op_stats vd))
   in
   petal_write "petal_write_64kb_1chunk" ~reps:20 ~len:Petal.Protocol.chunk_bytes;
   petal_write "petal_write_192kb_3chunks" ~reps:20 ~len:(3 * Petal.Protocol.chunk_bytes);
@@ -824,8 +836,9 @@ let simbench () =
 
 (* Petal disk-arm utilisation during the workload, (max, mean) over
    every disk: a placement that piles a layout stride onto a few
-   servers shows up as a max near 1 over a low mean. *)
-type disk_util = { du_max : float; du_mean : float }
+   servers shows up as a max near 1 over a low mean. [du_merged]
+   counts the disk reads that joined an identical in-flight read. *)
+type disk_util = { du_max : float; du_mean : float; du_merged : int }
 
 let scale_rows :
     (int * Workloads.Multitenant.result * Sim.stats * disk_util * float) list ref =
@@ -846,11 +859,13 @@ let scale_one n =
           |> List.concat_map (fun ds -> Array.to_list (Array.map Blockdev.Disk.arm ds))
         in
         List.iter Sim.Resource.reset_stats arms;
+        let m0 = merged_reads t.T.petal in
         let r = Workloads.Multitenant.run vfss () in
         let utils = List.map Sim.Resource.utilization arms in
         let du =
           { du_max = List.fold_left Float.max 0.0 utils;
-            du_mean = List.fold_left ( +. ) 0.0 utils /. float_of_int (List.length utils) }
+            du_mean = List.fold_left ( +. ) 0.0 utils /. float_of_int (List.length utils);
+            du_merged = merged_reads t.T.petal - m0 }
         in
         (r, Sim.stats (), du))
   in
@@ -861,9 +876,9 @@ let scale_one n =
   let open Workloads.Multitenant in
   Printf.printf
     "  %3d servers: %6d ops %5d files %8.0f ops/s %7.2f MB/s | petal disk util \
-     max %.2f mean %.2f | sim %6.2f s  host %6.2f s  %9.0f ev/s  %6.3f \
-     host-s/sim-s\n%!"
-    n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du.du_max du.du_mean
+     max %.2f mean %.2f merged %d | sim %6.2f s  host %6.2f s  %9.0f ev/s  \
+     %6.3f host-s/sim-s\n%!"
+    n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du.du_max du.du_mean du.du_merged
     r.seconds host_secs
     (float_of_int st.Sim.events /. host_secs)
     (host_secs /. r.seconds)
@@ -940,12 +955,12 @@ let write_json () =
      the "petal_io", "wal", "net" or "reconf" rows. *)
   Printf.fprintf oc "  },\n  \"petal_io\": {\n";
   List.iteri
-    (fun i (name, (rp, rr, rc, wp, wr, wc, destage)) ->
+    (fun i (name, (rp, rr, rc, wp, wr, wc, destage, merged)) ->
       Printf.fprintf oc
         "    %S: { \"read_pieces\": %d, \"read_rpcs\": %d, \"read_coalesced\": \
          %d, \"write_pieces\": %d, \"write_rpcs\": %d, \"write_coalesced\": \
-         %d, \"destage_batches\": %d }%s\n"
-        name rp rr rc wp wr wc destage
+         %d, \"destage_batches\": %d, \"disk_reads_merged\": %d }%s\n"
+        name rp rr rc wp wr wc destage merged
         (if i = List.length !petal_rows - 1 then "" else ","))
     !petal_rows;
   Printf.fprintf oc "  },\n  \"wal\": {\n";
@@ -1009,10 +1024,10 @@ let write_json () =
       Printf.fprintf oc
         "    \"servers_%d\": { \"ops\": %d, \"distinct_files\": %d, \
          \"fs_ops_per_sec\": %.1f, \"mb_per_s\": %.3f, \"petal_disk_util_max\": \
-         %.4f, \"petal_disk_util_mean\": %.4f, \"sim_seconds\": %.3f, \
-         \"host_seconds\": %.3f, \"sim_events\": %d, \"events_per_sec\": %.0f, \
-         \"host_sec_per_sim_sec\": %.4f }%s\n"
-        n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du.du_max du.du_mean
+         %.4f, \"petal_disk_util_mean\": %.4f, \"petal_disk_reads_merged\": %d, \
+         \"sim_seconds\": %.3f, \"host_seconds\": %.3f, \"sim_events\": %d, \
+         \"events_per_sec\": %.0f, \"host_sec_per_sim_sec\": %.4f }%s\n"
+        n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du.du_max du.du_mean du.du_merged
         r.seconds host_secs st.Sim.events
         (float_of_int st.Sim.events /. host_secs)
         (host_secs /. r.seconds)

@@ -17,9 +17,15 @@ type t = {
   slabs : (int, bytes) Hashtbl.t;
   damaged : (int, unit) Hashtbl.t; (* sector number -> () *)
   arm : Sim.Resource.t;
+  reads : (int * int, pending) Hashtbl.t; (* (off, len) -> queued or in-service read *)
+  mutable merged : int;
   mutable pos : int; (* last byte offset touched, for the seek model *)
   mutable failed : bool;
 }
+
+(* A read still queued or in service, and how many identical reads
+   joined it. *)
+and pending = { outcome : (bytes, exn) result Sim.Ivar.t; mutable joiners : int }
 
 let create ?(capacity = 4_300_000_000) ?(avg_seek = Sim.ms 9)
     ?(transfer_bytes_per_sec = 6_000_000) dname =
@@ -31,6 +37,8 @@ let create ?(capacity = 4_300_000_000) ?(avg_seek = Sim.ms 9)
     slabs = Hashtbl.create 1024;
     damaged = Hashtbl.create 7;
     arm = Sim.Resource.create (dname ^ ".arm");
+    reads = Hashtbl.create 16;
+    merged = 0;
     pos = 0;
     failed = false;
   }
@@ -38,6 +46,7 @@ let create ?(capacity = 4_300_000_000) ?(avg_seek = Sim.ms 9)
 let name t = t.dname
 let capacity t = t.capacity
 let arm t = t.arm
+let merged t = t.merged
 let fail t = t.failed <- true
 let heal t = t.failed <- false
 let is_failed t = t.failed
@@ -91,8 +100,7 @@ let move t ~off buf ~boff ~len ~dir =
   in
   go off boff len
 
-let read t ~off ~len =
-  check t ~off ~len;
+let serve_read t ~off ~len =
   Sim.Resource.acquire t.arm;
   Sim.sleep (service_time t ~off ~len);
   t.pos <- off + len;
@@ -105,6 +113,32 @@ let read t ~off ~len =
   let buf = Bytes.create len in
   move t ~off buf ~boff:0 ~len ~dir:`In;
   buf
+
+(* A read of exactly the range of a read still queued or in service
+   joins it: one arm service, and every joiner gets its own copy of
+   the bytes (or the same exception). The earlier read captures its
+   bytes when its service ends, after the joiner arrived, and writes
+   take effect at the end of their own service on the same FIFO arm,
+   so every write completed before the joiner arrived is in them. *)
+let read t ~off ~len =
+  check t ~off ~len;
+  match Hashtbl.find_opt t.reads (off, len) with
+  | Some p -> (
+    t.merged <- t.merged + 1;
+    p.joiners <- p.joiners + 1;
+    match Sim.Ivar.read p.outcome with
+    | Ok shared -> Bytes.copy shared
+    | Error e -> raise e)
+  | None -> (
+    let p = { outcome = Sim.Ivar.create (); joiners = 0 } in
+    Hashtbl.replace t.reads (off, len) p;
+    let outcome = match serve_read t ~off ~len with b -> Ok b | exception e -> Error e in
+    Hashtbl.remove t.reads (off, len);
+    (* Joiners copy from a snapshot, never from the buffer this
+       caller owns and may mutate. *)
+    Sim.Ivar.fill p.outcome
+      (match outcome with Ok b when p.joiners > 0 -> Ok (Bytes.copy b) | o -> o);
+    match outcome with Ok b -> b | Error e -> raise e)
 
 let write_sub t ~off data ~boff ~len =
   if boff < 0 || len < 0 || boff + len > Bytes.length data then

@@ -35,7 +35,12 @@ val name : t -> string
 val capacity : t -> int
 
 val read : t -> off:int -> len:int -> bytes
-(** Blocking sector-aligned read; unwritten space reads as zeros. *)
+(** Blocking sector-aligned read; unwritten space reads as zeros. A
+    read of exactly the [(off, len)] of an earlier read still queued
+    or in service joins it instead of taking its own arm service: it
+    returns its own copy of the earlier read's bytes, or raises the
+    same exception. Every write completed before the read was issued
+    is reflected either way. *)
 
 val write : t -> off:int -> bytes -> unit
 (** Blocking sector-aligned write. The disk copies the bytes into its
@@ -48,6 +53,9 @@ val write_sub : t -> off:int -> bytes -> boff:int -> len:int -> unit
 
 val arm : t -> Simkit.Sim.Resource.t
 (** The disk-arm queueing resource, exposed for utilisation stats. *)
+
+val merged : t -> int
+(** Reads that joined an identical in-flight read (see {!read}). *)
 
 val fail : t -> unit
 (** Hard-fail the disk: all subsequent I/O raises {!Failed}. *)

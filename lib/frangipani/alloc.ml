@@ -6,59 +6,71 @@
     Freeing a bit may touch a segment currently owned by another
     server — the lock service revokes it transparently.
 
-    Allocation is two steps. {!reserve} takes the segment lock, picks
-    a clear bit no local operation has reserved, records it in the
-    server's in-memory reserved set and drops its local hold (the
-    lock stays cached). {!claim} re-takes the lock and re-reads the
-    bitmap sector: a bit still clear is set within the transaction;
-    one another server took meanwhile (it held the segment between
-    the two steps, unaware of the reservation) makes [claim] return
-    false and the caller reserves again. A create locks and fetches
-    its fresh inode between the two steps, so the segment lock covers
-    only the scan and the bit flip; {!alloc} runs them back to back.
-    The reservation is dropped when the transaction commits or
-    aborts.
+    Allocation is two steps. A scan ({!reserve_bits}) takes the
+    segment lock, picks clear bits no local operation has reserved,
+    records them in the server's in-memory reserved set and drops its
+    local hold (the lock stays cached). {!claim} re-takes the lock and
+    re-reads the bitmap sector: a bit still clear is set within the
+    transaction; one another server took meanwhile (it held the
+    segment between the two steps, unaware of the reservation) makes
+    [claim] return false and the caller takes another bit. Block pools
+    reserve one bit and claim it at once ({!alloc}); the reservation
+    is dropped when the transaction commits or aborts.
 
-    Locking discipline: segment locks are acquired after all inode
-    locks of the operation, in (pool, segment)-sorted order for
-    multi-free transactions, and from [claim] on held until the
-    transaction commits (via {!Cache.on_commit}), so the logged
-    bitmap change can never reach Petal before its record. *)
+    Inodes come in batches. {!take_inode} pops the next of
+    {!batch} fresh inodes the server reserved with one scan and
+    fetched ahead ({!refill_inodes}: their locks acquired
+    concurrently, their sectors read with one {!Cache.fill_runs}, so
+    adjacent sectors of one chunk are one Petal RPC and one disk
+    access; the locks stay cached). The batch's reservations belong to
+    the server; a taken inode's passes to the create's transaction. A
+    create then locks the fresh inode (normally still cached), reads
+    it (a cache hit unless a revoke invalidated it) and claims its
+    bit, so the segment lock covers only the scan and the bit flip.
 
+    Locking discipline: a create holds its directory lock, then the
+    fresh inode's, then the segment lock; segment locks are acquired
+    after all inode locks of the operation, in (pool, segment)-sorted
+    order for multi-free transactions, and from [claim] on held until
+    the transaction commits (via {!Cache.on_commit}), so the logged
+    bitmap change can never reach Petal before its record. A refill
+    holds no segment lock while it gathers inode locks; it registers
+    them as discretionary holds, so a contended revoke sheds one
+    instead of deadlocking two servers whose batches overlap. *)
+
+open Simkit
 open Locksvc
 open Errors
 
 let seg_lock pool seg = Lockns.bitmap_lock (Layout.global_segment pool seg)
 
-(* Find a clear, unreserved bit in [seg]; the caller holds the segment
-   lock. Returns the absolute bit number. *)
-let scan_segment ctx (ps : Alloc_state.pool_state) pool seg ~hint =
+(* Up to [n] clear, unreserved bits of [seg] in rotor order, as
+   absolute bit numbers; the caller holds the segment lock. *)
+let scan_segment ctx (ps : Alloc_state.pool_state) pool seg ~hint n =
   let lock = seg_lock pool seg in
   let first = Layout.segment_first_bit seg in
   let limit = min Layout.bits_per_segment (Layout.pool_size pool - first) in
-  if limit <= 0 then None
-  else begin
-    let rec probe i tried =
-      if tried >= limit then None
-      else begin
-        let abs_bit = first + ((i + hint) mod limit) in
-        let sector =
-          Cache.read ctx.Ctx.cache ~lock ~addr:(Layout.bit_sector pool abs_bit)
-            ~len:Layout.sector
-        in
-        if
-          (not (Ondisk.test_bit sector (Layout.bit_in_sector abs_bit)))
-          && not (Hashtbl.mem ps.reserved abs_bit)
-        then Some abs_bit
-        else probe (i + 1) (tried + 1)
-      end
-    in
-    probe 0 0
-  end
+  let rec probe i found acc =
+    if found = n || i >= limit then List.rev acc
+    else begin
+      let abs_bit = first + ((i + hint) mod limit) in
+      let sector =
+        Cache.read ctx.Ctx.cache ~lock ~addr:(Layout.bit_sector pool abs_bit)
+          ~len:Layout.sector
+      in
+      if
+        (not (Ondisk.test_bit sector (Layout.bit_in_sector abs_bit)))
+        && not (Hashtbl.mem ps.reserved abs_bit)
+      then probe (i + 1) (found + 1) (abs_bit :: acc)
+      else probe (i + 1) found acc
+    end
+  in
+  probe 0 0 []
 
-(** Reserve a clear bit of [pool] for [txn]; the segment lock is not
-    held on return. *)
-let reserve ctx txn pool =
+(** Reserve up to [n] clear bits of [pool] (at least one) under one
+    segment-lock hold; the lock is not held on return. The
+    reservations are the caller's to hand on or drop. *)
+let reserve_bits ctx pool n =
   let ps = Alloc_state.pool ctx.Ctx.alloc pool in
   let nsegs = Layout.pool_segments pool in
   let salt = Clerk.lease ctx.Ctx.clerk * 7919 in
@@ -79,23 +91,90 @@ let reserve ctx txn pool =
       match
         Fun.protect
           ~finally:(fun () -> Clerk.release ctx.Ctx.clerk ~lock Types.W)
-          (fun () -> scan_segment ctx ps pool seg ~hint:ps.hint)
+          (fun () -> scan_segment ctx ps pool seg ~hint:ps.hint n)
       with
-      | Some bit ->
-        Hashtbl.replace ps.reserved bit ();
-        Cache.on_commit txn (fun () -> Hashtbl.remove ps.reserved bit);
-        ps.hint <- bit - Layout.segment_first_bit seg + 1;
-        bit
-      | None ->
+      | [] ->
         ps.seg <- None;
         attempt (tries + 1)
+      | bits ->
+        List.iter (fun bit -> Hashtbl.replace ps.reserved bit ()) bits;
+        let last = List.nth bits (List.length bits - 1) in
+        ps.hint <- last - Layout.segment_first_bit seg + 1;
+        bits
     end
   in
   attempt 0
 
+(* [txn] takes over the reservation of [bit]. *)
+let hand_over ctx txn pool bit =
+  let ps = Alloc_state.pool ctx.Ctx.alloc pool in
+  Cache.on_commit txn (fun () -> Hashtbl.remove ps.reserved bit)
+
+(** Fresh inodes reserved and fetched together: 8 x 512 B inode
+    sectors are one 4 KB read. *)
+let batch = 8
+
+(** Reserve [batch] inode bits, acquire their locks concurrently,
+    fetch their sectors with one {!Cache.fill_runs} and drop the
+    local holds (the locks stay cached), then append them to the
+    server's batch. A hold a contended revoke shed is not fetched;
+    its inode is fetched again when taken. A failed refill releases
+    its locks, drops its reservations and re-raises. *)
+let refill_inodes ctx =
+  let st = ctx.Ctx.alloc in
+  let ps = Alloc_state.pool st Layout.Inode_pool in
+  let bits = reserve_bits ctx Layout.Inode_pool batch in
+  let holds = List.map (fun bit -> (bit, ref false)) bits in
+  let pending = ref (List.length holds) and failure = ref None in
+  let acquired = Sim.Ivar.create () in
+  List.iter
+    (fun (bit, shed) ->
+      Sim.spawn (fun () ->
+          let lock = Inode.lock bit in
+          (match Clerk.acquire ctx.Ctx.clerk ~lock Types.W with
+          | () -> Ctx.hold_register ctx ~lock Types.W shed
+          | exception e -> failure := Some e);
+          decr pending;
+          if !pending = 0 then Sim.Ivar.fill acquired ()))
+    holds;
+  Sim.Ivar.read acquired;
+  (* From here on a revoke waits for the fetch. *)
+  let held =
+    List.filter_map
+      (fun (bit, shed) -> if Ctx.hold_take ctx ~lock:(Inode.lock bit) shed then Some bit else None)
+      holds
+  in
+  let release () =
+    List.iter (fun bit -> Clerk.release ctx.Ctx.clerk ~lock:(Inode.lock bit) Types.W) held
+  in
+  match
+    Option.iter raise !failure;
+    Cache.fill_runs ctx.Ctx.cache
+      (List.map (fun bit -> (Inode.lock bit, Inode.addr bit, Layout.inode_size)) held)
+      ~granule:Layout.inode_size
+  with
+  | () ->
+    release ();
+    List.iter (fun bit -> Queue.push bit st.fresh) bits
+  | exception e ->
+    release ();
+    List.iter (Hashtbl.remove ps.reserved) bits;
+    raise e
+
+(** The next fresh inode number for [txn], refilling the batch when
+    it is empty; its reservation passes to [txn]. *)
+let rec take_inode ctx txn =
+  match Queue.take_opt ctx.Ctx.alloc.fresh with
+  | Some inum ->
+    hand_over ctx txn Layout.Inode_pool inum;
+    inum
+  | None ->
+    refill_inodes ctx;
+    take_inode ctx txn
+
 (** Set the reserved [bit] within [txn] if it is still clear, holding
     its segment lock until [txn] commits; false if another server
-    took it since {!reserve}. *)
+    took it since it was reserved. *)
 let claim ctx txn pool bit =
   let lock = seg_lock pool (Layout.segment_of_bit bit) in
   let addr = Layout.bit_sector pool bit in
@@ -117,7 +196,8 @@ let claim ctx txn pool bit =
 (** Allocate one object from [pool]; the bit is set within [txn] and
     the segment lock is released when [txn] commits. *)
 let rec alloc ctx txn pool =
-  let bit = reserve ctx txn pool in
+  let bit = List.hd (reserve_bits ctx pool 1) in
+  hand_over ctx txn pool bit;
   if claim ctx txn pool bit then bit else alloc ctx txn pool
 
 (** Free a set of bits; segment locks are taken in (pool, segment)

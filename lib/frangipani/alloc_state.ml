@@ -1,6 +1,7 @@
 (** Per-server allocator state: which bitmap segment of each pool the
-    server currently allocates from, a rotor within it, and the bits
-    reserved by creates that have not yet claimed them. *)
+    server currently allocates from, a rotor within it, the bits
+    reserved but not yet claimed, and the batch of fresh inodes
+    fetched ahead of the creates that will take them. *)
 
 type pool_state = {
   mutable seg : int option;
@@ -8,9 +9,17 @@ type pool_state = {
   reserved : (int, unit) Hashtbl.t;  (** absolute bit numbers *)
 }
 
-type t = { pools : pool_state array }
+type t = {
+  pools : pool_state array;
+  fresh : int Queue.t;
+      (** reserved inode numbers, fetched and not yet handed to a
+          create; their reservations belong to the server *)
+}
 
 let create () =
-  { pools = Array.init 5 (fun _ -> { seg = None; hint = 0; reserved = Hashtbl.create 8 }) }
+  {
+    pools = Array.init 5 (fun _ -> { seg = None; hint = 0; reserved = Hashtbl.create 8 });
+    fresh = Queue.create ();
+  }
 
 let pool t p = t.pools.(Layout.pool_index p)

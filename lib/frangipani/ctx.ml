@@ -60,9 +60,10 @@ type t = {
       (** insertion order of [read_ahead_next] keys, for eviction *)
   prefetch_inflight : (int, int) Hashtbl.t;
       (** inum -> bytes of prefetch currently in flight (capped) *)
-  prefetch_holds : (int, bool ref list) Hashtbl.t;
-      (** lock -> cancellation flags of in-flight prefetches holding
-          it in R — what a contended revoke sheds *)
+  shed_holds : (int, (bool ref * Locksvc.Types.mode) list) Hashtbl.t;
+      (** lock -> discretionary holds on it (in-flight prefetches in R,
+          fresh-inode batch refills in W) with their shed flags — what
+          a contended revoke sheds *)
 }
 
 let check_usable t =
@@ -132,30 +133,31 @@ let prefetch_discharge t inum bytes =
   | Some v when v > bytes -> Hashtbl.replace t.prefetch_inflight inum (v - bytes)
   | _ -> Hashtbl.remove t.prefetch_inflight inum
 
-(* Registry of speculative R holds, keyed by the lock each in-flight
-   prefetch inherited. A contended revoke sheds every hold under the
-   lock ([prefetch_holds_shed]); a completing prefetch takes its own
-   entry back ([prefetch_hold_take]) — whoever gets the entry out of
-   the table does the lock release, so it happens exactly once. *)
-let prefetch_hold_register t ~lock c =
-  Hashtbl.replace t.prefetch_holds lock
-    (c :: Option.value ~default:[] (Hashtbl.find_opt t.prefetch_holds lock))
+(* Registry of discretionary holds, keyed by lock: an in-flight
+   prefetch's inherited R hold, a fresh-inode batch refill's W holds.
+   A contended revoke sheds every hold under the lock ([holds_shed])
+   and sets its flag; the holder takes its own entry back when done
+   ([hold_take]) — whoever gets the entry out of the table does the
+   lock release, so it happens exactly once. *)
+let hold_register t ~lock mode c =
+  Hashtbl.replace t.shed_holds lock
+    ((c, mode) :: Option.value ~default:[] (Hashtbl.find_opt t.shed_holds lock))
 
-let prefetch_hold_take t ~lock c =
-  match Hashtbl.find_opt t.prefetch_holds lock with
-  | Some cs when List.memq c cs ->
-    (match List.filter (fun x -> not (x == c)) cs with
-    | [] -> Hashtbl.remove t.prefetch_holds lock
-    | rest -> Hashtbl.replace t.prefetch_holds lock rest);
+let hold_take t ~lock c =
+  match Hashtbl.find_opt t.shed_holds lock with
+  | Some hs when List.exists (fun (x, _) -> x == c) hs ->
+    (match List.filter (fun (x, _) -> not (x == c)) hs with
+    | [] -> Hashtbl.remove t.shed_holds lock
+    | rest -> Hashtbl.replace t.shed_holds lock rest);
     true
   | Some _ | None -> false
 
-let prefetch_holds_shed t ~lock =
-  match Hashtbl.find_opt t.prefetch_holds lock with
+let holds_shed t ~lock =
+  match Hashtbl.find_opt t.shed_holds lock with
   | None -> []
-  | Some cs ->
-    Hashtbl.remove t.prefetch_holds lock;
-    cs
+  | Some hs ->
+    Hashtbl.remove t.shed_holds lock;
+    hs
 
 (** The data lock covering a given data block of a file: the whole
     file's lock normally, a per-block lock in the ablation mode. *)

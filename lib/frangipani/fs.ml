@@ -115,13 +115,14 @@ let drop_link ctx txn inum (ino : Ondisk.inode) =
     Ctx.forget_read_ahead ctx inum
   end
 
-(* Reserve an inode bit, lock and fetch the fresh inode with no
-   segment lock held, then claim the bit (Alloc); a bit another server
-   claimed in between sends the create round again. The fresh inode's
-   lock is uncontended except for stale sticky holders, which revoke
-   cleanly. *)
+(* Take a fresh inode from the server's batch (Alloc), lock it and
+   read it with no segment lock held — both normally hit, the batch
+   refill having fetched the sector and left the lock cached — then
+   claim the bit; a bit another server claimed in between sends the
+   create to the next. The fresh inode's lock is uncontended except
+   for stale sticky holders, which revoke cleanly. *)
 let rec new_inode ctx txn (proto : Ondisk.inode) =
-  let inum = Alloc.reserve ctx txn Layout.Inode_pool in
+  let inum = Alloc.take_inode ctx txn in
   if inum >= Layout.max_inodes then fail Enospc;
   let lock = ilock inum in
   Clerk.acquire ctx.Ctx.clerk ~lock Types.W;
@@ -394,14 +395,14 @@ let read_ahead_holding_lock ctx inum ino boffs =
   let bytes = List.length boffs * Layout.block in
   let lock = ilock inum in
   let cancelled = ref false in
-  Ctx.prefetch_hold_register ctx ~lock cancelled;
+  Ctx.hold_register ctx ~lock Types.R cancelled;
   Sim.spawn (fun () ->
       Fun.protect
         ~finally:(fun () ->
           Ctx.prefetch_discharge ctx inum bytes;
           (* Whoever removes the registry entry owns the release; a
              contended revoke may already have shed our hold. *)
-          if Ctx.prefetch_hold_take ctx ~lock cancelled then
+          if Ctx.hold_take ctx ~lock cancelled then
             Clerk.release ctx.Ctx.clerk ~lock Types.R)
         (fun () ->
           try
@@ -586,20 +587,20 @@ let mount ~host ~rpc ~vd ~lock_servers ?(table = "fs0") ?(config = Ctx.default_c
       read_ahead_next = Hashtbl.create 64;
       read_ahead_order = Queue.create ();
       prefetch_inflight = Hashtbl.create 64;
-      prefetch_holds = Hashtbl.create 16;
+      shed_holds = Hashtbl.create 16;
     }
   in
   Clerk.set_callbacks clerk
     ~on_contended:(fun ~lock ->
-      (* A revoke is blocked on local users: shed any speculative
-         read-ahead holds on this lock so the remote waiter is not
-         serialised behind a prefetch (whose data would be discarded
-         by the revoke anyway). *)
+      (* A revoke is blocked on local users: shed any discretionary
+         holds on this lock so the remote waiter is not serialised
+         behind a prefetch (whose data would be discarded by the
+         revoke anyway) or a batch refill still gathering locks. *)
       List.iter
-        (fun c ->
+        (fun (c, mode) ->
           c := true;
-          Clerk.release clerk ~lock Types.R)
-        (Ctx.prefetch_holds_shed ctx ~lock))
+          Clerk.release clerk ~lock mode)
+        (Ctx.holds_shed ctx ~lock))
     ~on_revoke:(fun ~lock ~to_read -> on_revoke ctx ~lock ~to_read)
     ~on_do_recovery:(fun ~dead_lease -> Recovery.run ctx ~dead_lease)
     ~on_expired:(fun () ->

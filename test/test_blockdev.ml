@@ -80,6 +80,123 @@ let test_damaged_sector () =
       Disk.write d ~off:512 (Bytes.make 512 'b');
       ignore (Disk.read d ~off:0 ~len:1024))
 
+(* --- merged in-flight reads --------------------------------------------- *)
+
+(* Start [reads] concurrently at the current instant; each result is
+   [Ok bytes] or [Error exn]. *)
+let spawn_reads d reads =
+  List.map
+    (fun (off, len) ->
+      let iv = Sim.Ivar.create () in
+      Sim.spawn (fun () ->
+          Sim.Ivar.fill iv
+            (match Disk.read d ~off ~len with b -> Ok b | exception e -> Error e));
+      iv)
+    reads
+
+let test_merge_identical () =
+  Sim.run (fun () ->
+      let alone = mkdisk () and d = mkdisk () in
+      Disk.write alone ~off:4096 (Bytes.make 4096 'm');
+      Disk.write d ~off:4096 (Bytes.make 4096 'm');
+      let busy0 = Sim.Resource.busy_time (Disk.arm alone) in
+      ignore (Disk.read alone ~off:4096 ~len:4096);
+      let one = Sim.Resource.busy_time (Disk.arm alone) - busy0 in
+      let busy0 = Sim.Resource.busy_time (Disk.arm d) in
+      let bufs =
+        spawn_reads d (List.init 5 (fun _ -> (4096, 4096)))
+        |> List.map (fun iv -> Result.get_ok (Sim.Ivar.read iv))
+      in
+      Alcotest.(check int) "one arm service" one
+        (Sim.Resource.busy_time (Disk.arm d) - busy0);
+      Alcotest.(check int) "four merged" 4 (Disk.merged d);
+      List.iter
+        (fun b -> Alcotest.(check string) "same bytes" (String.make 4096 'm') (Bytes.to_string b))
+        bufs;
+      List.iteri (fun i b -> Bytes.fill b 0 4096 (Char.chr (Char.code 'a' + i))) bufs;
+      List.iteri
+        (fun i b ->
+          Alcotest.(check char) "independent buffer" (Char.chr (Char.code 'a' + i)) (Bytes.get b 0))
+        bufs;
+      (* The first reader scribbles on its buffer the moment its read
+         returns; a read that joined it still gets the disk's bytes. *)
+      let joined = Sim.Ivar.create () in
+      Sim.spawn (fun () -> Bytes.fill (Disk.read d ~off:4096 ~len:4096) 0 4096 'x');
+      Sim.spawn (fun () -> Sim.Ivar.fill joined (Disk.read d ~off:4096 ~len:4096));
+      Alcotest.(check string) "joiner unaffected by the first reader" (String.make 4096 'm')
+        (Bytes.to_string (Sim.Ivar.read joined));
+      Alcotest.(check int) "five merged" 5 (Disk.merged d))
+
+(* A read that joins an earlier one sees every write that completed
+   before it was issued: the write is ahead of the earlier read on the
+   FIFO arm, and the earlier read captures its bytes when its own
+   service ends. *)
+let test_merge_after_write () =
+  Sim.run (fun () ->
+      let d = mkdisk () in
+      Disk.write d ~off:0 (Bytes.make 512 'o');
+      let written = Sim.Ivar.create () in
+      Sim.spawn (fun () ->
+          Disk.write d ~off:0 (Bytes.make 512 'n');
+          Sim.Ivar.fill written ());
+      let earlier = spawn_reads d [ (0, 512) ] in
+      Sim.Ivar.read written;
+      let joiner = Disk.read d ~off:0 ~len:512 in
+      Alcotest.(check int) "joined the earlier read" 1 (Disk.merged d);
+      Alcotest.(check string) "joiner sees the write" (String.make 512 'n')
+        (Bytes.to_string joiner);
+      Alcotest.(check string) "earlier read too" (String.make 512 'n')
+        (Bytes.to_string (Result.get_ok (Sim.Ivar.read (List.hd earlier))));
+      Alcotest.(check string) "later read" (String.make 512 'n')
+        (Bytes.to_string (Disk.read d ~off:0 ~len:512)))
+
+(* Through NVRAM: a read that must destage an overlapping pending write
+   first queues that write behind the earlier disk read, so by the time
+   it reads, the earlier read has captured its bytes and left; it reads
+   the disk afresh and sees the write. *)
+let test_merge_nvram_destage () =
+  Sim.run (fun () ->
+      let d = mkdisk () in
+      Disk.write d ~off:0 (Bytes.make 1024 'o');
+      let s = Nvram.wrap d in
+      let earlier = spawn_reads d [ (0, 1024) ] in
+      s.Storage.write ~off:512 (Bytes.make 512 'n');
+      let got = s.Storage.read ~off:0 ~len:1024 in
+      Alcotest.(check string) "sees the NVRAM write"
+        (String.make 512 'o' ^ String.make 512 'n')
+        (Bytes.to_string got);
+      Alcotest.(check string) "earlier read predates it" (String.make 1024 'o')
+        (Bytes.to_string (Result.get_ok (Sim.Ivar.read (List.hd earlier))));
+      Alcotest.(check int) "nothing merged" 0 (Disk.merged d))
+
+let test_merge_errors_reach_joiners () =
+  Sim.run (fun () ->
+      let d = mkdisk () in
+      Disk.damage_sector d 1;
+      spawn_reads d (List.init 3 (fun _ -> (0, 1024)))
+      |> List.iter (fun iv ->
+             match Sim.Ivar.read iv with
+             | Error (Disk.Bad_sector 1) -> ()
+             | _ -> Alcotest.fail "expected Bad_sector 1");
+      Alcotest.(check int) "bad sector: two joined" 2 (Disk.merged d);
+      let ivs = spawn_reads d (List.init 3 (fun _ -> (8192, 512))) in
+      Sim.sleep (Sim.us 100);
+      Disk.fail d;
+      List.iter
+        (fun iv ->
+          match Sim.Ivar.read iv with
+          | Error (Disk.Failed _) -> ()
+          | _ -> Alcotest.fail "expected Failed")
+        ivs;
+      Alcotest.(check int) "failed disk: two more joined" 4 (Disk.merged d))
+
+let test_merge_exact_range_only () =
+  Sim.run (fun () ->
+      let d = mkdisk () in
+      spawn_reads d [ (0, 512); (0, 1024); (512, 512); (1024, 512) ]
+      |> List.iter (fun iv -> ignore (Result.get_ok (Sim.Ivar.read iv)));
+      Alcotest.(check int) "nothing merged" 0 (Disk.merged d))
+
 let test_nvram_write_fast_read_back () =
   Sim.run (fun () ->
       let d = mkdisk () in
@@ -177,6 +294,14 @@ let () =
           Alcotest.test_case "fail and heal" `Quick test_fail_and_heal;
           Alcotest.test_case "damaged sector" `Quick test_damaged_sector;
           QCheck_alcotest.to_alcotest prop_disk_roundtrip;
+        ] );
+      ( "merge",
+        [
+          Alcotest.test_case "identical reads share a service" `Quick test_merge_identical;
+          Alcotest.test_case "joiner sees completed write" `Quick test_merge_after_write;
+          Alcotest.test_case "NVRAM destage, then read" `Quick test_merge_nvram_destage;
+          Alcotest.test_case "errors reach every joiner" `Quick test_merge_errors_reach_joiners;
+          Alcotest.test_case "only identical ranges merge" `Quick test_merge_exact_range_only;
         ] );
       ( "nvram",
         [

@@ -302,12 +302,19 @@ let distinct l = List.length (List.sort_uniq compare l) = List.length l
 
 (* Sixteen concurrent creates on one server, eight in each of two
    directories. Creates in one directory queue on its lock, but the
-   inode-bitmap segment lock covers only each create's bit flip, so
-   the two directories' creates overlap their fresh-inode lock RPCs
-   and sector fetches instead of queueing behind each other's. *)
+   inode-bitmap segment lock covers only each create's bit flip, and
+   fresh inodes come eight to a batch fetch, so the sixteen cost less
+   than four creates that each find the batch empty — the first create
+   after mount is the reference. *)
 let test_create_storm () =
   Sim.run (fun () ->
       let _, fs = one () in
+      let timed f =
+        let t0 = Sim.now () in
+        let v = f () in
+        (v, Sim.now () - t0)
+      in
+      let one_inum, single = timed (fun () -> Fs.create fs ~dir:Fs.root "single") in
       let dirs = List.map (fun n -> Fs.mkdir fs ~dir:Fs.root n) [ "d0"; "d1" ] in
       (* Give each directory its block, so no create below grows one. *)
       List.iter
@@ -316,12 +323,6 @@ let test_create_storm () =
           Fs.unlink fs ~dir:d "grow")
         dirs;
       Fs.sync fs;
-      let timed f =
-        let t0 = Sim.now () in
-        let v = f () in
-        (v, Sim.now () - t0)
-      in
-      let one_inum, single = timed (fun () -> Fs.create fs ~dir:(List.hd dirs) "single") in
       let inums, storm =
         timed (fun () ->
             List.concat_map
@@ -330,45 +331,68 @@ let test_create_storm () =
             |> List.map Sim.Ivar.read)
       in
       Alcotest.(check bool)
-        (Printf.sprintf "16 creates in %d ns < 4 x one create's %d ns" storm single)
+        (Printf.sprintf "16 creates in %d ns < 4 x a cold create's %d ns" storm single)
         true (storm < 4 * single);
       Alcotest.(check bool) "distinct inode numbers" true (distinct (one_inum :: inums));
       Fs.sync fs;
       Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs)))
 
-(* Server A reserves an inode bit, then waits to lock the fresh inode
-   (the test holds that lock at A). Server B, pointed at A's
-   inode-bitmap segment, reserves the same bit — it cannot see A's
-   reservation — takes the inode lock when the test lets go, and
-   claims the bit first. A's claim must find the bit set and reserve
-   another. *)
+(* Fresh inodes are fetched eight to a Petal read: sixteen creates on a
+   warm server read at most two batches' worth of inode sectors. *)
+let test_batched_inode_fetch () =
+  Sim.run (fun () ->
+      let _, fs = one () in
+      let d = Fs.mkdir fs ~dir:Fs.root "d" in
+      (* Grow the directory for sixteen entries first. *)
+      List.iter (fun k -> ignore (Fs.create fs ~dir:d (Printf.sprintf "g%d" k))) (List.init 16 Fun.id);
+      List.iter (fun k -> Fs.unlink fs ~dir:d (Printf.sprintf "g%d" k)) (List.init 16 Fun.id);
+      Fs.sync fs;
+      let reads () = (Fs.petal_stats fs).Petal.Client.reads in
+      let before = reads () in
+      let inums = List.init 16 (fun k -> Fs.create fs ~dir:d (Printf.sprintf "f%d" k)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d Petal reads <= 2" (reads () - before))
+        true
+        (reads () - before <= 2);
+      Alcotest.(check bool) "distinct inode numbers" true (distinct inums);
+      Fs.sync fs;
+      Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs)))
+
+(* The contested inode sits in A's batch. Server B, pointed at A's
+   inode-bitmap segment with an empty batch of its own, reserves and
+   fetches the same bits — it cannot see A's reservations — and claims
+   the contested one. A's next create takes the contested inode first:
+   its claim finds the bit set and the create moves on to the next of
+   its batch. *)
 let test_lost_reservation () =
   Sim.run (fun () ->
       let _, servers = setup ~nservers:2 () in
       let a, b = (List.nth servers 0, List.nth servers 1) in
       let da = Fs.mkdir a ~dir:Fs.root "da" in
       let db = Fs.mkdir b ~dir:Fs.root "db" in
+      (* Empty B's batch. *)
+      let pads =
+        List.init (Queue.length b.Ctx.alloc.fresh) (fun k ->
+            Fs.create b ~dir:db (Printf.sprintf "pad%d" k))
+      in
+      Alcotest.(check bool) "B's batch is empty" true (Queue.is_empty b.Ctx.alloc.fresh);
       let pa = Alloc_state.pool a.Ctx.alloc Layout.Inode_pool in
       let pb = Alloc_state.pool b.Ctx.alloc Layout.Inode_pool in
+      let contested = Queue.peek a.Ctx.alloc.fresh in
       pb.seg <- pa.seg;
-      pb.hint <- pa.hint;
-      let contested = Layout.segment_first_bit (Option.get pa.seg) + pa.hint in
-      Alcotest.(check bool) "B's directory is another inode" true (contested <> db);
-      let lock = Lockns.inode_lock contested in
-      Locksvc.Clerk.acquire a.Ctx.clerk ~lock Locksvc.Types.W;
-      let fa = spawn_create a ~dir:da "fa" in
-      Sim.sleep (Sim.ms 100);
-      Alcotest.(check bool) "A reserved it" true (Hashtbl.mem pa.reserved contested);
-      let fb = spawn_create b ~dir:db "fb" in
-      Sim.sleep (Sim.ms 100);
-      Alcotest.(check bool) "B reserved it" true (Hashtbl.mem pb.reserved contested);
-      Locksvc.Clerk.release a.Ctx.clerk ~lock Locksvc.Types.W;
-      let fa = Sim.Ivar.read fa and fb = Sim.Ivar.read fb in
+      pb.hint <- contested - Layout.segment_first_bit (Option.get pa.seg);
+      let fb = Fs.create b ~dir:db "fb" in
       Alcotest.(check int) "B claimed the contested inode" contested fb;
+      Alcotest.(check bool) "still in A's batch" true (Queue.peek a.Ctx.alloc.fresh = contested);
+      let fa = Fs.create a ~dir:da "fa" in
       Alcotest.(check bool) "A created another" true (fa <> contested);
-      Alcotest.(check bool) "no inode allocated twice" true (distinct [ da; db; fa; fb ]);
-      Alcotest.(check bool) "reservations dropped" true
-        (Hashtbl.length pa.reserved = 0 && Hashtbl.length pb.reserved = 0);
+      Alcotest.(check bool) "no inode allocated twice" true
+        (distinct ([ da; db; fa; fb ] @ pads));
+      let sorted l = List.sort compare l in
+      let reserved ps = sorted (Hashtbl.fold (fun bit () acc -> bit :: acc) ps.Alloc_state.reserved []) in
+      let batch st = sorted (List.of_seq (Queue.to_seq st.Alloc_state.fresh)) in
+      Alcotest.(check (list int)) "A's reservations are its batch" (batch a.Ctx.alloc) (reserved pa);
+      Alcotest.(check (list int)) "B's reservations are its batch" (batch b.Ctx.alloc) (reserved pb);
       Fs.write a fa ~off:0 (Bytes.of_string "from A");
       Fs.write b fb ~off:0 (Bytes.of_string "from B");
       Fs.sync a;
@@ -377,6 +401,46 @@ let test_lost_reservation () =
         (Bytes.to_string (Fs.read b (Fs.lookup b ~dir:da "fa") ~off:0 ~len:6));
       Alcotest.(check string) "B's file" "from B"
         (Bytes.to_string (Fs.read a (Fs.lookup a ~dir:db "fb") ~off:0 ~len:6));
+      Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check a)))
+
+(* A batch refill gathers its eight inode locks concurrently. While it
+   waits for one (the test holds the last of A's next eight at A),
+   another server's request for one the refill already holds must not
+   wait behind it: the contended revoke sheds the refill's hold. So
+   two refills whose batches overlap never wait on each other in a
+   cycle. *)
+let test_refill_sheds_contended_hold () =
+  Sim.run (fun () ->
+      let _, servers = setup ~nservers:2 () in
+      let a, b = (List.nth servers 0, List.nth servers 1) in
+      let da = Fs.mkdir a ~dir:Fs.root "da" in
+      let pads =
+        List.init (Queue.length a.Ctx.alloc.fresh) (fun k ->
+            Fs.create a ~dir:da (Printf.sprintf "pad%d" k))
+      in
+      let pa = Alloc_state.pool a.Ctx.alloc Layout.Inode_pool in
+      let first = Layout.segment_first_bit (Option.get pa.seg) + pa.hint in
+      let held_by_test = Lockns.inode_lock (first + Alloc.batch - 1) in
+      let contested = Lockns.inode_lock first in
+      Locksvc.Clerk.acquire a.Ctx.clerk ~lock:held_by_test Locksvc.Types.W;
+      let fa = spawn_create a ~dir:da "fa" in
+      Sim.sleep (Sim.ms 100);
+      let got = Sim.Ivar.create () in
+      Sim.spawn (fun () ->
+          Locksvc.Clerk.acquire b.Ctx.clerk ~lock:contested Locksvc.Types.W;
+          Sim.Ivar.fill got ());
+      Sim.sleep (Sim.sec 1.0);
+      Alcotest.(check bool) "B holds a lock of A's refill while it waits" true
+        (Sim.Ivar.is_filled got && not (Sim.Ivar.is_filled fa));
+      Locksvc.Clerk.release b.Ctx.clerk ~lock:contested Locksvc.Types.W;
+      Locksvc.Clerk.release a.Ctx.clerk ~lock:held_by_test Locksvc.Types.W;
+      let fa = Sim.Ivar.read fa in
+      Alcotest.(check int) "A created the first of its batch" first fa;
+      Alcotest.(check bool) "no inode allocated twice" true (distinct ((da :: fa :: pads)));
+      Fs.write a fa ~off:0 (Bytes.of_string "from A");
+      Fs.sync a;
+      Alcotest.(check string) "A's file through B" "from A"
+        (Bytes.to_string (Fs.read b (Fs.lookup b ~dir:da "fa") ~off:0 ~len:6));
       Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check a)))
 
 (* --- failure handling ------------------------------------------------------ *)
@@ -569,6 +633,9 @@ let () =
           Alcotest.test_case "write/write" `Quick test_write_write_coherence;
           Alcotest.test_case "create storm" `Quick test_create_storm;
           Alcotest.test_case "lost reservation" `Quick test_lost_reservation;
+          Alcotest.test_case "batched inode fetch" `Quick test_batched_inode_fetch;
+          Alcotest.test_case "refill sheds a contended hold" `Quick
+            test_refill_sheds_contended_hold;
           Alcotest.test_case "write-behind skips a revoked block" `Quick
             test_writeback_skips_revoked_entry;
         ] );
