@@ -4,7 +4,7 @@
      dune exec bench/check_regress.exe -- --allow-missing   -- pass when < 2 files
      dune exec bench/check_regress.exe OLD.json NEW.json
 
-   Three sections are gated, each with its own tolerance:
+   Four sections are gated, each with its own tolerance:
 
    - "workloads": per-workload "throughput_mb_per_s" must not drop
      more than 20%. Simulated-time numbers, fully deterministic.
@@ -26,10 +26,12 @@
      up here before it shows up as a soak timeout). Simulated-time
      counters, fully deterministic.
 
-   Metrics present in only one of the two files never fail: a section
-   the older snapshot predates (e.g. "sim" and "scale" appeared with
-   BENCH_6) is reported as new and skipped, which is the
-   --allow-missing semantics at per-metric granularity.
+   A gated metric present only in the newer file never fails: a
+   section the older snapshot predates (e.g. "sim" and "scale"
+   appeared with BENCH_6) is reported as new and skipped, which is the
+   --allow-missing semantics at per-metric granularity. A gated metric
+   present only in the older file fails: deleting a row must not be a
+   way around its gate.
 
    The json is the line-oriented subset bench/main.exe emits; this
    parses it with the stdlib only (no json library in the image). *)
@@ -52,8 +54,9 @@ let gates =
   ]
 
 (* Metrics a PR's tentpole specifically optimised: the new value must
-   be at least the old one — any drop fails, no tolerance. Missing in
-   either file is skipped (per-metric allow-missing, as above). *)
+   be at least the old one — any drop fails, no tolerance. Missing
+   from the older file is skipped, missing from the newer one fails
+   (as above). *)
 let must_improve = [ "workloads/largefile_write_16mb throughput_mb_per_s" ]
 
 let contains line sub =
@@ -189,7 +192,8 @@ let () =
     (fun (id, old_v, d, tol) ->
       match assoc id cur with
       | None ->
-        Printf.printf "  %-44s %10.1f -> (gone)   WARN: metric dropped\n" id
+        failed := true;
+        Printf.printf "  %-44s %10.1f -> (gone)   GATED METRIC DROPPED\n" id
           old_v
       | Some new_v ->
         let delta =

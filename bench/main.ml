@@ -412,26 +412,7 @@ let ablation () =
     "f) §2.2 remote clients: 50 create+write+read cycles, local %.0f ms vs \
      remote %.0f ms (+%.0f%% protocol hop)\n"
     (local_t *. 1000.) (remote_t *. 1000.)
-    ((remote_t /. local_t -. 1.0) *. 100.);
-  (* g) read-ahead submission: the UFS-derived one-cluster-at-a-time
-     prefetch the paper borrowed vs one batched scatter-gather
-     submission of the whole window. *)
-  let seq_read serial =
-    Sim.run (fun () ->
-        let t = T.build ~petal_servers:7 ~ndisks:9 ~disk_capacity:(128 * mb) () in
-        let v =
-          V.of_frangipani
-            (T.add_server t
-               ~config:{ base with Frangipani.Ctx.read_ahead_serial = serial }
-               ())
-        in
-        ignore (Workloads.Largefile.write_seq v ~name:"big" ~mb:8);
-        (Workloads.Largefile.read_seq v ~name:"big").Workloads.Largefile.mb_per_s)
-  in
-  Printf.printf
-    "g) read-ahead submission: serial (UFS-style) %.1f MB/s, batched %.1f MB/s \
-     sequential read\n"
-    (seq_read true) (seq_read false)
+    ((remote_t /. local_t -. 1.0) *. 100.)
 
 (* --- BENCH_2.json: machine-readable perf trajectory -------------------------------- *)
 
@@ -452,97 +433,11 @@ let percentile_ms samples p =
 
 let ms_of t = Sim.to_sec t *. 1000.0
 
-(* Per-workload Petal driver counters: what a workload cost in Petal
-   round trips and simulated device time, and what the read- and
-   write-side coalescers saved (plus the NVRAM destage elevator's
-   batch count, a global counter snapshotted like the rest, and the
-   disk reads that joined an identical in-flight read). [prev] is the
-   snapshot taken before the workload. Collected into the json's
-   counter-only "petal_io" section. *)
-let petal_rows :
-    (string * (int * int * int * int * int * int * int * int)) list ref =
-  ref []
-
-(* Disk reads that joined an identical in-flight read, over every disk
-   of a Petal testbed. *)
-let merged_reads (tb : Petal.Testbed.t) =
-  Array.fold_left
-    (Array.fold_left (fun n d -> n + Blockdev.Disk.merged d))
-    0 tb.Petal.Testbed.disks
-
-let print_petal_delta name ?(destage0 = 0) ~merged (prev : Petal.Client.stats)
-    (s : Petal.Client.stats) =
-  let rp = s.read_pieces - prev.read_pieces
-  and rr = s.read_rpcs - prev.read_rpcs
-  and rc = s.read_coalesced - prev.read_coalesced
-  and wp = s.write_pieces - prev.write_pieces
-  and wr = s.write_rpcs - prev.write_rpcs
-  and wc = s.write_coalesced - prev.write_coalesced in
-  let destage = Blockdev.Nvram.destage_batches () - destage0 in
-  petal_rows := !petal_rows @ [ (name, (rp, rr, rc, wp, wr, wc, destage, merged)) ];
-  Printf.printf
-    "  petal[%-22s] reads %5d (%6.3fs)  writes %5d (%6.3fs)  rd p/rpc/coal \
-     %d/%d/%d  wr p/rpc/coal %d/%d/%d  destage %d  disk merged %d\n"
-    name (s.reads - prev.reads)
-    (s.read_seconds -. prev.read_seconds)
-    (s.writes - prev.writes)
-    (s.write_seconds -. prev.write_seconds)
-    rp rr rc wp wr wc destage merged
-
-(* Per-workload log-pipeline counters (the wal section): how many
-   sector groups the flush path submitted, how often formatting
-   overlapped an in-flight group, how often the circular log filled
-   enough to stall a writer, and how many reclaim rounds ran.
-   Counter-only — check_regress ignores the section. *)
-let wal_rows : (string * (int * int * int * int)) list ref = ref []
-
-let print_wal_delta name (p : Frangipani.Wal.wal_stats)
-    (s : Frangipani.Wal.wal_stats) =
-  let row =
-    ( s.Frangipani.Wal.flush_groups - p.Frangipani.Wal.flush_groups,
-      s.Frangipani.Wal.pipeline_overlaps - p.Frangipani.Wal.pipeline_overlaps,
-      s.Frangipani.Wal.log_pressure_stalls
-      - p.Frangipani.Wal.log_pressure_stalls,
-      s.Frangipani.Wal.reclaim_rounds - p.Frangipani.Wal.reclaim_rounds )
-  in
-  let groups, overlaps, stalls, reclaims = row in
-  wal_rows := !wal_rows @ [ (name, row) ];
-  Printf.printf
-    "  wal  [%-22s] groups %5d  overlaps %5d  log-pressure stalls %3d  \
-     reclaims %3d\n"
-    name groups overlaps stalls reclaims
-
-(* Per-workload network counters: what a workload cost in RPC
-   attempts, timeouts and retransmissions, and how often lease
-   renewal brushed the §6 hazard. Also collected into the json's
-   "net" section (counter-only — check_regress reads only the
-   "workloads" section). *)
-let net_rows : (string * (int * int * int * int * int * int * int)) list ref =
-  ref []
-
-let print_net_delta name (p_rpc : Cluster.Rpc.stats) (p_cl : Locksvc.Clerk.stats)
-    (rpc : Cluster.Rpc.stats) (cl : Locksvc.Clerk.stats) =
-  let row =
-    ( rpc.calls - p_rpc.calls,
-      rpc.attempts - p_rpc.attempts,
-      rpc.timeouts - p_rpc.timeouts,
-      rpc.retries - p_rpc.retries,
-      rpc.dups_suppressed - p_rpc.dups_suppressed,
-      cl.renew_rounds - p_cl.renew_rounds,
-      cl.renew_misses - p_cl.renew_misses )
-  in
-  let calls, attempts, timeouts, retries, dups, rounds, misses = row in
-  net_rows := !net_rows @ [ (name, row) ];
-  Printf.printf
-    "  net  [%-22s] calls %6d  attempts %6d  timeouts %4d  retries %4d  \
-     dups %4d  renew %d rounds / %d missed\n"
-    name calls attempts timeouts retries dups rounds misses
-
 (* The machine-readable snapshot this PR emits. The "pr" field is
    derived from the filename (BENCH_5.json shipped with a hand-typed
    "pr": 4 — wrong, and silently so); keeping one constant makes the
    two impossible to disagree. *)
-let bench_out = "BENCH_16.json"
+let bench_out = "BENCH_17.json"
 let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
 
 (* Row stores for the emitter: json_bench (workloads, reconf) runs
@@ -574,9 +469,6 @@ let json_bench () =
       let data = Bytes.make unit_b 'J' in
       let inum = v.V.create ~dir:v.V.root "jbig" in
       let lats = ref [] in
-      let p0 = Frangipani.Fs.petal_stats fs and m0 = merged_reads t.T.petal in
-      let w0 = Frangipani.Fs.wal_stats fs in
-      let n0 = Frangipani.Fs.net_stats fs and l0 = Frangipani.Fs.lease_stats fs in
       let t0 = Sim.now () in
       for i = 0 to units - 1 do
         let s = Sim.now () in
@@ -586,16 +478,8 @@ let json_bench () =
       v.V.sync ();
       record "largefile_write_16mb" ~bytes:(units * unit_b)
         ~elapsed:(Sim.now () - t0) !lats;
-      print_petal_delta "largefile_write_16mb" ~merged:(merged_reads t.T.petal - m0) p0
-        (Frangipani.Fs.petal_stats fs);
-      print_wal_delta "largefile_write_16mb" w0 (Frangipani.Fs.wal_stats fs);
-      print_net_delta "largefile_write_16mb" n0 l0 (Frangipani.Fs.net_stats fs)
-        (Frangipani.Fs.lease_stats fs);
       v.V.drop_caches ();
       let lats = ref [] in
-      let p0 = Frangipani.Fs.petal_stats fs and m0 = merged_reads t.T.petal in
-      let w0 = Frangipani.Fs.wal_stats fs in
-      let n0 = Frangipani.Fs.net_stats fs and l0 = Frangipani.Fs.lease_stats fs in
       let t0 = Sim.now () in
       for i = 0 to units - 1 do
         let s = Sim.now () in
@@ -603,12 +487,7 @@ let json_bench () =
         lats := ms_of (Sim.now () - s) :: !lats
       done;
       record "largefile_read_16mb" ~bytes:(units * unit_b)
-        ~elapsed:(Sim.now () - t0) !lats;
-      print_petal_delta "largefile_read_16mb" ~merged:(merged_reads t.T.petal - m0) p0
-        (Frangipani.Fs.petal_stats fs);
-      print_wal_delta "largefile_read_16mb" w0 (Frangipani.Fs.wal_stats fs);
-      print_net_delta "largefile_read_16mb" n0 l0 (Frangipani.Fs.net_stats fs)
-        (Frangipani.Fs.lease_stats fs));
+        ~elapsed:(Sim.now () - t0) !lats);
   (* 30 parallel uncached 8 KB reads (paper §9.2 aside). *)
   Sim.run (fun () ->
       let t = T.build ~petal_servers:7 ~ndisks:9 ~disk_capacity:(128 * mb) () in
@@ -623,9 +502,6 @@ let json_bench () =
       v.V.sync ();
       v.V.drop_caches ();
       let lats = ref [] in
-      let p0 = Frangipani.Fs.petal_stats fs and m0 = merged_reads t.T.petal in
-      let w0 = Frangipani.Fs.wal_stats fs in
-      let n0 = Frangipani.Fs.net_stats fs and l0 = Frangipani.Fs.lease_stats fs in
       let t0 = Sim.now () in
       let pending = ref (List.length files) in
       let all = Sim.Ivar.create () in
@@ -639,12 +515,7 @@ let json_bench () =
               if !pending = 0 then Sim.Ivar.fill all ()))
         files;
       Sim.Ivar.read all;
-      record "small_reads_30x8kb" ~bytes:(30 * 8192) ~elapsed:(Sim.now () - t0) !lats;
-      print_petal_delta "small_reads_30x8kb" ~merged:(merged_reads t.T.petal - m0) p0
-        (Frangipani.Fs.petal_stats fs);
-      print_wal_delta "small_reads_30x8kb" w0 (Frangipani.Fs.wal_stats fs);
-      print_net_delta "small_reads_30x8kb" n0 l0 (Frangipani.Fs.net_stats fs)
-        (Frangipani.Fs.lease_stats fs));
+      record "small_reads_30x8kb" ~bytes:(30 * 8192) ~elapsed:(Sim.now () - t0) !lats);
   (* Raw Petal write latency: one chunk vs a 3-chunk scatter. The
      acceptance check for the async client is the ratio of these two —
      a multi-chunk write should cost ~1 round-trip, not N. The Petal
@@ -663,17 +534,13 @@ let json_bench () =
         let vd = Petal.Client.open_vdisk c (Petal.Client.create_vdisk c ~nrep:2) in
         let data = Bytes.make len 'p' in
         let lats = ref [] in
-        let p0 = Petal.Client.op_stats vd and m0 = merged_reads tb in
-        let d0 = Blockdev.Nvram.destage_batches () in
         let t0 = Sim.now () in
         for i = 0 to reps - 1 do
           let s = Sim.now () in
           Petal.Client.write vd ~off:(i * 4 * Petal.Protocol.chunk_bytes) data;
           lats := ms_of (Sim.now () - s) :: !lats
         done;
-        record name ~bytes:(reps * len) ~elapsed:(Sim.now () - t0) !lats;
-        print_petal_delta name ~destage0:d0 ~merged:(merged_reads tb - m0) p0
-          (Petal.Client.op_stats vd))
+        record name ~bytes:(reps * len) ~elapsed:(Sim.now () - t0) !lats)
   in
   petal_write "petal_write_64kb_1chunk" ~reps:20 ~len:Petal.Protocol.chunk_bytes;
   petal_write "petal_write_192kb_3chunks" ~reps:20 ~len:(3 * Petal.Protocol.chunk_bytes);
@@ -834,6 +701,13 @@ let simbench () =
    host time and host wall-clock per simulated second — is recorded
    as a first-class, regression-gated metric. *)
 
+(* Disk reads that joined an identical in-flight read, over every disk
+   of a Petal testbed. *)
+let merged_reads (tb : Petal.Testbed.t) =
+  Array.fold_left
+    (Array.fold_left (fun n d -> n + Blockdev.Disk.merged d))
+    0 tb.Petal.Testbed.disks
+
 (* Petal disk-arm utilisation during the workload, (max, mean) over
    every disk: a placement that piles a layout stride onto a few
    servers shows up as a max near 1 over a low mean. [du_merged]
@@ -929,111 +803,89 @@ let soak_bench () =
 
 (* --- machine-readable snapshot ------------------------------------------------------ *)
 
+(* One json section: a row per line, [name: { key: value, ... }], in
+   the line-oriented layout bench/check_regress.exe parses. Values
+   arrive formatted, so each section keeps its own number formats. *)
+let emit_section oc ~last (section, rows) =
+  Printf.fprintf oc "  %S: {\n" section;
+  let n = List.length rows in
+  List.iteri
+    (fun i (name, kvs) ->
+      Printf.fprintf oc "    %S: { %s }%s\n" name
+        (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) kvs))
+        (if i = n - 1 then "" else ","))
+    rows;
+  Printf.fprintf oc "  }%s\n" (if last then "" else ",")
+
 (* Writes [bench_out] from the rows the other experiments collected,
    running any producer that has not run yet (so `bench json` alone
-   still emits a complete file). Sections: "workloads" (+"net",
-   "reconf") from json_bench, "sim" from simbench, "scale" from the
-   cluster-scaling runs, "soak" from the composed-nemesis rounds.
-   check_regress gates "workloads", "sim", "scale" and "soak". *)
+   still emits a complete file). Sections: "workloads" and "reconf"
+   from json_bench, "soak" from the composed-nemesis rounds, "sim"
+   from simbench, "scale" from the cluster-scaling runs. check_regress
+   gates "workloads", "sim", "scale" and "soak"; "reconf" is
+   counter-only. *)
 let write_json () =
   if !json_rows = [] then json_bench ();
   if !simbench_rows = [] then simbench ();
   if !scale_rows = [] then scale ();
   if !soak_rows = [] then soak_bench ();
-  let rows = List.rev !json_rows in
+  let d = string_of_int and f prec x = Printf.sprintf "%.*f" prec x in
+  let sections =
+    [
+      ( "workloads",
+        List.rev_map
+          (fun (name, thr, ops, p50, p99) ->
+            ( name,
+              [ ("throughput_mb_per_s", f 3 thr); ("ops", d ops);
+                ("p50_ms", f 3 p50); ("p99_ms", f 3 p99) ] ))
+          !json_rows );
+      ( "reconf",
+        List.map
+          (fun (name, secs, pushes, bytes) ->
+            ( name,
+              [ ("drain_seconds", f 3 secs); ("chunks_pushed", d pushes);
+                ("bytes_migrated", d bytes) ] ))
+          !reconf_rows );
+      ( "soak",
+        List.map
+          (fun (name, (o : Workloads.Soak.outcome), host) ->
+            let open Workloads.Soak in
+            ( name,
+              [ ("sim_hours", f 2 o.sim_hours); ("host_seconds", f 1 host);
+                ("acked", d o.acked); ("failed_ops", d o.failed_ops);
+                ("freeze_rejects", d o.freeze_rejects);
+                ("freeze_waits", d o.freeze_waits);
+                ("max_cutover_s", f 3 (Sim.to_sec o.max_cutover_ns));
+                ("invariant_checks", d o.checks_run);
+                ("violations", d (List.length o.violations));
+                ("wal_reclaims", d o.wal_reclaims); ("log_replays", d o.replays) ] ))
+          !soak_rows );
+      ( "sim",
+        List.map
+          (fun (name, ops, ns) -> (name, [ ("ops", d ops); ("ns_per_op", f 1 ns) ]))
+          !simbench_rows );
+      ( "scale",
+        List.map
+          (fun (n, r, st, du, host_secs) ->
+            let open Workloads.Multitenant in
+            ( Printf.sprintf "servers_%d" n,
+              [ ("ops", d r.ops); ("distinct_files", d r.distinct_files);
+                ("fs_ops_per_sec", f 1 r.ops_per_sec); ("mb_per_s", f 3 r.mb_per_s);
+                ("petal_disk_util_max", f 4 du.du_max);
+                ("petal_disk_util_mean", f 4 du.du_mean);
+                ("petal_disk_reads_merged", d du.du_merged);
+                ("sim_seconds", f 3 r.seconds); ("host_seconds", f 3 host_secs);
+                ("sim_events", d st.Sim.events);
+                ("events_per_sec", f 0 (float_of_int st.Sim.events /. host_secs));
+                ("host_sec_per_sim_sec", f 4 (host_secs /. r.seconds)) ] ))
+          !scale_rows );
+    ]
+  in
   let oc = open_out bench_out in
-  Printf.fprintf oc "{\n  \"pr\": %d,\n  \"workloads\": {\n" bench_pr;
-  List.iteri
-    (fun i (name, thr, ops, p50, p99) ->
-      Printf.fprintf oc
-        "    %S: { \"throughput_mb_per_s\": %.3f, \"ops\": %d, \"p50_ms\": %.3f, \
-         \"p99_ms\": %.3f }%s\n"
-        name thr ops p50 p99
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  (* Counter-only observability sections: check_regress does not gate
-     the "petal_io", "wal", "net" or "reconf" rows. *)
-  Printf.fprintf oc "  },\n  \"petal_io\": {\n";
-  List.iteri
-    (fun i (name, (rp, rr, rc, wp, wr, wc, destage, merged)) ->
-      Printf.fprintf oc
-        "    %S: { \"read_pieces\": %d, \"read_rpcs\": %d, \"read_coalesced\": \
-         %d, \"write_pieces\": %d, \"write_rpcs\": %d, \"write_coalesced\": \
-         %d, \"destage_batches\": %d, \"disk_reads_merged\": %d }%s\n"
-        name rp rr rc wp wr wc destage merged
-        (if i = List.length !petal_rows - 1 then "" else ","))
-    !petal_rows;
-  Printf.fprintf oc "  },\n  \"wal\": {\n";
-  List.iteri
-    (fun i (name, (groups, overlaps, stalls, reclaims)) ->
-      Printf.fprintf oc
-        "    %S: { \"flush_groups\": %d, \"pipeline_overlaps\": %d, \
-         \"log_pressure_stalls\": %d, \"reclaim_rounds\": %d }%s\n"
-        name groups overlaps stalls reclaims
-        (if i = List.length !wal_rows - 1 then "" else ","))
-    !wal_rows;
-  Printf.fprintf oc "  },\n  \"net\": {\n";
-  List.iteri
-    (fun i (name, (calls, attempts, timeouts, retries, dups, rounds, misses)) ->
-      Printf.fprintf oc
-        "    %S: { \"rpc_calls\": %d, \"rpc_attempts\": %d, \"rpc_timeouts\": \
-         %d, \"rpc_retries\": %d, \"dups_suppressed\": %d, \"renew_rounds\": \
-         %d, \"renew_misses\": %d }%s\n"
-        name calls attempts timeouts retries dups rounds misses
-        (if i = List.length !net_rows - 1 then "" else ","))
-    !net_rows;
-  Printf.fprintf oc "  },\n  \"reconf\": {\n";
-  List.iteri
-    (fun i (name, secs, pushes, bytes) ->
-      Printf.fprintf oc
-        "    %S: { \"drain_seconds\": %.3f, \"chunks_pushed\": %d, \
-         \"bytes_migrated\": %d }%s\n"
-        name secs pushes bytes
-        (if i = List.length !reconf_rows - 1 then "" else ","))
-    !reconf_rows;
-  (* The "soak" rows are simulated-time counters, so deterministic;
-     check_regress gates invariant_checks and max_cutover_s. *)
-  Printf.fprintf oc "  },\n  \"soak\": {\n";
-  List.iteri
-    (fun i (name, (o : Workloads.Soak.outcome), host) ->
-      Printf.fprintf oc
-        "    %S: { \"sim_hours\": %.2f, \"host_seconds\": %.1f, \"acked\": %d, \
-         \"failed_ops\": %d, \"freeze_rejects\": %d, \"freeze_waits\": %d, \
-         \"max_cutover_s\": %.3f, \"invariant_checks\": %d, \"violations\": \
-         %d, \"wal_reclaims\": %d, \"log_replays\": %d }%s\n"
-        name o.Workloads.Soak.sim_hours host o.Workloads.Soak.acked
-        o.Workloads.Soak.failed_ops o.Workloads.Soak.freeze_rejects
-        o.Workloads.Soak.freeze_waits
-        (Sim.to_sec o.Workloads.Soak.max_cutover_ns)
-        o.Workloads.Soak.checks_run
-        (List.length o.Workloads.Soak.violations)
-        o.Workloads.Soak.wal_reclaims o.Workloads.Soak.replays
-        (if i = List.length !soak_rows - 1 then "" else ","))
-    !soak_rows;
-  Printf.fprintf oc "  },\n  \"sim\": {\n";
-  List.iteri
-    (fun i (name, ops, ns) ->
-      Printf.fprintf oc "    %S: { \"ops\": %d, \"ns_per_op\": %.1f }%s\n" name
-        ops ns
-        (if i = List.length !simbench_rows - 1 then "" else ","))
-    !simbench_rows;
-  Printf.fprintf oc "  },\n  \"scale\": {\n";
-  List.iteri
-    (fun i (n, r, st, du, host_secs) ->
-      let open Workloads.Multitenant in
-      Printf.fprintf oc
-        "    \"servers_%d\": { \"ops\": %d, \"distinct_files\": %d, \
-         \"fs_ops_per_sec\": %.1f, \"mb_per_s\": %.3f, \"petal_disk_util_max\": \
-         %.4f, \"petal_disk_util_mean\": %.4f, \"petal_disk_reads_merged\": %d, \
-         \"sim_seconds\": %.3f, \"host_seconds\": %.3f, \"sim_events\": %d, \
-         \"events_per_sec\": %.0f, \"host_sec_per_sim_sec\": %.4f }%s\n"
-        n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du.du_max du.du_mean du.du_merged
-        r.seconds host_secs st.Sim.events
-        (float_of_int st.Sim.events /. host_secs)
-        (host_secs /. r.seconds)
-        (if i = List.length !scale_rows - 1 then "" else ","))
-    !scale_rows;
-  Printf.fprintf oc "  }\n}\n";
+  Printf.fprintf oc "{\n  \"pr\": %d,\n" bench_pr;
+  let n = List.length sections in
+  List.iteri (fun i sec -> emit_section oc ~last:(i = n - 1) sec) sections;
+  Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "wrote %s\n" bench_out
 

@@ -14,11 +14,6 @@ type state = {
 
 let overlaps ~off ~len (o, b) = o < off + len && off < o + Bytes.length b
 
-(* Destage batches issued across all NVRAM instances (counting one
-   per coalesced disk write), for the bench's counter report. *)
-let destage_batch_count = ref 0
-let destage_batches () = !destage_batch_count
-
 (* The destager is an elevator: each sweep snapshots the pending
    table, sorts it by disk address and coalesces adjacent entries
    into one disk write per contiguous batch — one seek per batch
@@ -49,7 +44,6 @@ let destager st () =
       List.iter
         (fun (start, bufs) ->
           Disk.write st.disk ~off:start (Bytes.concat Bytes.empty bufs);
-          incr destage_batch_count;
           Faultpoint.hit "nvram.destage";
           (* Only drop entries that were not overwritten while the
              batch write was in flight. *)

@@ -14,10 +14,6 @@
     per contiguous batch, so a burst of scattered writes costs one
     seek per contiguous region instead of one per entry. *)
 
-val destage_batches : unit -> int
-(** Coalesced destage disk writes issued so far, across all NVRAM
-    instances (a monotone counter for the bench report). *)
-
 val wrap :
   ?capacity:int ->
   ?write_latency:Simkit.Sim.time ->

@@ -258,10 +258,6 @@ let fill_runs ?(prefetch = false) ?(still_wanted = fun () -> true) t runs
     finish ()
   end
 
-(* Single-run convenience: sequential-read clustering over one
-   contiguous range. *)
-let fill_range t ~lock ~addr ~len ~granule = fill_runs t [ (lock, addr, len) ] ~granule
-
 (* Write a set of dirty entries back to Petal: log records first
    (write-ahead), then the entries clustered into naturally-aligned
    runs of up to 64 KB (§9.2), all runs submitted asynchronously
@@ -284,9 +280,12 @@ let group_runs dirty =
     [] dirty
   |> List.rev_map List.rev
 
-(* Submit all runs as ONE scatter-gather Petal write (the client
-   coalesces adjacent same-chunk pieces across run boundaries), then
-   wait for it. Once the batch lands, entries whose generation is
+(* Submit all runs as ONE scatter-gather Petal write, then wait for
+   it. No two runs need merging on the wire: [group_runs] makes each
+   run maximal inside its naturally aligned 64 KB window, and that
+   window is exactly one Petal chunk ([Petal.Protocol.chunk_bytes]),
+   so every run is one chunk piece and no two runs touch inside one
+   chunk. Once the batch lands, entries whose generation is
    unchanged become clean; [on_run_done] runs per run (even on
    failure). If submission itself raises (e.g. the host died),
    [on_run_done] still runs for every run so their entries are not

@@ -80,12 +80,6 @@ val fill_runs :
     and readers already waiting on the fetch re-issue it
     themselves. *)
 
-val fill_range : t -> lock:int -> addr:int -> len:int -> granule:int -> unit
-(** Fetch a contiguous range with a single Petal read and populate
-    clean entries of [granule] bytes — sequential-read clustering;
-    [fill_runs] restricted to one run (the serial read-ahead
-    ablation). *)
-
 val flush_lock : t -> int -> unit
 (** Write back all dirty entries covered by a lock (logging first). *)
 

@@ -10,10 +10,6 @@ type config = {
       (** per-server circular log size; a cluster-wide constant so
           recovery can scan a dead server's slot (default 128 KB, §4) *)
   read_ahead : int;  (** prefetch depth in 4 KB blocks; 0 disables *)
-  read_ahead_serial : bool;
-      (** ablation: issue the prefetch window one 64 KB cluster at a
-          time (the UFS-derived read-ahead the paper says Frangipani
-          borrowed, §9.2) instead of as one batched submission *)
   cpu_ns_per_byte : int;  (** FS-layer copy cost, calibrated to Table 3 *)
   cpu_per_op : Sim.time;  (** fixed per-call overhead *)
   block_locks : bool;  (** finer-granularity locking ablation (§2.3) *)
@@ -26,11 +22,8 @@ let default_config =
     log_bytes = Layout.log_bytes;
     (* A 512 KB window of sequential prefetch, submitted as one
        batched scatter-gather fetch that overlaps the foreground
-       read — deep enough to hide Petal latency at full link rate;
-       [read_ahead_serial] restores the weaker one-cluster-at-a-time
-       UFS behaviour as an ablation. *)
+       read — deep enough to hide Petal latency at full link rate. *)
     read_ahead = 128;
-    read_ahead_serial = false;
     cpu_ns_per_byte = 22;
     cpu_per_op = Sim.us 40;
     block_locks = false;

@@ -84,9 +84,8 @@ let missing_blocks ctx (ino : Ondisk.inode) boffs =
 (* Fetch the uncached blocks among [boffs]: cluster their Petal
    addresses into contiguous runs of up to 64 KB (holes and the
    small/large-block address discontinuity split runs naturally) and
-   submit every run through one batched scatter-gather fetch — or,
-   for the UFS-style read-ahead ablation, one run at a time. *)
-let fetch_blocks ?(serial = false) ?prefetch ?still_wanted ctx inum
+   submit every run through one batched scatter-gather fetch. *)
+let fetch_blocks ?prefetch ?still_wanted ctx inum
     (ino : Ondisk.inode) boffs =
   let missing =
     List.filter_map (fun boff -> block_addr ino ~boff) boffs
@@ -103,21 +102,11 @@ let fetch_blocks ?(serial = false) ?prefetch ?still_wanted ctx inum
       [] missing
     |> List.rev
   in
-  match runs with
-  | [] -> ()
-  | runs when serial ->
-    List.iter
-      (fun (addr, len) ->
-        Cache.fill_range ctx.Ctx.cache
-          ~lock:(Ctx.data_lock ctx ~inum ~addr)
-          ~addr ~len ~granule:Layout.block)
-      runs
-  | runs ->
-    Cache.fill_runs ?prefetch ?still_wanted ctx.Ctx.cache
-      (List.map
-         (fun (addr, len) -> (Ctx.data_lock ctx ~inum ~addr, addr, len))
-         runs)
-      ~granule:Layout.block
+  Cache.fill_runs ?prefetch ?still_wanted ctx.Ctx.cache
+    (List.map
+       (fun (addr, len) -> (Ctx.data_lock ctx ~inum ~addr, addr, len))
+       runs)
+    ~granule:Layout.block
 
 (** Read file content; holes and the region past EOF read as zeros
     (the caller clamps [len] to size if it wants POSIX reads). *)

@@ -387,10 +387,9 @@ let reg_inode ctx inum =
    [boffs] are the blocks actually worth fetching (mapped, uncached,
    within the per-inode in-flight budget); their bytes were charged by
    the caller and are discharged here when the batch lands, however it
-   lands. The whole window goes down as one batched submission unless
-   the serial ablation is on, drawing on the Petal client's separate
-   speculative in-flight pool so it never crowds out foreground reads
-   or dirty write-back. *)
+   lands. The whole window goes down as one batched submission,
+   drawing on the Petal client's separate speculative in-flight pool
+   so it never crowds out foreground reads or dirty write-back. *)
 let read_ahead_holding_lock ctx inum ino boffs =
   let bytes = List.length boffs * Layout.block in
   let lock = ilock inum in
@@ -406,8 +405,7 @@ let read_ahead_holding_lock ctx inum ino boffs =
             Clerk.release ctx.Ctx.clerk ~lock Types.R)
         (fun () ->
           try
-            File.fetch_blocks ~serial:ctx.Ctx.config.read_ahead_serial
-              ~prefetch:true
+            File.fetch_blocks ~prefetch:true
               ~still_wanted:(fun () -> not !cancelled)
               ctx inum ino boffs
           with

@@ -107,18 +107,17 @@ val cache_stats : t -> int * int
 
 val wal_stats : t -> Wal.wal_stats
 (** This server's log-flush pipeline counters (groups, overlaps,
-    log-pressure stalls, reclaim rounds) — the bench's wal section. *)
+    log-pressure stalls, reclaim rounds). *)
 
 val petal_stats : t -> Petal.Client.stats
 (** This server's Petal driver counters (op counts, simulated time,
-    read piece/coalesce accounting) — lets tests assert a cold
-    sequential read costs O(chunks) RPCs, and the bench report
-    round trips saved. *)
+    piece and RPC accounting) — lets tests assert a cold sequential
+    read costs O(chunks) RPCs and a write-back one RPC per touched
+    chunk. *)
 
 val net_stats : t -> Cluster.Rpc.stats
 (** The machine's RPC endpoint counters (attempts, timeouts, retries,
-    duplicate suppressions) — the bench prints the per-workload
-    delta. *)
+    duplicate suppressions). *)
 
 val lease_stats : t -> Locksvc.Clerk.stats
 (** Lease-renewal counters from this mount's lock clerk. *)

@@ -32,13 +32,12 @@ type t = {
   mutable valid_until : Sim.time;
   mutable closed : bool;
   recoveries : (int, unit) Hashtbl.t;
-  mutable s_renew_rounds : int;
   mutable s_renew_misses : int;
 }
 
-type stats = { renew_rounds : int; renew_misses : int }
+type stats = { renew_misses : int }
 
-let stats t = { renew_rounds = t.s_renew_rounds; renew_misses = t.s_renew_misses }
+let stats t = { renew_misses = t.s_renew_misses }
 
 let lease t = t.clease
 let table t = t.ctable
@@ -374,7 +373,6 @@ let housekeeping t () =
            lease runs down (§6: the clerk must fight for its lease
            before taking the expiry path). *)
         if Sim.now () >= !next_renew then begin
-          t.s_renew_rounds <- t.s_renew_rounds + 1;
           if renew_once t then begin
             renew_backoff := 0;
             next_renew := Sim.now () + renew_interval
@@ -468,7 +466,6 @@ let create ~rpc ~servers ~table:ctable () =
       valid_until = Sim.now () + lease_period;
       closed = false;
       recoveries = Hashtbl.create 4;
-      s_renew_rounds = 0;
       s_renew_misses = 0;
     }
   in

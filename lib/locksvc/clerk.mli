@@ -70,8 +70,7 @@ val check_lease_margin : t -> bool
 val is_expired : t -> bool
 
 type stats = {
-  renew_rounds : int;  (** renewal rounds attempted (incl. backoff retries) *)
-  renew_misses : int;  (** rounds in which no lock server answered *)
+  renew_misses : int;  (** renewal rounds in which no lock server answered *)
 }
 
 val stats : t -> stats

@@ -27,9 +27,7 @@ type t = {
   mutable read_piece_count : int; (* chunk pieces before coalescing *)
   mutable read_rpc_count : int; (* read RPCs actually issued *)
   mutable read_coalesce_count : int; (* pieces merged into a neighbour *)
-  mutable write_piece_count : int; (* write pieces before coalescing *)
-  mutable write_rpc_count : int; (* write RPCs actually issued *)
-  mutable write_coalesce_count : int; (* write pieces merged into a neighbour *)
+  mutable write_piece_count : int; (* write pieces = write RPCs issued *)
   prefetch_inflight : Sim.Resource.t;
       (* speculative reads are bounded separately (and tighter) than
          the main pool, so a deep read-ahead window can never occupy
@@ -74,7 +72,6 @@ type stats = {
   read_coalesced : int;
   write_pieces : int;
   write_rpcs : int;
-  write_coalesced : int;
   failovers : int;
   primary_skips : int;
   probe_heals : int;
@@ -108,7 +105,7 @@ let connect ~rpc ~servers ?active () =
     active; mepoch = 0;
     write_ops = 0; write_ns = 0; read_ops = 0; read_ns = 0;
     read_piece_count = 0; read_rpc_count = 0; read_coalesce_count = 0;
-    write_piece_count = 0; write_rpc_count = 0; write_coalesce_count = 0;
+    write_piece_count = 0;
     suspects = Hashtbl.create 4;
     failover_count = 0; primary_skip_count = 0; probe_heal_count = 0;
     map_refresh_count = 0; wrong_epoch_retry_count = 0;
@@ -132,8 +129,7 @@ let op_stats v =
     read_rpcs = v.c.read_rpc_count;
     read_coalesced = v.c.read_coalesce_count;
     write_pieces = v.c.write_piece_count;
-    write_rpcs = v.c.write_rpc_count;
-    write_coalesced = v.c.write_coalesce_count;
+    write_rpcs = v.c.write_piece_count;
     failovers = v.c.failover_count;
     primary_skips = v.c.primary_skip_count;
     probe_heals = v.c.probe_heal_count;
@@ -519,21 +515,17 @@ let read_runs_async ?prefetch v runs =
     ~result:(fun () -> List.map snd bufs)
     ~account:(fun dt -> v.c.read_ns <- v.c.read_ns + dt)
 
-(* One source segment of a (possibly coalesced) write RPC: [slen]
-   bytes at [spos] of [sbuf] form part of the payload. *)
-type src = { sbuf : bytes; spos : int; slen : int }
-
-(* The write-side twin of {!read_scatter}: split every [(off, data)]
-   run into chunk pieces, coalesce adjacent pieces addressing the same
-   chunk (the tail of one run and the head of the next, when runs are
-   not chunk-aligned) into one RPC. A piece with a single source ships
-   a (doff, dlen) slice of the caller's buffer — no copy, payloads are
-   immutable once sent (Storage.mli's ownership rules); a merged piece
-   gathers its sources into one fresh payload. *)
+(* The write-side twin of {!read_scatter}, without its merge: split
+   every [(off, data)] run into chunk pieces and send one RPC per
+   piece, each shipping a (doff, dlen) slice of the caller's buffer —
+   no copy, payloads are immutable once sent (Storage.mli's ownership
+   rules). Frangipani's write-back already hands over maximal runs
+   inside aligned chunk-sized windows ([Cache.group_runs]), so it
+   never submits two adjacent pieces of one chunk. *)
 let write_scatter v ~runs ~account =
   if is_snapshot v then raise Read_only;
   List.iter (fun (off, data) -> check_aligned ~off ~len:(Bytes.length data)) runs;
-  let raw =
+  let ps =
     List.concat_map
       (fun (off, data) ->
         let pos = ref 0 in
@@ -541,43 +533,19 @@ let write_scatter v ~runs ~account =
           (fun (chunk, within, n) ->
             let p = !pos in
             pos := !pos + n;
-            (chunk, within, n, { sbuf = data; spos = p; slen = n }))
+            (chunk, within, data, p, n))
           (pieces ~off ~len:(Bytes.length data)))
       runs
   in
-  let merged =
-    List.fold_left
-      (fun acc (chunk, within, n, s) ->
-        match acc with
-        | (c0, w0, l0, ss) :: rest when c0 = chunk && w0 + l0 = within ->
-          (c0, w0, l0 + n, s :: ss) :: rest
-        | _ -> (chunk, within, n, [ s ]) :: acc)
-      [] raw
-    |> List.rev_map (fun (c, w, l, ss) -> (c, w, l, List.rev ss))
-  in
-  v.c.write_piece_count <- v.c.write_piece_count + List.length raw;
-  v.c.write_rpc_count <- v.c.write_rpc_count + List.length merged;
-  v.c.write_coalesce_count <-
-    v.c.write_coalesce_count + (List.length raw - List.length merged);
-  let g =
-    gather_create ~npieces:(List.length merged)
-      ~result:(fun () -> ())
-      ~account
-  in
-  if merged = [] then gather_fill g (Ok ())
+  let n = List.length ps in
+  v.c.write_piece_count <- v.c.write_piece_count + n;
+  let g = gather_create ~npieces:n ~result:(fun () -> ()) ~account in
+  if ps = [] then gather_fill g (Ok ())
   else begin
     try
       List.iter
-        (fun (chunk, within, len, ss) ->
+        (fun (chunk, within, data, doff, dlen) ->
           Faultpoint.hit "petal.write_piece";
-          let data, doff, dlen =
-            match ss with
-            | [ s ] -> (s.sbuf, s.spos, s.slen)
-            | ss ->
-              ( Bytes.concat Bytes.empty
-                  (List.map (fun s -> Bytes.sub s.sbuf s.spos s.slen) ss),
-                0, len )
-          in
           submit_piece v.c g ~root:v.root ~chunk ~nrep:v.nrep
             ~size:(write_req_size dlen)
             ~req_of:(fun ~solo ->
@@ -596,7 +564,7 @@ let write_scatter v ~runs ~account =
                 raise (Stale_write "expired lease timestamp")
               | Perr e -> failwith ("petal: " ^ e)
               | _ -> failwith "petal: bad write reply"))
-        merged
+        ps
     with ex -> gather_fill g (Error ex)
   end;
   g.handle

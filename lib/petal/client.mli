@@ -118,10 +118,10 @@ val write_async : vdisk -> off:int -> bytes -> unit handle
 val write_runs_async : vdisk -> (int * bytes) list -> unit handle
 (** Submit several [(off, data)] extents as one scatter-gather write;
     the handle fills once every piece of every extent is durable.
-    Adjacent chunk pieces of consecutive extents that address the same
-    chunk are coalesced into a single RPC, mirroring
-    {!read_runs_async} — the batched write-back path's round-trip
-    saver, visible in {!op_stats}. *)
+    Each chunk piece goes down as its own RPC; unlike
+    {!read_runs_async} there is no coalescing, because Frangipani's
+    write-back already submits maximal runs inside aligned
+    chunk-sized windows. *)
 
 val decommit_async : vdisk -> off:int -> len:int -> unit handle
 (** Submit the freeing of the physical space backing a chunk-aligned
@@ -155,9 +155,8 @@ type stats = {
   read_pieces : int;  (** chunk pieces across all reads, pre-coalescing *)
   read_rpcs : int;  (** read RPCs actually issued *)
   read_coalesced : int;  (** pieces merged into a neighbouring RPC *)
-  write_pieces : int;  (** chunk pieces across all writes, pre-coalescing *)
-  write_rpcs : int;  (** write RPCs actually issued *)
-  write_coalesced : int;  (** write pieces merged into a neighbouring RPC *)
+  write_pieces : int;  (** chunk pieces across all writes *)
+  write_rpcs : int;  (** write RPCs issued: one per piece *)
   failovers : int;  (** piece RPCs that timed out on the primary *)
   primary_skips : int;  (** pieces routed straight to the replica *)
   probe_heals : int;  (** suspected primaries found healthy again *)
@@ -171,6 +170,5 @@ type stats = {
 
 val op_stats : vdisk -> stats
 (** Operation counters accumulated by this driver instance —
-    simulated time spent inside Petal operations plus the read-side
-    piece/coalesce accounting, for performance debugging and the
-    bench's round-trips-saved report. *)
+    simulated time spent inside Petal operations plus the piece, RPC
+    and read-coalescing accounting, for performance debugging. *)

@@ -154,6 +154,41 @@ let test_large_file () =
       let z = Fs.read fs f ~off:65123 ~len:777 in
       Alcotest.(check string) "overwrite" (String.make 777 'Z') (Bytes.to_string z))
 
+(* Write-back needs no RPC coalescing: [Cache.group_runs] cuts dirty
+   blocks into maximal runs inside naturally aligned 64 KB windows,
+   and a window is exactly one Petal chunk, so a sync costs one Petal
+   write RPC per touched data window. The log is synchronous here, so
+   the only other write in the sync is the file's inode sector. *)
+let test_write_back_rpc_per_window () =
+  Sim.run (fun () ->
+      let _, servers =
+        setup ~config:{ Ctx.default_config with Ctx.synchronous_log = true } ()
+      in
+      let fs = List.hd servers in
+      let f = Fs.create fs ~dir:Fs.root "windows" in
+      let small = Layout.small_area_per_file in
+      Fs.write fs f ~off:0 (bytes_pat (small + (320 * 1024)) 4);
+      Fs.sync fs;
+      (* Unaligned overwrites of the large block, which starts on a
+         chunk boundary: large-area bytes [20K+100, 120K+100) touch
+         windows 0-1, and [186K, 198K) windows 2-3. *)
+      let writes = [ ((20 * 1024) + 100, 100 * 1024); (186 * 1024, 12 * 1024) ] in
+      List.iter
+        (fun (off, len) -> Fs.write fs f ~off:(small + off) (bytes_pat len off))
+        writes;
+      let s0 = Fs.petal_stats fs in
+      Fs.sync fs;
+      let s1 = Fs.petal_stats fs in
+      let open Petal.Client in
+      Alcotest.(check int) "one write rpc per touched window, plus the inode"
+        (4 + 1) (s1.write_rpcs - s0.write_rpcs);
+      Fs.drop_caches fs;
+      List.iter
+        (fun (off, len) ->
+          Alcotest.(check bool) "overwrite landed" true
+            (Bytes.equal (bytes_pat len off) (Fs.read fs f ~off:(small + off) ~len)))
+        writes)
+
 let test_sparse_and_truncate () =
   Sim.run (fun () ->
       let _, fs = one () in
@@ -622,6 +657,8 @@ let () =
           Alcotest.test_case "rename" `Quick test_rename;
           Alcotest.test_case "large file" `Quick test_large_file;
           Alcotest.test_case "sparse + truncate" `Quick test_sparse_and_truncate;
+          Alcotest.test_case "write-back: one rpc per chunk window" `Quick
+            test_write_back_rpc_per_window;
           Alcotest.test_case "path helpers" `Quick test_path_helpers;
           Alcotest.test_case "bad name refused early" `Quick test_bad_name_refused_early;
         ] );

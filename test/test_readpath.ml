@@ -190,31 +190,6 @@ let test_dead_replica_batched_read () =
       Alcotest.(check bool) "failovers overlap within batches" true
         (Sim.now () - t0 < Sim.sec 10.0))
 
-(* --- batched vs serial (UFS ablation) submission ----------------------------- *)
-
-let test_batched_beats_serial () =
-  let sweep serial =
-    Sim.run (fun () ->
-        let _, fs =
-          one
-            ~config:
-              { Ctx.default_config with Ctx.read_ahead_serial = serial }
-            ()
-        in
-        let f = Fs.create fs ~dir:Fs.root "race" in
-        let size = 2 * 1024 * 1024 in
-        write_out fs f (bytes_pat size 17);
-        let t0 = Sim.now () in
-        for i = 0 to (size / 65536) - 1 do
-          ignore (Fs.read fs f ~off:(i * 65536) ~len:65536)
-        done;
-        Sim.now () - t0)
-  in
-  let serial = sweep true and batched = sweep false in
-  Alcotest.(check bool)
-    (Printf.sprintf "batched (%dns) < serial (%dns)" batched serial)
-    true (batched < serial)
-
 (* --- predictor table bounds --------------------------------------------------- *)
 
 let test_read_ahead_table_bounded () =
@@ -260,8 +235,6 @@ let () =
             test_revoke_mid_prefetch;
           Alcotest.test_case "dead replica during batched read" `Quick
             test_dead_replica_batched_read;
-          Alcotest.test_case "batched beats serial read-ahead" `Quick
-            test_batched_beats_serial;
           Alcotest.test_case "read-ahead table bounded" `Quick
             test_read_ahead_table_bounded;
         ] );
