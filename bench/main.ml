@@ -437,7 +437,7 @@ let ms_of t = Sim.to_sec t *. 1000.0
    derived from the filename (BENCH_5.json shipped with a hand-typed
    "pr": 4 — wrong, and silently so); keeping one constant makes the
    two impossible to disagree. *)
-let bench_out = "BENCH_17.json"
+let bench_out = "BENCH_18.json"
 let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
 
 (* Row stores for the emitter: json_bench (workloads, reconf) runs
@@ -714,45 +714,67 @@ let merged_reads (tb : Petal.Testbed.t) =
    counts the disk reads that joined an identical in-flight read. *)
 type disk_util = { du_max : float; du_mean : float; du_merged : int }
 
+(* Lock requests the clerks sent during the workload and the messages
+   that carried them: requests made for one lock server in one
+   simulated instant share a message (a fresh-inode refill's 8). *)
+type lock_reqs = { requests : int; request_msgs : int }
+
+let lock_reqs fss =
+  List.fold_left
+    (fun acc fs ->
+      let s = Frangipani.Fs.lease_stats fs in
+      { requests = acc.requests + s.Locksvc.Clerk.requests;
+        request_msgs = acc.request_msgs + s.Locksvc.Clerk.request_msgs })
+    { requests = 0; request_msgs = 0 } fss
+
+let per_msg lr = float_of_int lr.requests /. float_of_int (max 1 lr.request_msgs)
+
 let scale_rows :
-    (int * Workloads.Multitenant.result * Sim.stats * disk_util * float) list ref =
+    (int * Workloads.Multitenant.result * Sim.stats * disk_util * lock_reqs * float) list ref =
   ref []
 
 let scale_one n =
   Gc.compact () (* same rationale as [sim_row]: gated metric *);
   let host0 = Sys.time () in
-  let r, st, du =
+  let r, st, du, lr =
     Sim.run (fun () ->
         let t =
           T.build ~petal_servers:(max 4 (n / 4)) ~ndisks:4
             ~disk_capacity:(512 * mb) ()
         in
-        let vfss = List.init n (fun _ -> V.of_frangipani (T.add_server t ())) in
+        let fss = List.init n (fun _ -> T.add_server t ()) in
+        let vfss = List.map V.of_frangipani fss in
         let arms =
           Array.to_list t.T.petal.Petal.Testbed.disks
           |> List.concat_map (fun ds -> Array.to_list (Array.map Blockdev.Disk.arm ds))
         in
         List.iter Sim.Resource.reset_stats arms;
-        let m0 = merged_reads t.T.petal in
+        let m0 = merged_reads t.T.petal and lr0 = lock_reqs fss in
         let r = Workloads.Multitenant.run vfss () in
+        let lr1 = lock_reqs fss in
+        let lr =
+          { requests = lr1.requests - lr0.requests;
+            request_msgs = lr1.request_msgs - lr0.request_msgs }
+        in
         let utils = List.map Sim.Resource.utilization arms in
         let du =
           { du_max = List.fold_left Float.max 0.0 utils;
             du_mean = List.fold_left ( +. ) 0.0 utils /. float_of_int (List.length utils);
             du_merged = merged_reads t.T.petal - m0 }
         in
-        (r, Sim.stats (), du))
+        (r, Sim.stats (), du, lr))
   in
   let host_secs = Sys.time () -. host0 in
   Printf.printf "    [sim] events %d spawns %d skipped %d heap_len %d\n%!"
     st.Sim.events st.Sim.spawns st.Sim.skipped st.Sim.heap_len;
-  scale_rows := !scale_rows @ [ (n, r, st, du, host_secs) ];
+  scale_rows := !scale_rows @ [ (n, r, st, du, lr, host_secs) ];
   let open Workloads.Multitenant in
   Printf.printf
     "  %3d servers: %6d ops %5d files %8.0f ops/s %7.2f MB/s | petal disk util \
-     max %.2f mean %.2f merged %d | sim %6.2f s  host %6.2f s  %9.0f ev/s  \
-     %6.3f host-s/sim-s\n%!"
+     max %.2f mean %.2f merged %d | lock reqs %d in %d msgs (%.2f/msg) | sim \
+     %6.2f s  host %6.2f s  %9.0f ev/s  %6.3f host-s/sim-s\n%!"
     n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du.du_max du.du_mean du.du_merged
+    lr.requests lr.request_msgs (per_msg lr)
     r.seconds host_secs
     (float_of_int st.Sim.events /. host_secs)
     (host_secs /. r.seconds)
@@ -866,7 +888,7 @@ let write_json () =
           !simbench_rows );
       ( "scale",
         List.map
-          (fun (n, r, st, du, host_secs) ->
+          (fun (n, r, st, du, lr, host_secs) ->
             let open Workloads.Multitenant in
             ( Printf.sprintf "servers_%d" n,
               [ ("ops", d r.ops); ("distinct_files", d r.distinct_files);
@@ -874,6 +896,9 @@ let write_json () =
                 ("petal_disk_util_max", f 4 du.du_max);
                 ("petal_disk_util_mean", f 4 du.du_mean);
                 ("petal_disk_reads_merged", d du.du_merged);
+                ("lock_requests", d lr.requests);
+                ("lock_request_msgs", d lr.request_msgs);
+                ("lock_requests_per_msg", f 3 (per_msg lr));
                 ("sim_seconds", f 3 r.seconds); ("host_seconds", f 3 host_secs);
                 ("sim_events", d st.Sim.events);
                 ("events_per_sec", f 0 (float_of_int st.Sim.events /. host_secs));

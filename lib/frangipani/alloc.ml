@@ -111,8 +111,10 @@ let hand_over ctx txn pool bit =
   Cache.on_commit txn (fun () -> Hashtbl.remove ps.reserved bit)
 
 (** Fresh inodes reserved and fetched together: 8 x 512 B inode
-    sectors are one 4 KB read. *)
-let batch = 8
+    sectors are one 4 KB read, and an aligned batch is one lock-id
+    run, so its 8 inode locks cost one request and one grant message
+    ({!Types.run_length}). *)
+let batch = Types.run_length
 
 (** Reserve [batch] inode bits, acquire their locks concurrently,
     fetch their sectors with one {!Cache.fill_runs} and drop the

@@ -521,10 +521,13 @@ let sync_demon ctx () =
       && (not ctx.Ctx.unmounted)
       && not ctx.Ctx.poisoned
     then begin
+      (* A write delayed past its §6 stamp (a partition eating the
+         lease margin) comes back [Stale_write]: the sync failed,
+         like an unreachable Petal, and the lease path decides. *)
       (try sync ctx
        with
        | Error _ | Types.Lease_expired | Petal.Protocol.Unavailable _
-       | Cluster.Host.Crashed _
+       | Petal.Protocol.Stale_write _ | Cluster.Host.Crashed _
        -> ());
       loop ()
     end

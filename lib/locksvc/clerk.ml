@@ -1,3 +1,11 @@
+(* The clerk (see clerk.mli). Lock requests leave through a per-server
+   {!Outbox}: the requests made for one lock server in one simulated
+   instant travel as one message, so a fresh-inode refill's 8 inode
+   locks (one aligned run, hence one server; see {!Types.group_of})
+   cost one request message. Ordering rule: a release, or any other
+   message to that server, first sends its queued requests, so a
+   release never overtakes a request. *)
+
 open Simkit
 open Cluster
 open Types
@@ -32,12 +40,20 @@ type t = {
   mutable valid_until : Sim.time;
   mutable closed : bool;
   recoveries : (int, unit) Hashtbl.t;
+  outbox : (int * mode * bool) Outbox.t; (* requests: lock, mode, for_recovery *)
   mutable s_renew_misses : int;
+  mutable s_requests : int;
+  mutable s_request_msgs : int;
 }
 
-type stats = { renew_misses : int }
+type stats = { renew_misses : int; requests : int; request_msgs : int }
 
-let stats t = { renew_misses = t.s_renew_misses }
+let stats t =
+  {
+    renew_misses = t.s_renew_misses;
+    requests = t.s_requests;
+    request_msgs = t.s_request_msgs;
+  }
 
 let lease t = t.clease
 let table t = t.ctable
@@ -77,32 +93,33 @@ let lstate t lid =
 
 let owner t lid = owner_of ~servers:t.servers ~ngroups:t.ngroups ~table:t.ctable ~lock:lid
 
+let send_requests t dst reqs =
+  Rpc.oneway t.rpc ~dst ~size:(batch_size (List.length reqs))
+    (L_requests { table = t.ctable; lease = t.clease; reqs });
+  t.s_requests <- t.s_requests + List.length reqs;
+  t.s_request_msgs <- t.s_request_msgs + 1
+
+let flush_requests t dst = Outbox.flush t.outbox dst ~send:(send_requests t)
+
 (* Both sends are fire-and-forget and may run in helper processes
    that outlive a crash of this host (retransmit loops, revoke
    completions): a dead host simply sends nothing. *)
 let send_request t st mode ~for_recovery =
   match owner t st.lid with
   | None -> ()
-  | Some dst -> (
+  | Some dst ->
     st.wanted <- Some mode;
     st.requested_at <- Sim.now ();
-    try
-      Rpc.oneway t.rpc ~dst ~size:msg
-        (L_request
-           {
-             table = t.ctable;
-             lease = t.clease;
-             lock = st.lid;
-             mode;
-             for_recovery = for_recovery || st.recovery;
-           })
-    with Host.Crashed _ -> ())
+    Outbox.push t.outbox dst
+      (st.lid, mode, for_recovery || st.recovery)
+      ~send:(send_requests t)
 
 let send_release t st to_mode =
   match owner t st.lid with
   | None -> ()
   | Some dst -> (
     try
+      flush_requests t dst;
       Rpc.oneway t.rpc ~dst ~size:msg
         (L_release { table = t.ctable; lease = t.clease; lock = st.lid; to_mode })
     with Host.Crashed _ -> ())
@@ -288,6 +305,7 @@ let on_do_recovery_msg t ~dead_lease =
           (try
              List.iter
                (fun dst ->
+                 flush_requests t dst;
                  Rpc.oneway t.rpc ~dst ~size:msg
                    (L_recovered { table = t.ctable; dead_lease }))
                t.servers
@@ -466,12 +484,18 @@ let create ~rpc ~servers ~table:ctable () =
       valid_until = Sim.now () + lease_period;
       closed = false;
       recoveries = Hashtbl.create 4;
+      outbox = Outbox.create ();
       s_renew_misses = 0;
+      s_requests = 0;
+      s_request_msgs = 0;
     }
   in
   Rpc.on_oneway rpc (fun ~src:_ body ->
       match body with
-      | L_grant { table; lock; mode } when table = ctable -> on_grant t ~lock mode
+      | L_grants { grants } ->
+        List.iter
+          (fun (table, lock, mode) -> if table = ctable then on_grant t ~lock mode)
+          grants
       | L_revoke { table; lock; to_mode } when table = ctable ->
         on_revoke_msg t ~lock ~to_mode
       | L_do_recovery { table; dead_lease } when table = ctable ->
@@ -517,7 +541,8 @@ let create ~rpc ~servers ~table:ctable () =
           Queue.iter (fun (_, k) -> k ()) st.waiting;
           Queue.clear st.waiting)
         t.locks;
-      Hashtbl.reset t.locks);
+      Hashtbl.reset t.locks;
+      Outbox.clear t.outbox);
   Sim.spawn ~name:"clerk.housekeeping" (housekeeping t);
   t
 

@@ -71,13 +71,18 @@ val is_expired : t -> bool
 
 type stats = {
   renew_misses : int;  (** renewal rounds in which no lock server answered *)
+  requests : int;  (** lock requests sent, retransmissions included *)
+  request_msgs : int;
+      (** messages that carried them: requests for one server made in
+          one simulated instant share a message *)
 }
 
 val stats : t -> stats
-(** Lease-renewal counters: a missed round triggers an early retry on
-    a 1→8 s exponential backoff rather than waiting out the full
-    renew interval, so [renew_misses] counts brushes with the §6
-    expiry path. *)
+(** Lease-renewal and request counters. A missed renewal round
+    triggers an early retry on a 1→8 s exponential backoff rather than
+    waiting out the full renew interval, so [renew_misses] counts
+    brushes with the §6 expiry path. [requests / request_msgs] is the
+    request coalescing factor. *)
 
 val close : t -> unit
 (** Release all cached locks and close the table (clean shutdown).

@@ -1,3 +1,13 @@
+(* A lock server (see server.mli). Grants leave through a per-clerk
+   {!Outbox}: the grants made for one clerk machine in one simulated
+   instant travel as one message. Ordering rule: [send_clerk] (revokes
+   and recovery requests) first sends that clerk's queued grants. The
+   clerk drops a revoke for a lock it has requested but not been
+   granted, which is safe only because a revoke never overtakes its
+   grant; a server that grants and revokes a lock in one pump (a
+   release that hands the lock to one waiter while another waits)
+   relies on this. *)
+
 open Simkit
 open Cluster
 open Types
@@ -36,6 +46,7 @@ type t = {
   ready : (int, unit) Hashtbl.t; (* groups this server may serve *)
   hb : (Net.addr, Sim.time) Hashtbl.t;
   recovering : (int, unit) Hashtbl.t; (* dead leases with recovery in flight *)
+  grants : (string * int * mode) Outbox.t; (* table, lock, mode *)
 }
 
 let host t = t.host
@@ -73,7 +84,16 @@ let lockst t key =
     Hashtbl.replace t.locks key l;
     l
 
-let send_clerk t dst m = Rpc.oneway t.rpc ~dst ~size:msg m
+let send_grants t dst grants =
+  Rpc.oneway t.rpc ~dst ~size:(batch_size (List.length grants)) (L_grants { grants })
+
+let grant t dst ~table ~lock mode =
+  Outbox.push t.grants dst (table, lock, mode) ~send:(send_grants t)
+
+(* Every other message to a clerk: its queued grants go first. *)
+let send_clerk t dst m =
+  Outbox.flush t.grants dst ~send:(send_grants t);
+  Rpc.oneway t.rpc ~dst ~size:msg m
 
 (* --- grant/revoke engine ---------------------------------------------- *)
 
@@ -101,7 +121,7 @@ let do_grant t ~table ~lock l p =
     l.holders <- List.filter (fun (lease, _) -> lease_alive t lease) l.holders;
   (* Idempotent for retried requests. *)
   l.holders <- (p.please, p.pmode) :: List.remove_assoc p.please l.holders;
-  send_clerk t p.pclerk (L_grant { table; lock; mode = p.pmode })
+  grant t p.pclerk ~table ~lock p.pmode
 
 let pump t ~table ~lock =
   let g = group t ~table ~lock in
@@ -335,7 +355,7 @@ let handle_request t ~table ~lease ~lock ~mode ~for_recovery =
       match List.assoc_opt lease l.holders with
       | Some m when mode_geq m mode ->
         (match Hashtbl.find_opt t.leases lease with
-        | Some lr -> send_clerk t lr.laddr (L_grant { table; lock; mode = m })
+        | Some lr -> grant t lr.laddr ~table ~lock m
         | None -> ())
       | Some _ | None ->
         let already =
@@ -414,8 +434,11 @@ let rpc_handler t ~src body =
 
 let oneway_handler t ~src body =
   match body with
-  | L_request { table; lease; lock; mode; for_recovery } ->
-    handle_request t ~table ~lease ~lock ~mode ~for_recovery
+  | L_requests { table; lease; reqs } ->
+    List.iter
+      (fun (lock, mode, for_recovery) ->
+        handle_request t ~table ~lease ~lock ~mode ~for_recovery)
+      reqs
   | L_release { table; lease; lock; to_mode } ->
     handle_release t ~table ~lease ~lock ~to_mode
   | L_recovered { table; dead_lease } -> handle_recovered t ~table ~dead_lease
@@ -460,6 +483,7 @@ let create ~host ~rpc ~peers ~index ?(ngroups = default_ngroups) ~stable () =
       ready = Hashtbl.create 64;
       hb = Hashtbl.create 8;
       recovering = Hashtbl.create 8;
+      grants = Outbox.create ();
     }
   in
   t.paxos <-

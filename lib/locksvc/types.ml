@@ -3,13 +3,22 @@
 
     Locks live in tables named by ASCII strings (one table per file
     system) and are named by integers within a table. Locks are
-    partitioned into {!ngroups} lock groups; group [g] is served by
-    the [g mod n]-th of the [n] live lock servers, a deterministic
-    rule every party derives from the Paxos-replicated server list.
+    partitioned into {!ngroups} lock groups by aligned runs of
+    {!run_length} ids: the ids of one run share a group, and the runs
+    hash over the groups. Group [g] is served by the [g mod n]-th of
+    the [n] live lock servers, a deterministic rule every party
+    derives from the Paxos-replicated server list. §6 assigns locks
+    to servers "by group, not individually" and leaves the mapping
+    open.
 
     Clerks and lock servers communicate through asynchronous
     [request] / [grant] / [revoke] / [release] messages, as in the
-    paper; opens and membership changes go through Paxos. *)
+    paper; opens and membership changes go through Paxos. Requests
+    and grants pass through a per-peer {!Outbox}: those made for one
+    peer in one simulated instant leave as one [L_requests] or
+    [L_grants] message. Every other message to that peer flushes its
+    outbox first, so a revoke never overtakes a grant and a release
+    never overtakes a request. *)
 
 open Cluster
 
@@ -45,14 +54,14 @@ type Net.payload +=
   | L_sync
   | L_synced of { servers : Net.addr list; ngroups : int }
   (* asynchronous lock traffic *)
-  | L_request of {
+  | L_requests of {
       table : string;
       lease : int;
-      lock : int;
-      mode : mode;
-      for_recovery : bool;
-    }
-  | L_grant of { table : string; lock : int; mode : mode }
+      reqs : (int * mode * bool) list;  (** lock, mode, for_recovery *)
+    }  (** one or more lock requests for one server, in order *)
+  | L_grants of { grants : (string * int * mode) list }
+      (** one or more grants (table, lock, mode) for one clerk
+          machine, in order *)
   | L_revoke of { table : string; lock : int; to_mode : mode option }
       (** [to_mode = Some R]: downgrade; [None]: release. *)
   | L_release of { table : string; lease : int; lock : int; to_mode : mode option }
@@ -72,7 +81,22 @@ type Net.payload +=
 
 let msg = 64 (* nominal size of the small lock-protocol messages *)
 
-let group_of ~ngroups ~table ~lock = Hashtbl.hash (table, lock) mod ngroups
+(* Size of an [L_requests] / [L_grants] message carrying [n] items:
+   a lone item costs the nominal [msg], each item of a batch 16 bytes
+   more. *)
+let batch_size n = if n = 1 then msg else msg + (16 * n)
+
+(* Lock ids are grouped in aligned runs of [run_length]: ids [8k] to
+   [8k + 7] share a lock group, hence a lock server. [Alloc.batch] is
+   defined as this constant, so a fresh-inode batch of 8 consecutive
+   inode numbers starting at a multiple of 8 costs one request and one
+   grant message. A batch that starts off a boundary, or skips bits
+   (set by another server, root inode 0, a short segment tail),
+   spreads over two or more runs and costs one message each way per
+   lock server those runs map to. *)
+let run_length = 8
+
+let group_of ~ngroups ~table ~lock = Hashtbl.hash (table, lock / run_length) mod ngroups
 
 let owner_of ~servers ~ngroups ~table ~lock =
   match servers with

@@ -383,13 +383,53 @@ let test_batched_inode_fetch () =
       List.iter (fun k -> Fs.unlink fs ~dir:d (Printf.sprintf "g%d" k)) (List.init 16 Fun.id);
       Fs.sync fs;
       let reads () = (Fs.petal_stats fs).Petal.Client.reads in
-      let before = reads () in
+      let lock_msgs () =
+        let s = Fs.lease_stats fs in
+        (s.Locksvc.Clerk.requests, s.Locksvc.Clerk.request_msgs)
+      in
+      let before = reads () and msgs_before = lock_msgs () in
       let inums = List.init 16 (fun k -> Fs.create fs ~dir:d (Printf.sprintf "f%d" k)) in
       Alcotest.(check bool)
         (Printf.sprintf "%d Petal reads <= 2" (reads () - before))
         true
         (reads () - before <= 2);
+      (* Each refill sends its 8 inode-lock requests in one message. *)
+      let (r1, m1), (r0, m0) = (lock_msgs (), msgs_before) in
+      Alcotest.(check bool) (Printf.sprintf "%d lock-request messages <= 2" (m1 - m0)) true
+        (m1 - m0 <= 2);
+      Alcotest.(check int) "8 requests per message" (8 * (m1 - m0)) (r1 - r0);
       Alcotest.(check bool) "distinct inode numbers" true (distinct inums);
+      Fs.sync fs;
+      Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs)))
+
+(* A batch that starts off a run boundary straddles two lock-id runs:
+   its 8 requests go in one message per lock server those runs map to,
+   so at most two. *)
+let test_unaligned_inode_batch () =
+  Sim.run (fun () ->
+      let _, fs = one () in
+      let d = Fs.mkdir fs ~dir:Fs.root "d" in
+      let run = Locksvc.Types.run_length in
+      (* Empty the batch, then point the next scan mid-run. *)
+      List.iter
+        (fun k -> ignore (Fs.create fs ~dir:d (Printf.sprintf "pad%d" k)))
+        (List.init (Queue.length fs.Ctx.alloc.fresh) Fun.id);
+      let ps = Alloc_state.pool fs.Ctx.alloc Layout.Inode_pool in
+      ps.hint <- ps.hint - (ps.hint mod run) + run + (run / 2);
+      let stats () =
+        let s = Fs.lease_stats fs in
+        (s.Locksvc.Clerk.requests, s.Locksvc.Clerk.request_msgs)
+      in
+      let r0, m0 = stats () in
+      let f = Fs.create fs ~dir:d "f" in
+      let r1, m1 = stats () in
+      let batch = f :: List.of_seq (Queue.to_seq fs.Ctx.alloc.fresh) in
+      Alcotest.(check int) "one batch" run (List.length batch);
+      Alcotest.(check int) "two runs" 2
+        (List.length (List.sort_uniq compare (List.map (fun i -> Inode.lock i / run) batch)));
+      Alcotest.(check int) "8 lock requests" run (r1 - r0);
+      Alcotest.(check bool) (Printf.sprintf "%d request messages in 1..2" (m1 - m0)) true
+        (m1 - m0 >= 1 && m1 - m0 <= 2);
       Fs.sync fs;
       Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs)))
 
@@ -671,6 +711,7 @@ let () =
           Alcotest.test_case "create storm" `Quick test_create_storm;
           Alcotest.test_case "lost reservation" `Quick test_lost_reservation;
           Alcotest.test_case "batched inode fetch" `Quick test_batched_inode_fetch;
+          Alcotest.test_case "unaligned inode batch" `Quick test_unaligned_inode_batch;
           Alcotest.test_case "refill sheds a contended hold" `Quick
             test_refill_sheds_contended_hold;
           Alcotest.test_case "write-behind skips a revoked block" `Quick

@@ -25,10 +25,13 @@ let mkservice ?(nservers = 3) ?(ngroups = 16) () =
   in
   { net; shosts; lsrv; saddrs }
 
-let mkclerk bed name =
+let mkclerk_rpc bed name =
   let h = Host.create name in
   let rpc = Rpc.create (Net.attach bed.net h) in
-  let c = Clerk.create ~rpc ~servers:bed.saddrs ~table:"fs0" () in
+  (h, rpc, Clerk.create ~rpc ~servers:bed.saddrs ~table:"fs0" ())
+
+let mkclerk bed name =
+  let h, _, c = mkclerk_rpc bed name in
   (h, c)
 
 let test_acquire_release_sticky () =
@@ -253,6 +256,115 @@ let test_fairness_batched_readers () =
         Alcotest.(check bool) "batched" true (abs (t1 - t2) < Sim.ms 200)
       | g -> Alcotest.fail (Printf.sprintf "got %d grants" (List.length g)))
 
+(* --- coalesced requests and grants ---------------------------------------- *)
+
+(* A fresh-inode refill acquires an aligned run of 8 lock ids at once:
+   the run maps to one lock server, and the 8 requests and the 8
+   grants each travel as one message. *)
+let test_run_one_message_each_way () =
+  Sim.run (fun () ->
+      let bed = mkservice () in
+      let _, rpc, c = mkclerk_rpc bed "f" in
+      let me = Rpc.addr rpc in
+      (* Clear of the clerk's 1 s housekeeping ticks. *)
+      Sim.sleep (Sim.ms 500);
+      let to_srv = ref 0 and from_srv = ref 0 in
+      Net.set_netem bed.net (fun s d _ ->
+          if s = me && Array.mem d bed.saddrs then incr to_srv;
+          if d = me && Array.mem s bed.saddrs then incr from_srv;
+          Net.Deliver);
+      let base = 0x1_0000_0000 + (8 * Types.run_length) in
+      let pending = ref Types.run_length and all = Sim.Ivar.create () in
+      for k = 0 to Types.run_length - 1 do
+        Sim.spawn (fun () ->
+            Clerk.acquire c ~lock:(base + k) Types.W;
+            decr pending;
+            if !pending = 0 then Sim.Ivar.fill all ())
+      done;
+      Sim.Ivar.read all;
+      Net.clear_netem bed.net;
+      Alcotest.(check int) "one request message" 1 !to_srv;
+      Alcotest.(check int) "one grant message" 1 !from_srv;
+      let s = Clerk.stats c in
+      Alcotest.(check (pair int int)) "requests / messages" (8, 1)
+        (s.Clerk.requests, s.Clerk.request_msgs))
+
+(* The server grants A and, in the same instant, revokes the lock from
+   A for the waiting B. The grant is queued in A's outbox, so the
+   revoke must not leave first: A would ignore a revoke for a lock it
+   has not been granted yet, and B would wait out the 2 s pump retry. *)
+let test_revoke_never_overtakes_grant () =
+  Sim.run (fun () ->
+      let bed = mkservice () in
+      let _, holder = mkclerk bed "holder" in
+      let _, a = mkclerk bed "a" in
+      let _, b = mkclerk bed "b" in
+      let x = 9 in
+      Clerk.acquire holder ~lock:x Types.W;
+      let got c =
+        let at = ref None in
+        Sim.spawn (fun () ->
+            Clerk.acquire c ~lock:x Types.W;
+            at := Some (Sim.now ());
+            Clerk.release c ~lock:x Types.W);
+        at
+      in
+      let a_at = got a in
+      Sim.sleep (Sim.ms 1);
+      let b_at = got b in
+      Sim.sleep (Sim.ms 50);
+      (* Both wait on the holder; its release makes the server grant A
+         and revoke A for B in one pump. *)
+      let t0 = Sim.now () in
+      Clerk.release holder ~lock:x Types.W;
+      Sim.sleep (Sim.ms 500);
+      let quick what = function
+        | Some t -> Alcotest.(check bool) (what ^ " well under 2 s") true (t - t0 < Sim.ms 200)
+        | None -> Alcotest.fail (what ^ " never got the lock")
+      in
+      quick "A" !a_at;
+      quick "B after A" !b_at;
+      Alcotest.(check bool) "B after A" true (Option.get !b_at >= Option.get !a_at))
+
+(* The mirror case: a release leaves after the requests queued before
+   it. A's revoke callback starts two acquires and yields twice, which
+   queues their requests while the outbox flush is still pending; the
+   release that follows must carry them out first. *)
+let test_release_never_overtakes_request () =
+  Sim.run (fun () ->
+      let bed = mkservice () in
+      let _, rpc, a = mkclerk_rpc bed "a" in
+      let _, b = mkclerk bed "b" in
+      (* Locks 0..2 share one run, hence one server. *)
+      let y = 2 in
+      Clerk.set_callbacks a
+        ~on_revoke:(fun ~lock ~to_read:_ ->
+          if lock = y then begin
+            List.iter
+              (fun l ->
+                Sim.spawn (fun () ->
+                    Clerk.acquire a ~lock:l Types.W;
+                    Clerk.release a ~lock:l Types.W))
+              [ 0; 1 ];
+            Sim.sleep 0;
+            Sim.sleep 0
+          end)
+        ~on_do_recovery:(fun ~dead_lease:_ -> ())
+        ~on_expired:(fun () -> ());
+      Clerk.acquire a ~lock:y Types.W;
+      Clerk.release a ~lock:y Types.W;
+      Sim.sleep (Sim.ms 500);
+      (* Sizes of A's messages to the lock servers, in send order. *)
+      let sizes = ref [] in
+      Net.set_netem bed.net (fun s d size ->
+          if s = Rpc.addr rpc && Array.mem d bed.saddrs then sizes := size :: !sizes;
+          Net.Deliver);
+      Clerk.acquire b ~lock:y Types.W;
+      Sim.sleep (Sim.ms 10);
+      Net.clear_netem bed.net;
+      Alcotest.(check (list int)) "two requests, then the release"
+        [ Types.batch_size 2; Types.msg ] (List.rev !sizes))
+
 let prop_no_conflicting_holders =
   QCheck.Test.make ~name:"never two conflicting global holders" ~count:10
     QCheck.(int_range 0 10000)
@@ -303,6 +415,15 @@ let () =
           Alcotest.test_case "local MRSW" `Quick test_local_mrsw;
           Alcotest.test_case "upgrade via release" `Quick test_upgrade_via_release;
           Alcotest.test_case "fair batched readers" `Quick test_fairness_batched_readers;
+        ] );
+      ( "coalescing",
+        [
+          Alcotest.test_case "run of 8: one message each way" `Quick
+            test_run_one_message_each_way;
+          Alcotest.test_case "revoke never overtakes grant" `Quick
+            test_revoke_never_overtakes_grant;
+          Alcotest.test_case "release never overtakes request" `Quick
+            test_release_never_overtakes_request;
         ] );
       ( "failures",
         [
