@@ -1,12 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the
    paper's evaluation (§9) on the simulated testbed, plus the
-   ablations called out in DESIGN.md and a Bechamel microbenchmark of
-   the hot paths.
+   ablations called out in DESIGN.md.
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table1  -- one experiment
      (targets: table1 table2 table3 fig5 fig6 fig7 fig8 fig9 ww
-               ablation micro)
+               ablation simbench scale soak json)
 
    Absolute numbers come from the simulator's calibrated constants
    (see EXPERIMENTS.md); what must match the paper is the SHAPE —
@@ -27,8 +26,7 @@ let frangipani_vfs ?(nvram = false) ?config () =
 
 let advfs_vfs ?(nvram = false) () =
   let host = Cluster.Host.create "advfs" in
-  V.of_advfs
-    (Advfs.create ~host ~config:{ Advfs.default_config with nvram } ())
+  V.of_advfs (Advfs.create ~host ~nvram ())
 
 let columns = [ "AdvFS Raw"; "AdvFS NVR"; "Frangipani Raw"; "Frangipani NVR" ]
 
@@ -437,7 +435,7 @@ let ms_of t = Sim.to_sec t *. 1000.0
    derived from the filename (BENCH_5.json shipped with a hand-typed
    "pr": 4 — wrong, and silently so); keeping one constant makes the
    two impossible to disagree. *)
-let bench_out = "BENCH_18.json"
+let bench_out = "BENCH_19.json"
 let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
 
 (* Row stores for the emitter: json_bench (workloads, reconf) runs
@@ -914,68 +912,6 @@ let write_json () =
   close_out oc;
   Printf.printf "wrote %s\n" bench_out
 
-(* --- Bechamel microbenchmarks ------------------------------------------------------ *)
-
-let micro () =
-  print_endline hrule;
-  print_endline "Bechamel microbenchmarks of hot paths (real host time)";
-  let open Bechamel in
-  let sector = Bytes.make 512 'x' in
-  let diffs =
-    List.init 4 (fun i ->
-        { Frangipani.Wal.addr = i * 512; doff = 8; data = Bytes.make 64 'd'; version = i })
-  in
-  let inode = { Frangipani.Ondisk.empty_inode with size = 123456; nlink = 3 } in
-  let encoded = Frangipani.Ondisk.encode_inode inode in
-  let inode_sector = Bytes.make 512 '\000' in
-  Bytes.blit encoded 0 inode_sector 8 (Bytes.length encoded);
-  let tests =
-    [
-      Test.make ~name:"crc32-512B" (Staged.stage (fun () -> Stdext.Crc32.bytes sector 0 512));
-      Test.make ~name:"wal-serialize-record"
-        (Staged.stage (fun () -> Frangipani.Wal.serialize_for_bench diffs));
-      Test.make ~name:"inode-encode"
-        (Staged.stage (fun () -> Frangipani.Ondisk.encode_inode inode));
-      Test.make ~name:"inode-decode"
-        (Staged.stage (fun () -> Frangipani.Ondisk.decode_inode inode_sector));
-      Test.make ~name:"dir-slot-scan"
-        (Staged.stage (fun () ->
-             let found = ref 0 in
-             for k = 0 to Frangipani.Layout.dir_slots_per_sector - 1 do
-               match Frangipani.Ondisk.read_slot sector k with
-               | Some _ -> incr found
-               | None -> ()
-             done;
-             !found));
-      Test.make ~name:"codec-cursor-roundtrip"
-        (Staged.stage (fun () ->
-             let w = Stdext.Codec.W.create () in
-             for i = 0 to 15 do
-               Stdext.Codec.W.int w i
-             done;
-             let r = Stdext.Codec.R.of_bytes (Stdext.Codec.W.contents w) in
-             let acc = ref 0 in
-             for _ = 0 to 15 do
-               acc := !acc + Stdext.Codec.R.int r
-             done;
-             !acc));
-    ]
-  in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let res = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some (t :: _) -> Printf.printf "%-28s %10.1f ns/op\n" name t
-          | _ -> Printf.printf "%-28s (no estimate)\n" name)
-        res)
-    tests
-
 (* --- driver -------------------------------------------------------------------------- *)
 
 let experiments =
@@ -994,7 +930,6 @@ let experiments =
     ("scale", scale);
     ("soak", soak_bench);
     ("json", write_json);
-    ("micro", micro);
   ]
 
 let () =

@@ -41,6 +41,7 @@ let () =
 
       let findings = Fsck.check fs in
       Printf.printf "after damage: %d findings\n" (List.length findings);
+      assert (findings <> []);
       List.iter
         (fun f -> Format.printf "  - %a@." Fsck.pp_finding f)
         findings;

@@ -4,24 +4,15 @@ open Frangipani.Errors
 let block = 4096
 let root = 0
 
-type config = {
-  nvram : bool;
-  read_ahead : int;
-  cpu_ns_per_byte_read : int;
-  cpu_ns_per_byte_write : int;
-  cpu_per_op : Sim.time;
-  sync_interval : Sim.time;
-}
-
-let default_config =
-  {
-    nvram = false;
-    read_ahead = 16;
-    cpu_ns_per_byte_read = 36;
-    cpu_ns_per_byte_write = 58;
-    cpu_per_op = Sim.us 40;
-    sync_interval = Sim.sec 30.0;
-  }
+(* The paper's test machine: 8 RZ29-class disks, an update demon
+   every 30 s, and CPU costs and read-ahead depth (in blocks)
+   calibrated to Tables 1-3. *)
+let ndisks = 8
+let read_ahead_blocks = 16
+let cpu_ns_per_byte_read = 36
+let cpu_ns_per_byte_write = 58
+let cpu_per_op = Sim.us 40
+let sync_interval = Sim.sec 30.0
 
 type itype = Reg | Dir | Symlink
 
@@ -39,7 +30,6 @@ type centry = { cdata : bytes; mutable cdirty : bool }
 
 type t = {
   host : Cluster.Host.t;
-  config : config;
   disks : Blockdev.Storage.t array;
   inodes : (int, inode) Hashtbl.t;
   mutable next_inum : int;
@@ -77,19 +67,18 @@ let new_inode t itype =
     };
   inum
 
-let rec create ~host ?(ndisks = 8) ?(config = default_config) () =
+let rec create ~host ?(nvram = false) () =
   let disks =
     Array.init ndisks (fun d ->
         let disk =
           Blockdev.Disk.create ~capacity:(256 * 1024 * 1024)
             (Printf.sprintf "%s.rz29-%d" (Cluster.Host.name host) d)
         in
-        if config.nvram then Blockdev.Nvram.wrap disk else Blockdev.Storage.of_disk disk)
+        if nvram then Blockdev.Nvram.wrap disk else Blockdev.Storage.of_disk disk)
   in
   let t =
     {
       host;
-      config;
       disks;
       inodes = Hashtbl.create 1024;
       next_inum = 0;
@@ -112,7 +101,7 @@ let rec create ~host ?(ndisks = 8) ?(config = default_config) () =
   (* The update demon. *)
   Sim.spawn ~name:(Cluster.Host.name host ^ ".advfs-update") (fun () ->
       let rec loop () =
-        Sim.sleep config.sync_interval;
+        Sim.sleep sync_interval;
         if Cluster.Host.is_alive host then begin
           (try sync_internal t with Blockdev.Disk.Failed _ | Cluster.Host.Crashed _ -> ());
           loop ()
@@ -246,7 +235,7 @@ let dir_inode t inum =
   if i.itype <> Dir then fail Enotdir;
   i
 
-let charge_op t = Cluster.Host.consume t.host t.config.cpu_per_op
+let charge_op t = Cluster.Host.consume t.host cpu_per_op
 
 (* --- namespace --------------------------------------------------------------- *)
 
@@ -387,7 +376,7 @@ let read t inum ~off ~len =
   let i = inode t inum in
   if i.itype = Dir then fail Eisdir;
   let len = max 0 (min len (i.size - off)) in
-  Cluster.Host.consume t.host (len * t.config.cpu_ns_per_byte_read);
+  Cluster.Host.consume t.host (len * cpu_ns_per_byte_read);
   let buf = Bytes.make len '\000' in
   List.iter
     (fun (b, within, n) ->
@@ -397,13 +386,13 @@ let read t inum ~off ~len =
         let e = cache_block t key in
         Bytes.blit e.cdata within buf ((b * block) + within - off) n)
     (pieces ~off ~len);
-  read_ahead t inum ~from:((off + len) / block) t.config.read_ahead;
+  read_ahead t inum ~from:((off + len) / block) read_ahead_blocks;
   buf
 
 let write t inum ~off data =
   charge_op t;
   let len = Bytes.length data in
-  Cluster.Host.consume t.host (len * t.config.cpu_ns_per_byte_write);
+  Cluster.Host.consume t.host (len * cpu_ns_per_byte_write);
   let i = inode t inum in
   if i.itype = Dir then fail Eisdir;
   List.iter

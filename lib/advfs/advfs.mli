@@ -16,20 +16,9 @@
 
 type t
 
-type config = {
-  nvram : bool;
-  read_ahead : int;  (** blocks of sequential prefetch (default 8) *)
-  cpu_ns_per_byte_read : int;
-  cpu_ns_per_byte_write : int;
-  cpu_per_op : Simkit.Sim.time;
-  sync_interval : Simkit.Sim.time;
-}
-
-val default_config : config
-
-val create :
-  host:Cluster.Host.t -> ?ndisks:int -> ?config:config -> unit -> t
-(** Default 8 RZ29-class disks, as in the paper's test machine. *)
+val create : host:Cluster.Host.t -> ?nvram:bool -> unit -> t
+(** 8 RZ29-class disks, as in the paper's test machine; [nvram]
+    (default false) puts a PrestoServe board in front of each. *)
 
 val root : int
 val host : t -> Cluster.Host.t

@@ -5,6 +5,10 @@ exception Bad_sector of int
 
 let sector_size = 512
 
+(* The RZ29's average positioning time and media rate (§9). *)
+let avg_seek = Sim.ms 9
+let xfer_bps = 6_000_000
+
 (* Backing store granule: 64 KB slabs allocated on first touch, so a
    mostly-empty multi-gigabyte disk costs almost no host memory. *)
 let slab_bytes = 65536
@@ -12,8 +16,6 @@ let slab_bytes = 65536
 type t = {
   dname : string;
   capacity : int;
-  avg_seek : Sim.time;
-  xfer_bps : int;
   slabs : (int, bytes) Hashtbl.t;
   damaged : (int, unit) Hashtbl.t; (* sector number -> () *)
   arm : Sim.Resource.t;
@@ -27,13 +29,10 @@ type t = {
    joined it. *)
 and pending = { outcome : (bytes, exn) result Sim.Ivar.t; mutable joiners : int }
 
-let create ?(capacity = 4_300_000_000) ?(avg_seek = Sim.ms 9)
-    ?(transfer_bytes_per_sec = 6_000_000) dname =
+let create ?(capacity = 4_300_000_000) dname =
   {
     dname;
     capacity;
-    avg_seek;
-    xfer_bps = transfer_bytes_per_sec;
     slabs = Hashtbl.create 1024;
     damaged = Hashtbl.create 7;
     arm = Sim.Resource.create (dname ^ ".arm");
@@ -49,7 +48,6 @@ let arm t = t.arm
 let merged t = t.merged
 let fail t = t.failed <- true
 let heal t = t.failed <- false
-let is_failed t = t.failed
 let damage_sector t s = Hashtbl.replace t.damaged s ()
 
 let check t ~off ~len =
@@ -67,12 +65,12 @@ let service_time t ~off ~len =
     if off = t.pos then Sim.us 200
     else begin
       let dist = abs (off - t.pos) in
-      let base = t.avg_seek / 3 in
-      let stroke = 2 * t.avg_seek in
+      let base = avg_seek / 3 in
+      let stroke = 2 * avg_seek in
       base + int_of_float (float_of_int stroke *. float_of_int dist /. float_of_int t.capacity)
     end
   in
-  let transfer = int_of_float (float_of_int len /. float_of_int t.xfer_bps *. 1e9) in
+  let transfer = int_of_float (float_of_int len /. float_of_int xfer_bps *. 1e9) in
   seek + transfer
 
 let slab_for t idx =

@@ -18,18 +18,10 @@ exception Bad_sector of int
 (** Raised when reading a damaged sector (models a CRC error);
     carries the sector number. *)
 
-val sector_size : int
-(** 512 bytes. *)
-
-val create :
-  ?capacity:int ->
-  ?avg_seek:Simkit.Sim.time ->
-  ?transfer_bytes_per_sec:int ->
-  string ->
-  t
-(** [create name] builds a disk. [capacity] is in bytes (default
-    4.3 GB), [avg_seek] the average positioning time (default 9 ms),
-    [transfer_bytes_per_sec] the media rate (default 6 MB/s). *)
+val create : ?capacity:int -> string -> t
+(** [create name] builds a disk of [capacity] bytes (default 4.3 GB)
+    with the RZ29's 9 ms average positioning time and 6 MB/s media
+    rate. *)
 
 val name : t -> string
 val capacity : t -> int
@@ -65,5 +57,3 @@ val heal : t -> unit
 val damage_sector : t -> int -> unit
 (** Mark one sector as returning CRC errors on read (until it is
     next overwritten). *)
-
-val is_failed : t -> bool

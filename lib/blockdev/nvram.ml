@@ -1,10 +1,12 @@
 open Simkit
 
+(* The PrestoServe board of the paper's testbed (§9). *)
+let capacity = 8 * 1024 * 1024
+let write_latency = Sim.us 50
+let bytes_per_sec = 200_000_000
+
 type state = {
   disk : Disk.t;
-  capacity : int;
-  write_latency : Sim.time;
-  bytes_per_sec : int;
   table : (int, bytes) Hashtbl.t; (* pending writes, keyed by offset *)
   mutable used : int;
   space_freed : Sim.Condition.t;
@@ -65,18 +67,18 @@ let destager st () =
   in
   loop ()
 
-let nvram_time st len =
-  st.write_latency + int_of_float (float_of_int len /. float_of_int st.bytes_per_sec *. 1e9)
+let nvram_time len =
+  write_latency + int_of_float (float_of_int len /. float_of_int bytes_per_sec *. 1e9)
 
 (* Ownership-transfer write: [data] is stored in the table without a
    copy, so the caller must never mutate it afterwards (the
    Storage.write_own contract). *)
 let write_own st ~off data =
   let len = Bytes.length data in
-  while st.used + len > st.capacity do
+  while st.used + len > capacity do
     Sim.Condition.wait st.space_freed
   done;
-  Sim.Resource.use st.port (nvram_time st len);
+  Sim.Resource.use st.port (nvram_time len);
   (match Hashtbl.find_opt st.table off with
   | Some old when Bytes.length old = len -> st.used <- st.used - len
   | Some old ->
@@ -101,7 +103,7 @@ let read st ~off ~len =
      is destaged first so the disk holds the truth. *)
   match Hashtbl.find_opt st.table off with
   | Some data when Bytes.length data = len ->
-    Sim.Resource.use st.port (nvram_time st len);
+    Sim.Resource.use st.port (nvram_time len);
     Bytes.copy data
   | _ ->
     let pending =
@@ -126,14 +128,10 @@ let flush st () =
     Sim.Condition.wait st.space_freed
   done
 
-let wrap ?(capacity = 8 * 1024 * 1024) ?(write_latency = Sim.us 50)
-    ?(bytes_per_sec = 200_000_000) disk =
+let wrap disk =
   let st =
     {
       disk;
-      capacity;
-      write_latency;
-      bytes_per_sec;
       table = Hashtbl.create 256;
       used = 0;
       space_freed = Sim.Condition.create ();

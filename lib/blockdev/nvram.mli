@@ -5,18 +5,12 @@
     host crash (the paper treats NVRAM {e card} failure as a Petal
     server failure, which we model by failing the underlying disk).
 
-    The default capacity is the 8 MB of the paper's PrestoServe
-    cards; when the buffer is full, writers block until destaging
-    frees space.
+    The buffer holds the 8 MB of the paper's PrestoServe cards; when
+    it is full, writers block until destaging frees space.
 
     Destaging is an elevator: each sweep sorts the pending entries by
     disk address and coalesces adjacent ones into a single disk write
     per contiguous batch, so a burst of scattered writes costs one
     seek per contiguous region instead of one per entry. *)
 
-val wrap :
-  ?capacity:int ->
-  ?write_latency:Simkit.Sim.time ->
-  ?bytes_per_sec:int ->
-  Disk.t ->
-  Storage.t
+val wrap : Disk.t -> Storage.t

@@ -10,10 +10,10 @@ type t = {
   mutable hooks : (unit -> unit) list;
 }
 
-let create ?(cpu_cores = 1) hname =
+let create hname =
   {
     hname;
-    cpu = Sim.Resource.create ~capacity:cpu_cores (hname ^ ".cpu");
+    cpu = Sim.Resource.create (hname ^ ".cpu");
     alive = true;
     incarnation = 0;
     hooks = [];

@@ -12,7 +12,9 @@ type t
 exception Crashed of string
 (** Raised by operations attempted on a crashed host. *)
 
-val create : ?cpu_cores:int -> string -> t
+val create : string -> t
+(** One single-core machine, like the paper's DEC Alpha servers. *)
+
 val name : t -> string
 val is_alive : t -> bool
 

@@ -3,14 +3,18 @@ open Simkit
 type payload = ..
 type addr = int
 
+(* The paper's 155 Mbit/s ATM links and switch, and a UDP/IP-stack
+   CPU cost calibrated to its "16 MB/s at 4% CPU" raw Petal
+   measurement (§9). *)
+let bandwidth = 155e6
+let latency = Sim.us 120
+let cpu_ns_per_byte = 2
+let cpu_ns_per_msg = 30_000
+
 type port = {
   paddr : addr;
   phost : Host.t;
   pnet : t;
-  bandwidth : float;
-  latency : Sim.time;
-  cpu_ns_per_byte : int;
-  cpu_ns_per_msg : int;
   tx : Sim.Resource.t;
   rx : Sim.Resource.t;
   inbox : (addr * payload) Sim.Mailbox.t;
@@ -19,7 +23,6 @@ type port = {
 and t = {
   mutable ports : port list;
   mutable next_addr : addr;
-  mutable reachable : addr -> addr -> bool;
   mutable fault_cut : addr -> addr -> bool;
   mutable netem : (addr -> addr -> int -> fate) option;
 }
@@ -30,13 +33,11 @@ let create () =
   {
     ports = [];
     next_addr = 0;
-    reachable = (fun _ _ -> true);
     fault_cut = (fun _ _ -> false);
     netem = None;
   }
 
-let attach t ?(bandwidth_bits_per_sec = 155e6) ?(latency = Sim.us 120)
-    ?(cpu_ns_per_byte = 2) ?(cpu_ns_per_msg = 30_000) phost =
+let attach t phost =
   let paddr = t.next_addr in
   t.next_addr <- t.next_addr + 1;
   let p =
@@ -44,10 +45,6 @@ let attach t ?(bandwidth_bits_per_sec = 155e6) ?(latency = Sim.us 120)
       paddr;
       phost;
       pnet = t;
-      bandwidth = bandwidth_bits_per_sec;
-      latency;
-      cpu_ns_per_byte;
-      cpu_ns_per_msg;
       tx = Sim.Resource.create (Host.name phost ^ ".tx");
       rx = Sim.Resource.create (Host.name phost ^ ".rx");
       inbox = Sim.Mailbox.create ();
@@ -61,8 +58,6 @@ let host p = p.phost
 let net p = p.pnet
 let tx_link p = p.tx
 let rx_link p = p.rx
-let set_reachable t f = t.reachable <- f
-let clear_partition t = t.reachable <- (fun _ _ -> true)
 let set_fault_cut t f = t.fault_cut <- f
 let clear_fault_cut t = t.fault_cut <- (fun _ _ -> false)
 let set_netem t f = t.netem <- Some f
@@ -71,10 +66,10 @@ let addrs t = List.rev_map (fun p -> p.paddr) t.ports
 
 let find_port t a = List.find_opt (fun p -> p.paddr = a) t.ports
 
-let stack_cost p size = p.cpu_ns_per_msg + (p.cpu_ns_per_byte * size)
+let stack_cost size = cpu_ns_per_msg + (cpu_ns_per_byte * size)
 
-let transfer_time p size =
-  int_of_float (float_of_int (size * 8) /. p.bandwidth *. 1e9)
+let transfer_time size =
+  int_of_float (float_of_int (size * 8) /. bandwidth *. 1e9)
 
 (* The in-flight portion of a message is a chain of heap events, not
    a process: the tx and rx links are FIFO pipes ([Resource.reserve]),
@@ -85,31 +80,27 @@ let transfer_time p size =
 let send p ~dst ~size m =
   Host.check p.phost;
   (* Protocol-stack CPU work is paid synchronously by the caller. *)
-  Sim.Resource.use (Host.cpu p.phost) (stack_cost p size);
+  Sim.Resource.use (Host.cpu p.phost) (stack_cost size);
   let t = p.pnet in
   let src = p.paddr in
-  let tx_done = Sim.Resource.reserve p.tx (transfer_time p size) in
+  let tx_done = Sim.Resource.reserve p.tx (transfer_time size) in
   let deliver () =
-    (* Partition semantics: both predicates are evaluated at the
-       delivery instant, so a cut installed while a message is in
-       flight retroactively drops it (see net.mli). *)
-    if
-      Host.is_alive p.phost
-      && t.reachable src dst
-      && not (t.fault_cut src dst)
-    then
+    (* Partition semantics: the cut is evaluated at the delivery
+       instant, so a cut installed while a message is in flight
+       retroactively drops it (see net.mli). *)
+    if Host.is_alive p.phost && not (t.fault_cut src dst) then
       match find_port t dst with
       | Some q when Host.is_alive q.phost ->
         (* Receive side: the message occupies the receiver's link,
            then its protocol-stack CPU cost is charged, before the
            message becomes visible. *)
-        let rx_done = Sim.Resource.reserve q.rx (transfer_time q size) in
+        let rx_done = Sim.Resource.reserve q.rx (transfer_time size) in
         Sim.at rx_done (fun () ->
             if Host.is_alive q.phost then begin
               let cpu = Host.cpu q.phost in
               Sim.Resource.acquire_cb cpu (fun () ->
                   Sim.at
-                    (Sim.now () + stack_cost q size)
+                    (Sim.now () + stack_cost size)
                     (fun () ->
                       Sim.Resource.release cpu;
                       if Host.is_alive q.phost then
@@ -117,7 +108,7 @@ let send p ~dst ~size m =
             end)
       | Some _ | None -> ()
   in
-  Sim.at (tx_done + p.latency) (fun () ->
+  Sim.at (tx_done + latency) (fun () ->
       (* Network-emulation hook (Netfault): consulted once per
          message, after the base propagation latency, so loss and
          added delay are sampled in a deterministic order. *)

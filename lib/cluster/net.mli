@@ -6,11 +6,11 @@
     [bits / bandwidth] (so links saturate realistically — Figure 7
     depends on this), then arrives after the propagation latency.
     Delivery is dropped silently if either end is crashed or the pair
-    is partitioned; reliability is the business of upper layers.
+    is cut; reliability is the business of upper layers.
 
-    {b Partition semantics for in-flight messages.} Reachability (and
-    the {!set_fault_cut} predicate layered on it by
-    [Cluster.Netfault]) is evaluated at the {e delivery} instant, not
+    {b Partition semantics for in-flight messages.} The
+    {!set_fault_cut} predicate (driven by [Cluster.Netfault]) is
+    evaluated at the {e delivery} instant, not
     at send time: a cut installed while a message is crossing the
     switch retroactively drops it, and a cut healed before delivery
     lets a message sent during the partition through. This is the
@@ -33,15 +33,8 @@ type port
 
 val create : unit -> t
 
-val attach :
-  t ->
-  ?bandwidth_bits_per_sec:float ->
-  ?latency:Simkit.Sim.time ->
-  ?cpu_ns_per_byte:int ->
-  ?cpu_ns_per_msg:int ->
-  Host.t ->
-  port
-(** Attach a host. Defaults: 155 Mbit/s, 120 µs switch latency, and a
+val attach : t -> Host.t -> port
+(** Attach a host: 155 Mbit/s, 120 µs switch latency, and a
     UDP/IP-stack CPU cost of 2 ns/byte + 30 µs/message charged to the
     host on both send and receive (calibrated to the paper's "16 MB/s
     at 4% CPU" raw Petal measurement). *)
@@ -65,29 +58,19 @@ val rx_link : port -> Simkit.Sim.Resource.t
 (** Receive-link resource; inbound messages occupy it for their
     transfer time, so a host's incoming bandwidth also saturates. *)
 
-val set_reachable : t -> (addr -> addr -> bool) -> unit
-(** Install a reachability predicate (network partitions). The
-    default is full connectivity. Evaluated at the delivery instant
-    (see the module comment). *)
-
-val clear_partition : t -> unit
-
 val addrs : t -> addr list
 (** Addresses of every attached port, in attachment order. *)
 
 (** {2 Fault-injection hooks}
 
     Two composable hooks used by [Cluster.Netfault]; both default to
-    "no fault" and are independent of {!set_reachable}, so tests that
-    install their own reachability predicate keep working under a
-    nemesis layer. *)
+    "no fault". *)
 
 val set_fault_cut : t -> (addr -> addr -> bool) -> unit
 (** [set_fault_cut t cut]: a message from [src] to [dst] is dropped
     when [cut src dst] is true {e at the delivery instant}. The
     predicate is directional, so one-way (asymmetric) link faults are
-    expressible. ANDed with {!set_reachable} (a message must be
-    reachable and not cut). *)
+    expressible. The default is full connectivity. *)
 
 val clear_fault_cut : t -> unit
 

@@ -15,9 +15,6 @@
     - {b Delay} — fixed extra delay plus uniform jitter per matching
       message, from the same PRNG.
 
-    All three leave {!Net.set_reachable} untouched, so tests that
-    install their own reachability predicate compose with a nemesis.
-
     One nemesis per network: {!create} installs the Net hooks, a
     second [create] on the same net replaces the first. *)
 

@@ -2,8 +2,6 @@ open Simkit
 
 type error = [ `Timeout ]
 
-let pp_error fmt `Timeout = Format.pp_print_string fmt "timeout"
-
 type Net.payload +=
   | Req of { id : int; dedup : bool; body : Net.payload }
   | Reply of { id : int; body : Net.payload }
@@ -27,11 +25,10 @@ type stats = {
    without re-executing a non-idempotent handler. *)
 type cached = In_progress | Done of (Net.payload * int)
 
-let default_dedup_cap = 1024
+let dedup_cap = 1024
 
 type t = {
   port : Net.port;
-  dedup_cap : int;
   mutable handlers : handler list;
   mutable oneway_subs : (src:Net.addr -> Net.payload -> unit) list;
   pending : (int, (Net.payload, error) result Sim.Ivar.t * Sim.Timer.t) Hashtbl.t;
@@ -100,7 +97,7 @@ let handle_request t ~src id ~dedup body =
     | None -> (
       Hashtbl.replace t.replies key In_progress;
       Queue.push key t.reply_order;
-      if Queue.length t.reply_order > t.dedup_cap then begin
+      if Queue.length t.reply_order > dedup_cap then begin
         (* Bounded reply cache: the oldest entry's reply is forgotten.
            A retransmission of that request will re-execute its
            handler — safe as long as callers only use [call_retry]
@@ -151,11 +148,10 @@ let dispatcher t () =
   in
   loop ()
 
-let create ?(dedup_cap = default_dedup_cap) port =
+let create port =
   let t =
     {
       port;
-      dedup_cap;
       handlers = [];
       oneway_subs = [];
       pending = Hashtbl.create 64;

@@ -7,24 +7,24 @@
 
 type error = [ `Timeout ]
 
-val pp_error : Format.formatter -> error -> unit
-
 type handler = src:Net.addr -> Net.payload -> (Net.payload * int) option
 (** A handler inspects a request body; if it recognises it, it
     returns [Some (reply, reply_size_bytes)]. Handlers may block. *)
 
 type t
 
-val create : ?dedup_cap:int -> Net.port -> t
+val dedup_cap : int
+(** 1024: the bound on the server-side reply cache backing
+    [call_retry]'s duplicate suppression. An evicted entry makes a
+    late retransmission re-execute its handler, which is counted in
+    {!stats} and exercised by a directed test. *)
+
+val create : Net.port -> t
 (** Create the endpoint and start its dispatcher. The dispatcher
     lives as long as the simulation; while the host is crashed no
     messages are delivered to it, so the endpoint simply falls
     silent and resumes after a restart (services model volatile-state
-    loss with [Host.on_crash] hooks). [dedup_cap] (default 1024)
-    bounds the server-side reply cache backing [call_retry]'s
-    duplicate suppression; an evicted entry makes a late
-    retransmission re-execute its handler, which is counted in
-    {!stats} and exercised by a directed test. *)
+    loss with [Host.on_crash] hooks). *)
 
 val port : t -> Net.port
 val addr : t -> Net.addr

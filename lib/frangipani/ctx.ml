@@ -3,29 +3,27 @@
 
 open Simkit
 
+(** The Unix update-demon period (§4). *)
+let sync_interval = Sim.sec 30.0
+
+(* FS-layer copy cost and fixed per-call overhead, calibrated to
+   Table 3. *)
+let cpu_ns_per_byte = 22
+let cpu_per_op = Sim.us 40
+
 type config = {
-  sync_interval : Sim.time;  (** the Unix update-demon period (§4) *)
   synchronous_log : bool;  (** flush the log on every metadata op (§4 option) *)
-  log_bytes : int;
-      (** per-server circular log size; a cluster-wide constant so
-          recovery can scan a dead server's slot (default 128 KB, §4) *)
   read_ahead : int;  (** prefetch depth in 4 KB blocks; 0 disables *)
-  cpu_ns_per_byte : int;  (** FS-layer copy cost, calibrated to Table 3 *)
-  cpu_per_op : Sim.time;  (** fixed per-call overhead *)
   block_locks : bool;  (** finer-granularity locking ablation (§2.3) *)
 }
 
 let default_config =
   {
-    sync_interval = Sim.sec 30.0;
     synchronous_log = false;
-    log_bytes = Layout.log_bytes;
     (* A 512 KB window of sequential prefetch, submitted as one
        batched scatter-gather fetch that overlaps the foreground
        read — deep enough to hide Petal latency at full link rate. *)
     read_ahead = 128;
-    cpu_ns_per_byte = 22;
-    cpu_per_op = Sim.us 40;
     block_locks = false;
   }
 
@@ -62,10 +60,10 @@ type t = {
 let check_usable t =
   if t.poisoned || t.unmounted then Errors.fail Errors.Eio
 
-let charge_op t = Cluster.Host.consume t.host t.config.cpu_per_op
+let charge_op t = Cluster.Host.consume t.host cpu_per_op
 
 let charge_bytes t n =
-  if n > 0 then Cluster.Host.consume t.host (n * t.config.cpu_ns_per_byte)
+  if n > 0 then Cluster.Host.consume t.host (n * cpu_ns_per_byte)
 
 (* --- read-ahead bookkeeping --------------------------------------------- *)
 

@@ -415,6 +415,7 @@ let read_ahead_holding_lock ctx inum ino boffs =
 
 let read ctx inum ~off ~len =
   prologue ctx;
+  if off < 0 then fail Einval;
   Clerk.acquire ctx.Ctx.clerk ~lock:(ilock inum) Types.R;
   match
     let ino = reg_inode ctx inum in
@@ -464,6 +465,7 @@ let read ctx inum ~off ~len =
 
 let write ctx inum ~off data =
   prologue ctx;
+  if off < 0 then fail Einval;
   modifying ctx
     [ (ilock inum, Types.W) ]
     (fun () ->
@@ -515,7 +517,7 @@ let sync ctx =
 
 let sync_demon ctx () =
   let rec loop () =
-    Sim.sleep ctx.Ctx.config.sync_interval;
+    Sim.sleep Ctx.sync_interval;
     if
       Cluster.Host.is_alive ctx.Ctx.host
       && (not ctx.Ctx.unmounted)
@@ -562,8 +564,7 @@ let mount ~host ~rpc ~vd ~lock_servers ?(table = "fs0") ?(config = Ctx.default_c
   let poisoned_ref = ref false in
   let lease_ok () = Clerk.check_lease_margin clerk && not !poisoned_ref in
   let wal =
-    Wal.create ~log_bytes:config.Ctx.log_bytes ~vd ~slot
-      ~synchronous:config.Ctx.synchronous_log ~lease_ok ()
+    Wal.create ~vd ~slot ~synchronous:config.Ctx.synchronous_log ~lease_ok ()
   in
   let cache = Cache.create ~vd ~wal ~lease_ok in
   Wal.set_reclaim_hook wal (fun ~upto_rid -> Cache.flush_upto_rid cache upto_rid);
@@ -615,12 +616,12 @@ let mount ~host ~rpc ~vd ~lock_servers ?(table = "fs0") ?(config = Ctx.default_c
     (* Own the private log (held for the life of the mount) and start
        it empty (§7: a restarted server begins with an empty log). *)
     Clerk.acquire clerk ~lock:(Lockns.log_lock slot) Types.W;
-    let zeros = Bytes.make (config.Ctx.log_bytes / 2) '\000' in
+    let zeros = Bytes.make (Layout.log_bytes / 2) '\000' in
     List.iter Petal.Client.await
       [
         Petal.Client.write_async vd ~off:(Layout.log_addr ~slot) zeros;
         Petal.Client.write_async vd
-          ~off:(Layout.log_addr ~slot + (config.Ctx.log_bytes / 2))
+          ~off:(Layout.log_addr ~slot + (Layout.log_bytes / 2))
           zeros;
       ]
   end;

@@ -86,9 +86,13 @@ val rename : t -> sdir:int -> string -> ddir:int -> string -> unit
 
 val read : t -> int -> off:int -> len:int -> bytes
 (** Read up to [len] bytes at [off] (clamped at end-of-file). Updates
-    the approximate atime; triggers read-ahead if configured. *)
+    the approximate atime; triggers read-ahead if configured. A
+    negative [off] fails with [Einval]. *)
 
 val write : t -> int -> off:int -> bytes -> unit
+(** Write [data] at [off], extending the file as needed. A negative
+    [off] fails with [Einval]. *)
+
 val truncate : t -> int -> size:int -> unit
 val stat : t -> int -> stats
 

@@ -39,11 +39,7 @@ let run ctx ~dead_lease =
   Fun.protect
     ~finally:(fun () -> Locksvc.Clerk.release ctx.Ctx.clerk ~lock Locksvc.Types.W)
     (fun () ->
-      (* [log_bytes] is a cluster-wide constant, so our own config
-         tells us how large the dead server's log region is. *)
-      let report =
-        Wal.scan_report ~log_bytes:ctx.Ctx.config.Ctx.log_bytes ctx.Ctx.vd ~slot
-      in
+      let report = Wal.scan_report ctx.Ctx.vd ~slot in
       ctx.Ctx.recov_runs <- ctx.Ctx.recov_runs + 1;
       if report.Wal.torn then ctx.Ctx.recov_torn <- ctx.Ctx.recov_torn + 1;
       List.iter (apply_diff ctx) report.Wal.diffs;

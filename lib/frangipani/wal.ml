@@ -44,8 +44,6 @@ type t = {
   slot : int;
   synchronous : bool;
   lease_ok : unit -> bool;
-  log_bytes : int;
-  log_sectors : int;
   mutable reclaim : upto_rid:int -> unit;
   mutable next_rid : int;
   mutable flushed_rid : int; (* records <= this are durable *)
@@ -67,7 +65,7 @@ type t = {
 
 (* Sectors per group: the pipeline's stage unit, and the granularity
    at which the submitter reclaims ahead of the write cursor. Must
-   stay well below the smallest log's sector count. *)
+   stay well below the log's sector count. *)
 let group_sector_cap = 64
 
 (* Bounded pipeline depth: with a submitter active and this many
@@ -75,19 +73,12 @@ let group_sector_cap = 64
    land (or, on the asynchronous append path, simply stays pending). *)
 let max_queued_groups = 4
 
-let create ?(log_bytes = Layout.log_bytes) ~vd ~slot ~synchronous ~lease_ok () =
-  if
-    log_bytes < Layout.log_bytes
-    || log_bytes mod Layout.sector <> 0
-    || log_bytes > Layout.log_slot_spacing
-  then invalid_arg "wal: bad log size";
+let create ~vd ~slot ~synchronous ~lease_ok () =
   {
     vd;
     slot;
     synchronous;
     lease_ok;
-    log_bytes;
-    log_sectors = log_bytes / Layout.sector;
     reclaim = (fun ~upto_rid:_ -> ());
     next_rid = 0;
     flushed_rid = 0;
@@ -109,7 +100,6 @@ let create ?(log_bytes = Layout.log_bytes) ~vd ~slot ~synchronous ~lease_ok () =
 
 let set_reclaim_hook t f = t.reclaim <- f
 let last_rid t = t.next_rid
-let log_size t = t.log_bytes
 
 let stats t =
   {
@@ -140,10 +130,8 @@ let serialize_record diffs =
   Codec.W.bytes out body;
   Codec.W.contents out
 
-let serialize_for_bench = serialize_record
-
 let sector_addr t lsn =
-  Layout.log_addr ~slot:t.slot + ((lsn - 1) mod t.log_sectors * Layout.sector)
+  Layout.log_addr ~slot:t.slot + ((lsn - 1) mod Layout.log_sectors * Layout.sector)
 
 (* --- format stage -------------------------------------------------------- *)
 
@@ -243,8 +231,8 @@ let reclaim_upto t upto =
    stalled flush. *)
 let maybe_reclaim_ahead t =
   let landed = t.next_lsn - 1 in
-  if landed - t.applied_barrier > t.log_sectors * 3 / 4 then
-    reclaim_upto t (landed - (t.log_sectors / 2))
+  if landed - t.applied_barrier > Layout.log_sectors * 3 / 4 then
+    reclaim_upto t (landed - (Layout.log_sectors / 2))
 
 (* Stamp LSNs and CRCs onto one group's sectors and write them.
    Recovery replays the maximal run of consecutive LSNs ending at the
@@ -266,7 +254,7 @@ let write_group t g =
   let last_lsn = base + n - 1 in
   (* Make room: sectors about to be overwritten held lsn minus the log
      size; everything they described must be in place first. *)
-  if last_lsn > t.log_sectors && last_lsn - t.log_sectors > t.applied_barrier
+  if last_lsn > Layout.log_sectors && last_lsn - Layout.log_sectors > t.applied_barrier
   then begin
     t.s_pressure <- t.s_pressure + 1;
     reclaim_upto t (last_lsn - 1)
@@ -284,9 +272,9 @@ let write_group t g =
   let rec runs = function
     | [] -> []
     | (lsn0, _) :: _ as rest ->
-      let pos0 = (lsn0 - 1) mod t.log_sectors in
+      let pos0 = (lsn0 - 1) mod Layout.log_sectors in
       let addr0 = sector_addr t lsn0 in
-      let to_wrap = t.log_sectors - pos0 in
+      let to_wrap = Layout.log_sectors - pos0 in
       let to_chunk = (chunk - (addr0 mod chunk)) / Layout.sector in
       let fit = min (List.length rest) (min to_wrap to_chunk) in
       let run = List.filteri (fun i _ -> i < fit) rest in
@@ -416,7 +404,7 @@ let append t diffs =
   if t.synchronous then
     flush_to t ~target:rid ~on_stall:(fun () ->
         t.s_append_stalls <- t.s_append_stalls + 1)
-  else if t.pending_bytes >= t.log_bytes / 4 then kick t;
+  else if t.pending_bytes >= Layout.log_bytes / 4 then kick t;
   rid
 
 let discard_volatile t =
@@ -433,12 +421,11 @@ type scan_report = {
   torn : bool;  (* the stream ended inside an incomplete or garbled record *)
 }
 
-let scan_report ?(log_bytes = Layout.log_bytes) vd ~slot =
-  let log_sectors = log_bytes / Layout.sector in
+let scan_report vd ~slot =
   let base = Layout.log_addr ~slot in
-  let raw = Petal.Client.read vd ~off:base ~len:log_bytes in
+  let raw = Petal.Client.read vd ~off:base ~len:Layout.log_bytes in
   let sectors = ref [] in
-  for i = 0 to log_sectors - 1 do
+  for i = 0 to Layout.log_sectors - 1 do
     let b = Bytes.sub raw (i * Layout.sector) Layout.sector in
     let lsn = Codec.get_int b 0 in
     if
@@ -538,4 +525,4 @@ let scan_report ?(log_bytes = Layout.log_bytes) vd ~slot =
       torn = !torn;
     }
 
-let scan ?log_bytes vd ~slot = (scan_report ?log_bytes vd ~slot).diffs
+let scan vd ~slot = (scan_report vd ~slot).diffs

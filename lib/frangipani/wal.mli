@@ -35,17 +35,15 @@ type diff = {
 type t
 
 val create :
-  ?log_bytes:int ->
   vd:Petal.Client.vdisk ->
   slot:int ->
   synchronous:bool ->
   lease_ok:(unit -> bool) ->
   unit ->
   t
-(** [slot] selects the private log region ([lease mod 256], §7).
-    [log_bytes] sizes the circular log (default 128 KB, the paper's
-    figure; must be sector-aligned, at least the default, and fit the
-    slot spacing). [synchronous] makes every {!append} flush before
+(** [slot] selects the private log region ([lease mod 256], §7), a
+    circular log of {!Layout.log_bytes} (128 KB, the paper's figure).
+    [synchronous] makes every {!append} flush before
     returning (§4's optional stronger failure semantics). [lease_ok]
     is consulted before any Petal write — the §6 hazard check. *)
 
@@ -64,9 +62,6 @@ val flush : t -> unit
 (** Write all pending records to Petal (group commit). *)
 
 val last_rid : t -> int
-
-val log_size : t -> int
-(** The configured log size in bytes. *)
 
 val discard_volatile : t -> unit
 (** Crash simulation: drop the in-memory tail (unwritten records and
@@ -96,15 +91,11 @@ type scan_report = {
           crash mid-group-commit; the valid prefix is in [diffs] *)
 }
 
-val scan_report : ?log_bytes:int -> Petal.Client.vdisk -> slot:int -> scan_report
+val scan_report : Petal.Client.vdisk -> slot:int -> scan_report
 (** Recovery: read a log region and decode the live window. Decoding
     is strict (lengths, alignment, versions) and stops at the first
     inconsistency rather than raising, so recovery after a crash
-    mid-commit replays the valid prefix. [log_bytes] must match the
-    size the dead server logged with (the cluster-wide config). *)
+    mid-commit replays the valid prefix. *)
 
-val scan : ?log_bytes:int -> Petal.Client.vdisk -> slot:int -> diff list
+val scan : Petal.Client.vdisk -> slot:int -> diff list
 (** [(scan_report vd ~slot).diffs]. *)
-
-val serialize_for_bench : diff list -> bytes
-(** The record serializer, exposed for the microbenchmark harness. *)

@@ -57,7 +57,6 @@ let stats t =
 
 let lease t = t.clease
 let table t = t.ctable
-let is_expired t = t.expired
 let lease_valid_until t = t.valid_until
 
 let check_lease_margin t =

@@ -67,8 +67,6 @@ val check_lease_margin : t -> bool
     {!Types.lease_margin} — a Frangipani server calls this before
     every write to Petal. *)
 
-val is_expired : t -> bool
-
 type stats = {
   renew_misses : int;  (** renewal rounds in which no lock server answered *)
   requests : int;  (** lock requests sent, retransmissions included *)

@@ -65,9 +65,6 @@ let lease_alive t lease =
   | Some l -> not l.dead
   | None -> false
 
-let lease_count t =
-  Hashtbl.fold (fun _ l acc -> if l.dead then acc else acc + 1) t.leases 0
-
 let held_locks t =
   Hashtbl.fold
     (fun (table, lock) l acc ->

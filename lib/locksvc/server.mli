@@ -24,11 +24,4 @@ val held_locks : t -> (string * int * Types.mode * int) list
 (** [(table, lock, mode, lease)] for every holder this server knows,
     in the groups it currently serves. For tests. *)
 
-val lease_count : t -> int
-(** Number of live leases this server tracks. For tests. *)
-
-val propose_remove_server : t -> Cluster.Net.addr -> unit
-(** Administratively remove a lock server from the service (also
-    triggered automatically when heartbeats stop). *)
-
 val propose_add_server : t -> Cluster.Net.addr -> unit

@@ -280,10 +280,10 @@ let submit_piece ?(prefetch = false) t g ~root ~chunk ~nrep ~size ~req_of
       Sim.Resource.release pool;
       raise ex
   in
-  (* One routed attempt against the current map: primary first (unless
-     freshly suspected), then the replica. *)
-  let routed_attempt () =
-    let pi = primary_of t ~root ~chunk in
+  (* The failover step, shared by the first attempt's completion and
+     every re-routed attempt: the primary, noting whether it answered,
+     and the replica if there is one. *)
+  let call_primary pi =
     match
       Rpc.call t.rpc ~dst:t.servers.(pi) ~timeout:t.timeout ~size
         (req_of ~solo:false)
@@ -293,14 +293,24 @@ let submit_piece ?(prefetch = false) t g ~root ~chunk ~nrep ~size ~req_of
       Some r
     | Error `Timeout ->
       note_primary_timeout t pi;
-      if nrep > 1 then
-        match
-          Rpc.call t.rpc ~dst:t.servers.(secondary_of t ~root ~chunk)
-            ~timeout:t.timeout ~size (req_of ~solo:true)
-        with
-        | Ok r -> Some r
-        | Error `Timeout -> None
-      else None
+      None
+  in
+  let call_replica () =
+    if nrep > 1 then
+      match
+        Rpc.call t.rpc ~dst:t.servers.(secondary_of t ~root ~chunk)
+          ~timeout:t.timeout ~size (req_of ~solo:true)
+      with
+      | Ok r -> Some r
+      | Error `Timeout -> None
+    else None
+  in
+  (* One routed attempt against the current map: primary first, then
+     the replica. *)
+  let routed_attempt () =
+    match call_primary (primary_of t ~root ~chunk) with
+    | None -> call_replica ()
+    | r -> r
   in
   let rec resolve mrounds wrounds reply =
     match reply with
@@ -331,30 +341,14 @@ let submit_piece ?(prefetch = false) t g ~root ~chunk ~nrep ~size ~req_of
           | Ok r ->
             if not to_secondary then note_primary_ok t pi;
             Some r
-          | Error `Timeout when to_secondary -> (
+          | Error `Timeout when to_secondary ->
             (* The replica detour failed; the suspicion may be stale
                (the fault moved), so probe the skipped primary before
                declaring the data unreachable. *)
-            match
-              Rpc.call t.rpc ~dst:t.servers.(pi) ~timeout:t.timeout ~size
-                (req_of ~solo:false)
-            with
-            | Ok r ->
-              note_primary_ok t pi;
-              Some r
-            | Error `Timeout ->
-              note_primary_timeout t pi;
-              None)
+            call_primary pi
           | Error `Timeout ->
             note_primary_timeout t pi;
-            if nrep > 1 then
-              match
-                Rpc.call t.rpc ~dst:t.servers.(secondary_of t ~root ~chunk)
-                  ~timeout:t.timeout ~size (req_of ~solo:true)
-              with
-              | Ok r -> Some r
-              | Error `Timeout -> None
-            else None)
+            call_replica ())
       with
       | exception ex ->
         (* Our own host died mid-failover: fail the op, don't abort
@@ -500,13 +494,14 @@ let read_scatter ?prefetch v ~runs ~result ~account =
   end;
   g.handle
 
-let read_async v ~off ~len =
+let read v ~off ~len =
   v.c.read_ops <- v.c.read_ops + 1;
   let buf = Bytes.create len in
-  read_scatter v
-    ~runs:[ (off, buf) ]
-    ~result:(fun () -> buf)
-    ~account:(fun dt -> v.c.read_ns <- v.c.read_ns + dt)
+  await
+    (read_scatter v
+       ~runs:[ (off, buf) ]
+       ~result:(fun () -> buf)
+       ~account:(fun dt -> v.c.read_ns <- v.c.read_ns + dt))
 
 let read_runs_async ?prefetch v runs =
   v.c.read_ops <- v.c.read_ops + 1;
@@ -580,7 +575,7 @@ let write_runs_async v runs =
   write_scatter v ~runs
     ~account:(fun dt -> v.c.write_ns <- v.c.write_ns + dt)
 
-let decommit_async v ~off ~len =
+let decommit v ~off ~len =
   if is_snapshot v then raise Read_only;
   check_aligned ~off ~len;
   if off mod chunk_bytes <> 0 || len mod chunk_bytes <> 0 then
@@ -613,11 +608,9 @@ let decommit_async v ~off ~len =
         ps
     with ex -> gather_fill g (Error ex)
   end;
-  g.handle
+  await g.handle
 
-let read v ~off ~len = await (read_async v ~off ~len)
 let write v ~off data = await (write_async v ~off data)
-let decommit v ~off ~len = await (decommit_async v ~off ~len)
 
 let snapshot v =
   if is_snapshot v then raise Read_only;

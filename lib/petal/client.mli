@@ -7,13 +7,13 @@
     must be 512-byte aligned; requests may span chunk boundaries and
     are split internally.
 
-    I/O is submit-then-wait: {!read_async} and {!write_async} fan all
-    chunk pieces out concurrently (each piece failing over to its
-    replica independently) and return a completion {!handle}; the
+    I/O is submit-then-wait: {!read_runs_async} and {!write_async}
+    fan all chunk pieces out concurrently (each piece failing over to
+    its replica independently) and return a completion {!handle}; the
     blocking {!read}/{!write} are thin wrappers. Submission applies
-    backpressure — at most {!max_inflight_pieces} pieces are
-    outstanding per driver, so a flood of writes blocks the submitter
-    rather than growing unbounded queues.
+    backpressure — at most 64 pieces (4 MB, the write-behind window
+    of §4) are outstanding per driver, so a flood of writes blocks
+    the submitter rather than growing unbounded queues.
 
     Reconfiguration: every data request carries the map epoch the
     client routed under. A server whose committed map differs rejects
@@ -38,13 +38,6 @@ val await : 'a handle -> 'a
 val wait : 'a handle -> ('a, exn) result
 (** Block until the handle fills; return its result without
     raising. *)
-
-val max_inflight_pieces : int
-(** Bound on outstanding chunk pieces per driver (the write-behind
-    window of §4 — 64 pieces of up to 64 KB is 4 MB). *)
-
-val max_prefetch_pieces : int
-(** Separate, smaller bound for speculative (read-ahead) pieces. *)
 
 val connect :
   rpc:Cluster.Rpc.t ->
@@ -94,11 +87,6 @@ val open_vdisk : t -> int -> vdisk
 val id : vdisk -> int
 val is_snapshot : vdisk -> bool
 
-val read_async : vdisk -> off:int -> len:int -> bytes handle
-(** Submit a read of [len] bytes at virtual offset [off]; uncommitted
-    space reads as zeros. All chunk pieces are issued before the call
-    returns; the handle fills when the last piece lands. *)
-
 val read_runs_async : ?prefetch:bool -> vdisk -> (int * int) list -> bytes list handle
 (** Submit several [(off, len)] extents as one scatter-gather read;
     the handle fills with one buffer per extent, in order, once every
@@ -106,8 +94,8 @@ val read_runs_async : ?prefetch:bool -> vdisk -> (int * int) list -> bytes list 
     consecutive extents that address the same chunk (hence the same
     server) are coalesced into a single RPC — the batched read path's
     round-trip saver, visible in {!op_stats}. With [prefetch:true] the
-    pieces draw from a separate, smaller in-flight pool
-    ({!max_prefetch_pieces}), so speculative read-ahead can never
+    pieces draw from a separate, smaller in-flight pool (16 pieces,
+    one prefetch window), so speculative read-ahead can never
     occupy the slots a foreground read or dirty write-back needs. *)
 
 val write_async : vdisk -> off:int -> bytes -> unit handle
@@ -123,18 +111,15 @@ val write_runs_async : vdisk -> (int * bytes) list -> unit handle
     write-back already submits maximal runs inside aligned
     chunk-sized windows. *)
 
-val decommit_async : vdisk -> off:int -> len:int -> unit handle
-(** Submit the freeing of the physical space backing a chunk-aligned
-    range. *)
-
 val read : vdisk -> off:int -> len:int -> bytes
-(** [await (read_async ...)]. *)
+(** Blocking read of [len] bytes at virtual offset [off]; uncommitted
+    space reads as zeros. *)
 
 val write : vdisk -> off:int -> bytes -> unit
 (** [await (write_async ...)]. *)
 
 val decommit : vdisk -> off:int -> len:int -> unit
-(** [await (decommit_async ...)]. *)
+(** Free the physical space backing a chunk-aligned range. *)
 
 val snapshot : vdisk -> int
 (** Create a crash-consistent copy-on-write snapshot; returns the

@@ -88,17 +88,14 @@ type t = {
      requests are accepted only from these addresses (the trusted
      Frangipani server machines) and from Petal peers. *)
   mutable trusted : (Net.addr, unit) Hashtbl.t option;
-  (* §6 write-guard accounting: mutations refused because their
-     lease-derived stamp had passed, and — the sweep invariant —
-     writes that reached the disk with a lapsed stamp anyway (must
-     stay 0; the lease margin exists to make it so). *)
-  mutable stale_rejects : int;
+  (* §6 write-guard accounting, the sweep invariant: writes that
+     reached the disk with a lapsed stamp anyway (must stay 0; the
+     lease margin exists to make it so). *)
   mutable stale_applied : int;
   (* Reconfiguration accounting. *)
   mutable wrong_epoch_rejects : int; (* data requests refused by the map guard *)
   mutable freeze_rejects : int; (* mutations refused by the drain-time freeze *)
-  mutable last_cutover : Sim.time; (* pending-to-commit latency, last transfer *)
-  mutable max_cutover : Sim.time; (* worst such latency since creation *)
+  mutable max_cutover : Sim.time; (* worst pending-to-commit latency since creation *)
   mutable xfer_pushes : int; (* resync/transfer push RPCs acknowledged *)
   mutable xfer_bytes : int; (* bytes carried by those pushes *)
   mutable gc_chunks : int; (* chunks freed because ownership moved away *)
@@ -107,11 +104,9 @@ type t = {
 
 let host t = t.host
 let index t = t.index
-let stale_reject_count t = t.stale_rejects
 let stale_applied_count t = t.stale_applied
 let wrong_epoch_count t = t.wrong_epoch_rejects
 let freeze_reject_count t = t.freeze_rejects
-let last_cutover_time t = t.last_cutover
 let max_cutover_time t = t.max_cutover
 let xfer_push_count t = t.xfer_pushes
 let xfer_bytes_pushed t = t.xfer_bytes
@@ -496,7 +491,6 @@ let apply t slot cmd =
     | Some p when p.target_epoch = target ->
       trace "t=%d CUTOVER %s epoch=%d" (Sim.now ()) (Host.name t.host) target;
       let lat = Sim.now () - t.pending_since in
-      t.last_cutover <- lat;
       if lat > t.max_cutover then t.max_cutover <- lat;
       t.active <- p.target;
       t.mepoch <- target;
@@ -610,10 +604,7 @@ let write_chunk t ~root ~chunk ~within ~data ~doff ~dlen ~epoch ~expires =
   (* Re-check the stamp once the chunk lock is held: queueing behind
      another mutation takes (simulated) time, and a stamp that lapsed
      in the queue must not reach the disk either. *)
-  if expired expires then begin
-    t.stale_rejects <- t.stale_rejects + 1;
-    raise Expired_stamp
-  end;
+  if expired expires then raise Expired_stamp;
   (* The copy-on-write base read below can block on the raw disk, so
      the stamp is audited once more at the actual disk-write instant;
      a hit here is a §6 invariant violation the lease margin is sized
@@ -659,10 +650,7 @@ let decommit_chunk t ~root ~chunk ~epoch ~expires =
   Faultpoint.hit "petal.chunk_decommit";
   with_chunk_lock t (root, chunk) @@ fun () ->
   trace "t=%d D %s root=%d chunk=%d" (Sim.now ()) (Host.name t.host) root chunk;
-  if expired expires then begin
-    t.stale_rejects <- t.stale_rejects + 1;
-    raise Expired_stamp
-  end;
+  if expired expires then raise Expired_stamp;
   let vl = versions t (root, chunk) in
   match !vl with
   | [] -> ()
@@ -936,9 +924,7 @@ let vdisk t root =
   | Some v -> v
   | None -> failwith "petal: unknown virtual disk"
 
-let reject_stale t =
-  t.stale_rejects <- t.stale_rejects + 1;
-  Some (Perr "expired lease timestamp", small)
+let reject_stale = Some (Perr "expired lease timestamp", small)
 
 (* The map guard on every client data request: the client's routing
    epoch must match the committed map AND this server must actually
@@ -1036,7 +1022,7 @@ let handler t ~src body =
     reject_wrong_epoch t
   | Write_req { root; chunk; _ } when freeze_blocks t ~root ~chunk ->
     reject_frozen t
-  | Write_req { expires; _ } when expired expires -> reject_stale t
+  | Write_req { expires; _ } when expired expires -> reject_stale
   | Write_req { root; chunk; within; data; doff; dlen; solo; expires; mepoch = _ }
     -> (
     let v = vdisk t root in
@@ -1084,10 +1070,10 @@ let handler t ~src body =
     | () ->
       mark_transfer_delta t ~root ~chunk ~within ~len:dlen ~stamp:wstamp;
       Some (Write_ok, small)
-    | exception Expired_stamp -> Some (Perr "expired lease timestamp", small))
+    | exception Expired_stamp -> reject_stale)
   | Repl_req { root; chunk; _ } when not (peer_push_ok t ~root ~chunk) ->
     reject_wrong_epoch t
-  | Repl_req { expires; _ } when expired expires -> reject_stale t
+  | Repl_req { expires; _ } when expired expires -> reject_stale
   | Repl_req { root; chunk; within; data; doff; dlen; epoch; expires; stamp }
     -> (
     (* Peer traffic (forwarded writes, resync and handoff pushes)
@@ -1136,14 +1122,14 @@ let handler t ~src body =
         applies
     with
     | () -> Some (Write_ok, small)
-    | exception Expired_stamp -> Some (Perr "expired lease timestamp", small))
+    | exception Expired_stamp -> reject_stale)
   | Decommit_req { root; chunk; mepoch; _ }
     when mepoch >= 0 && not (map_ok t ~mepoch ~root ~chunk) ->
     reject_wrong_epoch t
   | Decommit_req { root; chunk; mepoch; _ }
     when mepoch >= 0 && freeze_blocks t ~root ~chunk ->
     reject_frozen t
-  | Decommit_req { expires; _ } when expired expires -> reject_stale t
+  | Decommit_req { expires; _ } when expired expires -> reject_stale
   | Decommit_req { root; chunk; forward; expires; mepoch = _ } -> (
     let v = vdisk t root in
     let dstamp = Sim.now () in
@@ -1171,7 +1157,7 @@ let handler t ~src body =
                ~stamp:dstamp));
       mark_transfer_delta t ~root ~chunk ~within:0 ~len:chunk_bytes ~stamp:dstamp;
       Some (Decommit_ok, small)
-    | exception Expired_stamp -> Some (Perr "expired lease timestamp", small))
+    | exception Expired_stamp -> reject_stale)
   | Mgmt_req cmd ->
     Faultpoint.hit "petal.mgmt_propose";
     let slot = P.propose t.paxos cmd in
@@ -1230,11 +1216,9 @@ let create ~host ~rpc ~peers ~index ~disks ~stable ?active () =
         mepoch = 0;
         pending = None;
         pending_since = 0;
-        stale_rejects = 0;
         stale_applied = 0;
         wrong_epoch_rejects = 0;
         freeze_rejects = 0;
-        last_cutover = 0;
         max_cutover = 0;
         xfer_pushes = 0;
         xfer_bytes = 0;

@@ -83,11 +83,6 @@ val nonowned_chunk_count : t -> int
     frees them, and the reconfiguration sweep asserts they reach 0 —
     the "no data served from a decommissioned owner" teeth. *)
 
-val stale_reject_count : t -> int
-(** Mutations (writes, replica pushes, decommits) refused because
-    their §6 lease-expiry stamp was in the past — at arrival or after
-    waiting for the chunk lock. *)
-
 val stale_applied_count : t -> int
 (** Writes that reached the raw disk with a lapsed stamp anyway (the
     copy-on-write base read can block past the stamp). This is the §6
@@ -105,12 +100,9 @@ val freeze_reject_count : t -> int
     client waits and retries), so the push backlog can only shrink and
     a hot-chunk writer cannot defer the cutover forever. *)
 
-val last_cutover_time : t -> Simkit.Sim.time
-(** Pending-to-commit latency of the most recent completed transfer,
-    as observed by this server's apply (0 before any cutover). *)
-
 val max_cutover_time : t -> Simkit.Sim.time
-(** Worst such latency since this server started — the quantity the
+(** Worst pending-to-commit latency of a completed transfer, as
+    observed by this server's apply, since it started — the quantity the
     soak bounds under a sustained hot-chunk writer. *)
 
 val xfer_push_count : t -> int

@@ -17,7 +17,6 @@ let reset () =
   armed_site := []
 
 let enable () = enabled := true
-let is_enabled () = !enabled
 let total () = !total_hits
 
 let count site =

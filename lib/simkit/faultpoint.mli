@@ -31,7 +31,6 @@ val reset : unit -> unit
 (** Disable and forget all counters and armed actions. *)
 
 val enable : unit -> unit
-val is_enabled : unit -> bool
 
 val hit : string -> unit
 (** Mark one dynamic occurrence of a named site. Counts it (when

@@ -290,7 +290,6 @@ module Mailbox = struct
     | Some m -> m
     | None -> suspend (fun resume -> Queue.push resume t.readers)
 
-  let try_recv t = Queue.take_opt t.msgs
   let length t = Queue.length t.msgs
 end
 

@@ -116,7 +116,6 @@ module Mailbox : sig
   (** Block until a message is available. Messages are delivered in
       FIFO order; blocked receivers are served in FIFO order. *)
 
-  val try_recv : 'a t -> 'a option
   val length : 'a t -> int
 end
 

@@ -1,9 +1,9 @@
 open Simkit
 open Cluster
 
-let mkfs ?config () =
+let mkfs ?nvram () =
   let host = Host.create "advfs-host" in
-  (host, Advfs.create ~host ?config ())
+  (host, Advfs.create ~host ?nvram ())
 
 let test_roundtrip () =
   Sim.run (fun () ->
@@ -48,7 +48,7 @@ let test_truncate () =
 let test_nvram_speeds_fsync () =
   let run nvram =
     Sim.run (fun () ->
-        let _, fs = mkfs ~config:{ Advfs.default_config with nvram } () in
+        let _, fs = mkfs ~nvram () in
         let t0 = Sim.now () in
         for i = 0 to 20 do
           let f = Advfs.create_file fs ~dir:Advfs.root (Printf.sprintf "f%d" i) in

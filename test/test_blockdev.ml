@@ -233,17 +233,22 @@ let test_nvram_overwrite_coalesces () =
 let test_nvram_capacity_blocks () =
   Sim.run (fun () ->
       let d = mkdisk () in
-      let s = Nvram.wrap ~capacity:(128 * 1024) d in
-      (* Write 1 MB through a 128 KB NVRAM: must block on destage yet
-         complete, and everything must land on disk. *)
-      let block = Bytes.make 65536 'm' in
-      for i = 0 to 15 do
-        s.Storage.write ~off:(i * 65536) block
+      let s = Nvram.wrap d in
+      (* Write 9 MB through the 8 MB board: the last MB must wait for
+         the destager at disk speed (6 MB/s), yet every write
+         completes and everything lands on disk. At NVRAM speed alone
+         (200 MB/s) the loop would take under 50 ms. *)
+      let nblocks = 9 * 16 in
+      let block i = Bytes.make 65536 (Char.chr (Char.code 'a' + (i mod 26))) in
+      let t0 = Sim.now () in
+      for i = 0 to nblocks - 1 do
+        s.Storage.write ~off:(i * 65536) (block i)
       done;
+      Alcotest.(check bool) "writers blocked on destage" true (Sim.now () - t0 > Sim.ms 100);
       s.Storage.flush ();
-      for i = 0 to 15 do
+      for i = 0 to nblocks - 1 do
         let got = Disk.read d ~off:(i * 65536) ~len:65536 in
-        Alcotest.(check bool) (Printf.sprintf "block %d" i) true (Bytes.equal block got)
+        Alcotest.(check bool) (Printf.sprintf "block %d" i) true (Bytes.equal (block i) got)
       done)
 
 let prop_disk_roundtrip =

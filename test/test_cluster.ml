@@ -52,10 +52,10 @@ let test_crash_drops () =
 let test_partition () =
   Sim.run (fun () ->
       let net, _, _, pa, pb = mkpair () in
-      Net.set_reachable net (fun _ _ -> false);
+      Net.set_fault_cut net (fun _ _ -> true);
       Net.send pa ~dst:(Net.addr pb) ~size:10 (Ping 1);
       Sim.sleep (Sim.sec 0.5);
-      Net.clear_partition net;
+      Net.clear_fault_cut net;
       Net.send pa ~dst:(Net.addr pb) ~size:10 (Ping 2);
       let _, m = Net.recv pb in
       match m with
@@ -233,13 +233,13 @@ let test_call_retry_through_fault () =
 let test_dedup_eviction_reexecutes () =
   (* The reply cache is bounded: once enough newer dedup requests push
      an entry out, a late retransmission of it re-executes the handler
-     instead of hanging or answering from thin air. Cap the cache at 2,
-     cut the replies so the client keeps retransmitting, and squeeze
-     the first request out with two fillers. *)
+     instead of hanging or answering from thin air. Cut the replies so
+     the client keeps retransmitting, and squeeze the first request
+     out with [Rpc.dedup_cap] concurrent fillers. *)
   Sim.run (fun () ->
       let net, _, _, pa, pb = mkpair () in
       let nf = Netfault.create net in
-      let ca = Rpc.create pa and cb = Rpc.create ~dedup_cap:2 pb in
+      let ca = Rpc.create pa and cb = Rpc.create pb in
       let executed = ref 0 in
       Rpc.add_handler cb (fun ~src:_ body ->
           match body with
@@ -249,16 +249,16 @@ let test_dedup_eviction_reexecutes () =
           | _ -> None);
       Netfault.cut ~oneway:true nf (Net.addr pb) (Net.addr pa);
       Sim.spawn (fun () ->
-          (* Two other dedup requests while the main one retries: their
-             cache entries evict it (cap 2). Their replies are cut too;
-             we only care about the server-side cache churn. *)
+          (* Other dedup requests while the main one retries: their
+             cache entries evict it. Their replies are cut too; we
+             only care about the server-side cache churn. *)
           Sim.sleep (Sim.ms 80);
-          ignore
-            (Rpc.call_retry ca ~dst:(Rpc.addr cb) ~timeout:(Sim.ms 100)
-               ~attempts:1 ~size:8 (Ping 100));
-          ignore
-            (Rpc.call_retry ca ~dst:(Rpc.addr cb) ~timeout:(Sim.ms 100)
-               ~attempts:1 ~size:8 (Ping 101)));
+          for i = 1 to Rpc.dedup_cap do
+            Sim.spawn (fun () ->
+                ignore
+                  (Rpc.call_retry ca ~dst:(Rpc.addr cb) ~timeout:(Sim.ms 100)
+                     ~attempts:1 ~size:8 (Ping (100 + i))))
+          done);
       Sim.spawn (fun () ->
           Sim.sleep (Sim.ms 700);
           Netfault.heal nf (Net.addr pb) (Net.addr pa));

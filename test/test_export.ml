@@ -80,6 +80,25 @@ let test_server_failover_for_clients () =
       Alcotest.(check string) "data after server failover" "keep me"
         (Bytes.to_string (Export.read c2 f2 ~off:0 ~len:100)))
 
+let test_negative_offset_rejected () =
+  Sim.run (fun () ->
+      let _, fs1, _, c1, _ = setup () in
+      let f = Export.create c1 ~dir:Export.root "neg" in
+      Export.write c1 f ~off:0 (Bytes.of_string "intact");
+      (* A remote client's bad offset is its own error, not the
+         server's: it gets EINVAL back and the server keeps serving. *)
+      let einval what call =
+        match call () with
+        | () -> Alcotest.fail (what ^ ": expected EINVAL")
+        | exception Errors.Error Errors.Einval -> ()
+      in
+      einval "read" (fun () -> ignore (Export.read c1 f ~off:(-1) ~len:4));
+      einval "write" (fun () -> Export.write c1 f ~off:(-1) (Bytes.of_string "x"));
+      Alcotest.(check string) "still serving, file untouched" "intact"
+        (Bytes.to_string (Export.read c1 f ~off:0 ~len:100));
+      Fs.sync fs1;
+      Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs1)))
+
 let () =
   Alcotest.run "export"
     [
@@ -90,5 +109,7 @@ let () =
           Alcotest.test_case "cross-server coherence" `Quick
             test_cross_server_coherence_via_protocol;
           Alcotest.test_case "server failover" `Quick test_server_failover_for_clients;
+          Alcotest.test_case "negative offset is EINVAL" `Quick
+            test_negative_offset_rejected;
         ] );
     ]

@@ -671,13 +671,13 @@ let test_partitioned_server_poisons () =
       Fs.write a f ~off:0 (Bytes.of_string "DIRTY");
       (* Cut only A off: it cannot renew and must expire itself. *)
       let a_addr = T.addr_of t a in
-      Cluster.Net.set_reachable t.T.net (fun s d -> s <> a_addr && d <> a_addr);
+      Cluster.Net.set_fault_cut t.T.net (fun s d -> s = a_addr || d = a_addr);
       Sim.sleep (Sim.sec 60.0);
       (* A had dirty data when the lease lapsed: poisoned until
          unmount (§6). *)
       Alcotest.(check bool) "poisoned" true (Fs.is_poisoned a);
       check_err Errors.Eio (fun () -> Fs.read a f ~off:0 ~len:5);
-      Cluster.Net.clear_partition t.T.net;
+      Cluster.Net.clear_fault_cut t.T.net;
       (* The lock service recovered A's log, so B reads the last
          synced contents; the unflushed overwrite is lost. *)
       let f_b = Fs.lookup b ~dir:Fs.root "dirtyfile" in

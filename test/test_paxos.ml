@@ -114,10 +114,10 @@ let test_partition_heals () =
       in
       (* Cut replica 2 off. *)
       let a2 = Rpc.addr rpcs.(2) in
-      Net.set_reachable net (fun s d -> s <> a2 && d <> a2);
+      Net.set_fault_cut net (fun s d -> s = a2 || d = a2);
       ignore (P.propose replicas.(0) "during-partition");
       Alcotest.(check (list string)) "isolated learns nothing" [] (List.rev !(logs.(2)));
-      Net.clear_partition net;
+      Net.clear_fault_cut net;
       Sim.sleep (Sim.sec 2.0);
       Alcotest.(check (list string)) "catch-up after heal" [ "during-partition" ]
         (List.rev !(logs.(2))))
