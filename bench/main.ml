@@ -132,19 +132,11 @@ let fig5 () =
             let t = T.build ~petal_servers:7 ~ndisks:9 () in
             let vfss = List.init n (fun i -> (i, V.of_frangipani (T.add_server t ()))) in
             let totals = ref [] in
-            let pending = ref n in
-            let all = Sim.Ivar.create () in
-            List.iter
+            Sim.fork_join
               (fun (i, v) ->
-                Sim.spawn (fun () ->
-                    let r =
-                      Workloads.Andrew.run v ~root_name:(Printf.sprintf "mab%d" i)
-                    in
-                    totals := r.Workloads.Andrew.total :: !totals;
-                    decr pending;
-                    if !pending = 0 then Sim.Ivar.fill all ()))
+                let r = Workloads.Andrew.run v ~root_name:(Printf.sprintf "mab%d" i) in
+                totals := r.Workloads.Andrew.total :: !totals)
               vfss;
-            Sim.Ivar.read all;
             List.fold_left ( +. ) 0.0 !totals /. float_of_int n)
       in
       if n = 1 then one := avg;
@@ -180,22 +172,16 @@ let fig6 () =
             List.iter (fun v -> v.V.drop_caches ()) vfss;
             (* Everybody reads the same set of files, staggered. *)
             let t0 = Sim.now () in
-            let pending = ref n in
-            let all = Sim.Ivar.create () in
-            List.iteri
-              (fun i v ->
-                Sim.spawn (fun () ->
-                    for fo = 0 to nfiles - 1 do
-                      let f = (fo + i) mod nfiles in
-                      let inum = v.V.lookup ~dir:v.V.root (Printf.sprintf "f%d" f) in
-                      for k = 0 to (fmb * mb / 65536) - 1 do
-                        ignore (v.V.read inum ~off:(k * 65536) ~len:65536)
-                      done
-                    done;
-                    decr pending;
-                    if !pending = 0 then Sim.Ivar.fill all ()))
-              vfss;
-            Sim.Ivar.read all;
+            Sim.fork_join
+              (fun (i, v) ->
+                for fo = 0 to nfiles - 1 do
+                  let f = (fo + i) mod nfiles in
+                  let inum = v.V.lookup ~dir:v.V.root (Printf.sprintf "f%d" f) in
+                  for k = 0 to (fmb * mb / 65536) - 1 do
+                    ignore (v.V.read inum ~off:(k * 65536) ~len:65536)
+                  done
+                done)
+              (List.mapi (fun i v -> (i, v)) vfss);
             float_of_int (n * nfiles * fmb) /. Sim.to_sec (Sim.now () - t0))
       in
       if n = 1 then one := agg;
@@ -220,21 +206,15 @@ let fig7 () =
             let t = T.build ~petal_servers:7 ~ndisks:9 ~disk_capacity:(256 * mb) () in
             let vfss = List.init n (fun _ -> V.of_frangipani (T.add_server t ())) in
             let t0 = Sim.now () in
-            let pending = ref n in
-            let all = Sim.Ivar.create () in
-            List.iteri
-              (fun i v ->
-                Sim.spawn (fun () ->
-                    let inum = v.V.create ~dir:v.V.root (Printf.sprintf "w%d" i) in
-                    let chunk = Bytes.make 65536 'w' in
-                    for k = 0 to (fmb * mb / 65536) - 1 do
-                      v.V.write inum ~off:(k * 65536) chunk
-                    done;
-                    v.V.sync ();
-                    decr pending;
-                    if !pending = 0 then Sim.Ivar.fill all ()))
-              vfss;
-            Sim.Ivar.read all;
+            Sim.fork_join
+              (fun (i, v) ->
+                let inum = v.V.create ~dir:v.V.root (Printf.sprintf "w%d" i) in
+                let chunk = Bytes.make 65536 'w' in
+                for k = 0 to (fmb * mb / 65536) - 1 do
+                  v.V.write inum ~off:(k * 65536) chunk
+                done;
+                v.V.sync ())
+              (List.mapi (fun i v -> (i, v)) vfss);
             float_of_int (n * fmb) /. Sim.to_sec (Sim.now () - t0))
       in
       if n = 1 then one := agg;
@@ -435,7 +415,7 @@ let ms_of t = Sim.to_sec t *. 1000.0
    derived from the filename (BENCH_5.json shipped with a hand-typed
    "pr": 4 — wrong, and silently so); keeping one constant makes the
    two impossible to disagree. *)
-let bench_out = "BENCH_19.json"
+let bench_out = "BENCH_20.json"
 let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
 
 (* Row stores for the emitter: json_bench (workloads, reconf) runs
@@ -501,18 +481,12 @@ let json_bench () =
       v.V.drop_caches ();
       let lats = ref [] in
       let t0 = Sim.now () in
-      let pending = ref (List.length files) in
-      let all = Sim.Ivar.create () in
-      List.iter
+      Sim.fork_join
         (fun inum ->
-          Sim.spawn (fun () ->
-              let s = Sim.now () in
-              ignore (v.V.read inum ~off:0 ~len:8192);
-              lats := ms_of (Sim.now () - s) :: !lats;
-              decr pending;
-              if !pending = 0 then Sim.Ivar.fill all ()))
+          let s = Sim.now () in
+          ignore (v.V.read inum ~off:0 ~len:8192);
+          lats := ms_of (Sim.now () - s) :: !lats)
         files;
-      Sim.Ivar.read all;
       record "small_reads_30x8kb" ~bytes:(30 * 8192) ~elapsed:(Sim.now () - t0) !lats);
   (* Raw Petal write latency: one chunk vs a 3-chunk scatter. The
      acceptance check for the async client is the ratio of these two —
@@ -655,17 +629,12 @@ let simbench () =
   sim_row "resource_contention" 160_000 (fun () ->
       Sim.run (fun () ->
           let r = Sim.Resource.create ~capacity:2 "bench" in
-          let left = ref 16 in
-          let all = Sim.Ivar.create () in
-          for _ = 1 to 16 do
-            Sim.spawn (fun () ->
-                for _ = 1 to 10_000 do
-                  Sim.Resource.use r (Sim.us 2)
-                done;
-                decr left;
-                if !left = 0 then Sim.Ivar.fill all ())
-          done;
-          Sim.Ivar.read all));
+          Sim.fork_join
+            (fun _ ->
+              for _ = 1 to 10_000 do
+                Sim.Resource.use r (Sim.us 2)
+              done)
+            (List.init 16 Fun.id)));
   (* Process spawn/teardown: the per-message fiber cost. *)
   sim_row "spawn_churn" 200_000 (fun () ->
       Sim.run (fun () ->

@@ -22,22 +22,16 @@ let () =
         (* Add one more brick; nobody else is reconfigured. *)
         servers := T.add_server t ~name:(Printf.sprintf "brick%d" n) () :: !servers;
         let t0 = Sim.now () in
-        let pending = ref n in
-        let all = Sim.Ivar.create () in
-        List.iteri
-          (fun i fs ->
-            Sim.spawn (fun () ->
-                let name = Printf.sprintf "file-%d-%d" n i in
-                let inum = Fs.create fs ~dir:Fs.root name in
-                let chunk = Bytes.make 65536 'w' in
-                for k = 0 to (4 * mb / 65536) - 1 do
-                  Fs.write fs inum ~off:(k * 65536) chunk
-                done;
-                Fs.sync fs;
-                decr pending;
-                if !pending = 0 then Sim.Ivar.fill all ()))
-          !servers;
-        Sim.Ivar.read all;
+        Sim.fork_join
+          (fun (i, fs) ->
+            let name = Printf.sprintf "file-%d-%d" n i in
+            let inum = Fs.create fs ~dir:Fs.root name in
+            let chunk = Bytes.make 65536 'w' in
+            for k = 0 to (4 * mb / 65536) - 1 do
+              Fs.write fs inum ~off:(k * 65536) chunk
+            done;
+            Fs.sync fs)
+          (List.mapi (fun i fs -> (i, fs)) !servers);
         let secs = Sim.to_sec (Sim.now () - t0) in
         let total_mb = float_of_int (4 * n) in
         Printf.printf "%-8d %-18.1f %.1f\n" n (total_mb /. secs)

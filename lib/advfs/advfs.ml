@@ -175,18 +175,9 @@ and sync_internal t =
       let l = try Hashtbl.find by_disk d with Not_found -> [] in
       Hashtbl.replace by_disk d (it :: l))
     dirty;
-  let pending = ref (Hashtbl.length by_disk) in
-  if !pending > 0 then begin
-    let all = Sim.Ivar.create () in
-    Hashtbl.iter
-      (fun _ items ->
-        Sim.spawn (fun () ->
-            List.iter (fun (k, e) -> flush_entry t k e) (List.sort compare items);
-            decr pending;
-            if !pending = 0 then Sim.Ivar.fill all ()))
-      by_disk;
-    Sim.Ivar.read all
-  end
+  Sim.fork_join
+    (fun items -> List.iter (fun (k, e) -> flush_entry t k e) (List.sort compare items))
+    (List.of_seq (Hashtbl.to_seq_values by_disk))
 
 let rec cache_block t key =
   match Hashtbl.find_opt t.cache key with

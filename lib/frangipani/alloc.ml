@@ -127,19 +127,14 @@ let refill_inodes ctx =
   let ps = Alloc_state.pool st Layout.Inode_pool in
   let bits = reserve_bits ctx Layout.Inode_pool batch in
   let holds = List.map (fun bit -> (bit, ref false)) bits in
-  let pending = ref (List.length holds) and failure = ref None in
-  let acquired = Sim.Ivar.create () in
-  List.iter
+  let failure = ref None in
+  Sim.fork_join
     (fun (bit, shed) ->
-      Sim.spawn (fun () ->
-          let lock = Inode.lock bit in
-          (match Clerk.acquire ctx.Ctx.clerk ~lock Types.W with
-          | () -> Ctx.hold_register ctx ~lock Types.W shed
-          | exception e -> failure := Some e);
-          decr pending;
-          if !pending = 0 then Sim.Ivar.fill acquired ()))
+      let lock = Inode.lock bit in
+      match Clerk.acquire ctx.Ctx.clerk ~lock Types.W with
+      | () -> Ctx.hold_register ctx ~lock Types.W shed
+      | exception e -> failure := Some e)
     holds;
-  Sim.Ivar.read acquired;
   (* From here on a revoke waits for the fetch. *)
   let held =
     List.filter_map

@@ -35,7 +35,6 @@ type wal_stats = {
   pipeline_overlaps : int;  (** groups formatted while another was in flight *)
   log_pressure_stalls : int;  (** submissions that had to reclaim before overwriting *)
   reclaim_rounds : int;  (** reclaim invocations (stalled + proactive) *)
-  append_stalls : int;  (** synchronous appends that waited on the pipeline *)
   ensure_stalls : int;  (** ensure_flushed calls that waited on the pipeline *)
 }
 
@@ -59,7 +58,6 @@ type t = {
   mutable s_overlaps : int;
   mutable s_pressure : int;
   mutable s_reclaims : int;
-  mutable s_append_stalls : int;
   mutable s_ensure_stalls : int;
 }
 
@@ -94,7 +92,6 @@ let create ~vd ~slot ~synchronous ~lease_ok () =
     s_overlaps = 0;
     s_pressure = 0;
     s_reclaims = 0;
-    s_append_stalls = 0;
     s_ensure_stalls = 0;
   }
 
@@ -107,7 +104,6 @@ let stats t =
     pipeline_overlaps = t.s_overlaps;
     log_pressure_stalls = t.s_pressure;
     reclaim_rounds = t.s_reclaims;
-    append_stalls = t.s_append_stalls;
     ensure_stalls = t.s_ensure_stalls;
   }
 
@@ -402,8 +398,7 @@ let append t diffs =
   t.pending <- (rid, b) :: t.pending;
   t.pending_bytes <- t.pending_bytes + Bytes.length b;
   if t.synchronous then
-    flush_to t ~target:rid ~on_stall:(fun () ->
-        t.s_append_stalls <- t.s_append_stalls + 1)
+    flush_to t ~target:rid ~on_stall:ignore
   else if t.pending_bytes >= Layout.log_bytes / 4 then kick t;
   rid
 

@@ -74,8 +74,6 @@ type wal_stats = {
   log_pressure_stalls : int;
       (** submissions that had to reclaim before overwriting *)
   reclaim_rounds : int;  (** reclaim invocations (stalled + proactive) *)
-  append_stalls : int;
-      (** synchronous appends that waited on the pipeline *)
   ensure_stalls : int;
       (** ensure_flushed calls that waited on the pipeline *)
 }

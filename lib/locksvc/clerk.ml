@@ -345,24 +345,19 @@ let expire t =
    whether any server acknowledged. *)
 let renew_once t =
   let sent_at = Sim.now () in
-  let ok = ref false and pending = ref (List.length t.servers) in
-  let all = Sim.Ivar.create () in
-  List.iter
+  let ok = ref false in
+  Sim.fork_join
     (fun dst ->
-      Sim.spawn (fun () ->
-          (match
-             Rpc.call_retry t.rpc ~dst ~timeout:(Sim.ms 400) ~attempts:2
-               ~backoff:(Sim.ms 50) ~size:16
-               (L_renew { lease = t.clease })
-           with
-          | Ok L_renewed -> ok := true
-          | Ok (L_err _) -> expire t
-          | Ok _ | Error `Timeout -> ()
-          | exception Host.Crashed _ -> ());
-          decr pending;
-          if !pending = 0 then Sim.Ivar.fill all ()))
+      match
+        Rpc.call_retry t.rpc ~dst ~timeout:(Sim.ms 400) ~attempts:2
+          ~backoff:(Sim.ms 50) ~size:16
+          (L_renew { lease = t.clease })
+      with
+      | Ok L_renewed -> ok := true
+      | Ok (L_err _) -> expire t
+      | Ok _ | Error `Timeout -> ()
+      | exception Host.Crashed _ -> ())
     t.servers;
-  Sim.Ivar.read all;
   if !ok then t.valid_until <- sent_at + lease_period;
   !ok
 

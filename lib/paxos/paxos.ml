@@ -99,20 +99,14 @@ struct
   (* Issue [msg] to every peer in parallel and return the successful
      replies (loopback included: a replica is its own acceptor). *)
   let broadcast_call t msg =
-    let n = List.length t.peers in
-    let results = ref [] and pending = ref n in
-    let all_in = Sim.Ivar.create () in
-    List.iter
+    let results = ref [] in
+    Sim.fork_join
       (fun peer ->
-        Sim.spawn (fun () ->
-            (match Rpc.call t.rpc ~dst:peer ~timeout:(Sim.ms 300) ~size:64 msg with
-            | Ok reply -> results := reply :: !results
-            | Error `Timeout -> ()
-            | exception Host.Crashed _ -> ());
-            decr pending;
-            if !pending = 0 then Sim.Ivar.fill all_in ()))
+        match Rpc.call t.rpc ~dst:peer ~timeout:(Sim.ms 300) ~size:64 msg with
+        | Ok reply -> results := reply :: !results
+        | Error `Timeout -> ()
+        | exception Host.Crashed _ -> ())
       t.peers;
-    Sim.Ivar.read all_in;
     !results
 
   let first_undecided t =

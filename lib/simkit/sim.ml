@@ -275,6 +275,22 @@ module Ivar = struct
   let is_filled t = t.value <> None
 end
 
+(* One counter and one ivar: n spawns and a single wake-up of the
+   caller per call. *)
+let fork_join f = function
+  | [] -> ()
+  | xs ->
+    let pending = ref (List.length xs) in
+    let all = Ivar.create () in
+    List.iter
+      (fun x ->
+        spawn (fun () ->
+            f x;
+            decr pending;
+            if !pending = 0 then Ivar.fill all ()))
+      xs;
+    Ivar.read all
+
 module Mailbox = struct
   type 'a t = { msgs : 'a Queue.t; readers : ('a -> unit) Queue.t }
 

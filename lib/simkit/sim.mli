@@ -50,6 +50,15 @@ val spawn : ?name:string -> (unit -> unit) -> unit
     callbacks running outside any process ({!at}, timer bodies are
     started through it internally). *)
 
+val fork_join : ('a -> unit) -> 'a list -> unit
+(** [fork_join f xs] spawns one process running [f x] for each [x]
+    of [xs], in list order, at the current instant, and blocks until
+    all of them have returned: the call returns at the instant the
+    last child finishes. On [[]] it returns at once and spawns
+    nothing. Results flow back through state that [f] closes over. An
+    exception escaping a child does not reach the caller: as from any
+    process, it aborts the whole simulation. *)
+
 val at : time -> (unit -> unit) -> unit
 (** [at t f] schedules callback [f] at absolute instant [t] (clamped
     to now if in the past). [f] runs {e outside any process} and must

@@ -56,14 +56,5 @@ let small_reads (v : Vfs.t) ~nfiles =
   v.Vfs.sync ();
   v.Vfs.drop_caches ();
   measure v.Vfs.host (fun () ->
-      let pending = ref (List.length files) in
-      let all = Sim.Ivar.create () in
-      List.iter
-        (fun inum ->
-          Sim.spawn (fun () ->
-              ignore (v.Vfs.read inum ~off:0 ~len:8192);
-              decr pending;
-              if !pending = 0 then Sim.Ivar.fill all ()))
-        files;
-      Sim.Ivar.read all;
+      Sim.fork_join (fun inum -> ignore (v.Vfs.read inum ~off:0 ~len:8192)) files;
       nfiles * 8192)

@@ -79,52 +79,47 @@ let run vfss ?(users_per_server = 16) ?(ops_per_user = 24) ?(namespace = 16384)
       vfss
   in
   let ops = ref 0 and bytes = ref 0 and created = ref 0 in
-  let left = ref (nservers * users_per_server) in
-  let all_done = Sim.Ivar.create () in
   let t0 = Sim.now () in
-  List.iter
+  let users =
+    List.concat_map (fun tenant -> List.init users_per_server (fun _ -> tenant)) tenants
+  in
+  Sim.fork_join
     (fun (v, dir, files) ->
-      for _u = 1 to users_per_server do
-        Sim.spawn (fun () ->
-            for _op = 1 to ops_per_user do
-              Sim.sleep (Sim.random_int think);
-              (if Sim.random_float 1.0 < shared_frac then begin
-                 (* Cross-tenant traffic: read a shared hot file. *)
-                 let inum = shared.(Sim.random_int nshared) in
-                 ignore (v.Vfs.read inum ~off:0 ~len:io_unit);
-                 bytes := !bytes + io_unit
-               end
-               else begin
-                 let id = sample () in
-                 match Hashtbl.find_opt files id with
-                 | None ->
-                   Hashtbl.replace files id Inflight;
-                   let inum = v.Vfs.create ~dir (Printf.sprintf "f%d" id) in
-                   v.Vfs.write inum ~off:0 wbuf;
-                   Hashtbl.replace files id (Done inum);
-                   incr created;
-                   bytes := !bytes + io_unit
-                 | Some Inflight ->
-                   (* A same-tenant user is mid-create: touch the
-                      namespace instead of racing it. *)
-                   ignore (v.Vfs.readdir dir)
-                 | Some (Done inum) ->
-                   if Sim.random_float 1.0 < write_frac then begin
-                     v.Vfs.write inum ~off:0 wbuf;
-                     bytes := !bytes + io_unit
-                   end
-                   else begin
-                     ignore (v.Vfs.read inum ~off:0 ~len:io_unit);
-                     bytes := !bytes + io_unit
-                   end
-               end);
-              incr ops
-            done;
-            decr left;
-            if !left = 0 then Sim.Ivar.fill all_done ())
+      for _op = 1 to ops_per_user do
+        Sim.sleep (Sim.random_int think);
+        (if Sim.random_float 1.0 < shared_frac then begin
+           (* Cross-tenant traffic: read a shared hot file. *)
+           let inum = shared.(Sim.random_int nshared) in
+           ignore (v.Vfs.read inum ~off:0 ~len:io_unit);
+           bytes := !bytes + io_unit
+         end
+         else begin
+           let id = sample () in
+           match Hashtbl.find_opt files id with
+           | None ->
+             Hashtbl.replace files id Inflight;
+             let inum = v.Vfs.create ~dir (Printf.sprintf "f%d" id) in
+             v.Vfs.write inum ~off:0 wbuf;
+             Hashtbl.replace files id (Done inum);
+             incr created;
+             bytes := !bytes + io_unit
+           | Some Inflight ->
+             (* A same-tenant user is mid-create: touch the
+                namespace instead of racing it. *)
+             ignore (v.Vfs.readdir dir)
+           | Some (Done inum) ->
+             if Sim.random_float 1.0 < write_frac then begin
+               v.Vfs.write inum ~off:0 wbuf;
+               bytes := !bytes + io_unit
+             end
+             else begin
+               ignore (v.Vfs.read inum ~off:0 ~len:io_unit);
+               bytes := !bytes + io_unit
+             end
+         end);
+        incr ops
       done)
-    tenants;
-  Sim.Ivar.read all_done;
+    users;
   List.iter (fun (v : Vfs.t) -> v.Vfs.sync ()) vfss;
   let seconds = Sim.to_sec (Sim.now () - t0) in
   {

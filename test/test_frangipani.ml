@@ -255,21 +255,13 @@ let test_coherence_two_servers () =
 let test_concurrent_creates_distinct_servers () =
   Sim.run (fun () ->
       let _, servers = setup ~nservers:3 () in
-      let pending = ref (3 * 10) in
-      let done_ = Sim.Ivar.create () in
-      List.iteri
-        (fun si fs ->
-          for k = 0 to 9 do
-            Sim.spawn (fun () ->
-                let name = Printf.sprintf "s%d-f%d" si k in
-                ignore (Fs.create fs ~dir:Fs.root name);
-                Fs.write fs (Fs.lookup fs ~dir:Fs.root name) ~off:0
-                  (Bytes.of_string name);
-                decr pending;
-                if !pending = 0 then Sim.Ivar.fill done_ ())
-          done)
-        servers;
-      Sim.Ivar.read done_;
+      Sim.fork_join
+        (fun (si, fs, k) ->
+          let name = Printf.sprintf "s%d-f%d" si k in
+          ignore (Fs.create fs ~dir:Fs.root name);
+          Fs.write fs (Fs.lookup fs ~dir:Fs.root name) ~off:0 (Bytes.of_string name))
+        (List.concat
+           (List.mapi (fun si fs -> List.init 10 (fun k -> (si, fs, k))) servers));
       let fs = List.hd servers in
       let entries = Fs.readdir fs Fs.root in
       Alcotest.(check int) "30 files" 30 (List.length entries);

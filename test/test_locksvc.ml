@@ -268,14 +268,9 @@ let test_run_one_message_each_way () =
           if d = me && Array.mem s bed.saddrs then incr from_srv;
           Net.Deliver);
       let base = 0x1_0000_0000 + (8 * Types.run_length) in
-      let pending = ref Types.run_length and all = Sim.Ivar.create () in
-      for k = 0 to Types.run_length - 1 do
-        Sim.spawn (fun () ->
-            Clerk.acquire c ~lock:(base + k) Types.W;
-            decr pending;
-            if !pending = 0 then Sim.Ivar.fill all ())
-      done;
-      Sim.Ivar.read all;
+      Sim.fork_join
+        (fun k -> Clerk.acquire c ~lock:(base + k) Types.W)
+        (List.init Types.run_length Fun.id);
       Net.clear_netem bed.net;
       Alcotest.(check int) "one request message" 1 !to_srv;
       Alcotest.(check int) "one grant message" 1 !from_srv;
@@ -378,23 +373,18 @@ let prop_no_conflicting_holders =
             if writers > 1 || (writers = 1 && List.length holders > 1) then
               violation := true
           in
-          let pending = ref 12 in
-          let all = Sim.Ivar.create () in
-          for k = 0 to 11 do
-            Sim.spawn (fun () ->
-                Sim.sleep (Sim.random_int (Sim.sec 2.0));
-                let c = clerks.(k mod 4) in
-                let lock = Sim.random_int 3 in
-                let m = if Sim.random_int 2 = 0 then Types.R else Types.W in
-                Clerk.acquire c ~lock m;
-                check_invariant lock;
-                Sim.sleep (Sim.random_int (Sim.ms 100));
-                check_invariant lock;
-                Clerk.release c ~lock m;
-                decr pending;
-                if !pending = 0 then Sim.Ivar.fill all ())
-          done;
-          Sim.Ivar.read all;
+          Sim.fork_join
+            (fun k ->
+              Sim.sleep (Sim.random_int (Sim.sec 2.0));
+              let c = clerks.(k mod 4) in
+              let lock = Sim.random_int 3 in
+              let m = if Sim.random_int 2 = 0 then Types.R else Types.W in
+              Clerk.acquire c ~lock m;
+              check_invariant lock;
+              Sim.sleep (Sim.random_int (Sim.ms 100));
+              check_invariant lock;
+              Clerk.release c ~lock m)
+            (List.init 12 Fun.id);
           not !violation))
 
 let () =

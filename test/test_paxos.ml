@@ -62,17 +62,9 @@ let test_single_proposer () =
 let test_concurrent_proposers () =
   Sim.run (fun () ->
       let c = mkcluster () in
-      let pending = ref 6 in
-      let all = Sim.Ivar.create () in
-      for i = 0 to 2 do
-        for k = 0 to 1 do
-          Sim.spawn (fun () ->
-              ignore (P.propose c.replicas.(i) (Printf.sprintf "c%d.%d" i k));
-              decr pending;
-              if !pending = 0 then Sim.Ivar.fill all ())
-        done
-      done;
-      Sim.Ivar.read all;
+      Sim.fork_join
+        (fun (i, k) -> ignore (P.propose c.replicas.(i) (Printf.sprintf "c%d.%d" i k)))
+        [ (0, 0); (0, 1); (1, 0); (1, 1); (2, 0); (2, 1) ];
       Sim.sleep (Sim.sec 2.0);
       List.iter
         (fun i ->
@@ -140,17 +132,12 @@ let prop_safety_random_schedules =
     (fun (seed, nprop) ->
       Sim.run ~seed (fun () ->
           let c = mkcluster () in
-          let pending = ref nprop in
-          let all = Sim.Ivar.create () in
-          for k = 0 to nprop - 1 do
-            Sim.spawn (fun () ->
-                Sim.sleep (Sim.random_int (Sim.ms 200));
-                let who = Sim.random_int 3 in
-                ignore (P.propose c.replicas.(who) (Printf.sprintf "p%d" k));
-                decr pending;
-                if !pending = 0 then Sim.Ivar.fill all ())
-          done;
-          Sim.Ivar.read all;
+          Sim.fork_join
+            (fun k ->
+              Sim.sleep (Sim.random_int (Sim.ms 200));
+              let who = Sim.random_int 3 in
+              ignore (P.propose c.replicas.(who) (Printf.sprintf "p%d" k)))
+            (List.init nprop Fun.id);
           Sim.sleep (Sim.sec 2.0);
           consistent c
           && List.length (applied c 0) = nprop
@@ -163,18 +150,12 @@ let prop_safety_random_schedules =
    proposer issues its commands in order) and return the sim time at
    which the last proposal was decided. *)
 let duel c ~proposers ~per =
-  let pending = ref (List.length proposers * per) in
-  let all = Sim.Ivar.create () in
-  List.iter
+  Sim.fork_join
     (fun i ->
-      Sim.spawn (fun () ->
-          for k = 0 to per - 1 do
-            ignore (P.propose c.replicas.(i) (Printf.sprintf "n%d.%d" i k))
-          done;
-          pending := !pending - per;
-          if !pending = 0 then Sim.Ivar.fill all ()))
+      for k = 0 to per - 1 do
+        ignore (P.propose c.replicas.(i) (Printf.sprintf "n%d.%d" i k))
+      done)
     proposers;
-  Sim.Ivar.read all;
   Sim.now ()
 
 let check_converged c ~n ~ncmds =

@@ -100,14 +100,11 @@ let test_resource_serialises () =
     Sim.run (fun () ->
         let r = Sim.Resource.create "disk" in
         let finished = ref [] in
-        let done_ = Sim.Ivar.create () in
-        for i = 1 to 3 do
-          Sim.spawn (fun () ->
-              Sim.Resource.use r (Sim.ms 10);
-              finished := (i, Sim.now ()) :: !finished;
-              if List.length !finished = 3 then Sim.Ivar.fill done_ ())
-        done;
-        Sim.Ivar.read done_;
+        Sim.fork_join
+          (fun i ->
+            Sim.Resource.use r (Sim.ms 10);
+            finished := (i, Sim.now ()) :: !finished)
+          [ 1; 2; 3 ];
         List.rev !finished)
   in
   Alcotest.(check (list (pair int int)))
@@ -119,15 +116,8 @@ let test_resource_capacity2 () =
   let t_end =
     Sim.run (fun () ->
         let r = Sim.Resource.create ~capacity:2 "cpu" in
-        let done_ = Sim.Ivar.create () in
-        let left = ref 4 in
-        for _ = 1 to 4 do
-          Sim.spawn (fun () ->
-              Sim.Resource.use r (Sim.ms 10);
-              decr left;
-              if !left = 0 then Sim.Ivar.fill done_ (Sim.now ()))
-        done;
-        Sim.Ivar.read done_)
+        Sim.fork_join (fun _ -> Sim.Resource.use r (Sim.ms 10)) [ 1; 2; 3; 4 ];
+        Sim.now ())
   in
   check_time "4 jobs on 2 servers" (Sim.ms 20) t_end
 
@@ -257,6 +247,30 @@ let test_stats_counters () =
   let post = Sim.stats () in
   Alcotest.(check int) "post-run snapshot" st.Sim.events post.Sim.events
 
+(* [fork_join] on [] neither spawns nor yields; on n elements it
+   spawns n children in list order and resumes the caller when the
+   slowest one finishes. *)
+let test_fork_join () =
+  Sim.run (fun () ->
+      Sim.sleep (Sim.ms 5);
+      let before = Sim.stats () in
+      Sim.fork_join (fun _ -> Alcotest.fail "child of []") [];
+      let after = Sim.stats () in
+      check_time "[] returns at the same instant" (Sim.ms 5) (Sim.now ());
+      Alcotest.(check int) "[] spawns nothing" before.Sim.spawns after.Sim.spawns;
+      Alcotest.(check int) "[] runs no event" before.Sim.events after.Sim.events;
+      let started = ref [] in
+      Sim.fork_join
+        (fun d ->
+          started := d :: !started;
+          Sim.sleep (Sim.ms d))
+        [ 30; 10; 20 ];
+      Alcotest.(check int) "one spawn per element" (before.Sim.spawns + 3)
+        (Sim.stats ()).Sim.spawns;
+      Alcotest.(check (list int)) "children start in list order" [ 30; 10; 20 ]
+        (List.rev !started);
+      check_time "returns when the slowest child finishes" (Sim.ms 35) (Sim.now ()))
+
 (* The timer fire path must be a real process: a callback that blocks
    (sleeps, waits on an ivar) must not wedge the engine. *)
 let test_timer_fire_can_block () =
@@ -338,20 +352,15 @@ let test_resource_fairness () =
     Sim.run (fun () ->
         let r = Sim.Resource.create "r" in
         let grants = ref [] in
-        let left = ref 3 in
-        let done_ = Sim.Ivar.create () in
-        for i = 1 to 3 do
-          Sim.spawn (fun () ->
-              for _ = 1 to 3 do
-                Sim.Resource.acquire r;
-                grants := i :: !grants;
-                Sim.sleep (Sim.ms 1);
-                Sim.Resource.release r
-              done;
-              decr left;
-              if !left = 0 then Sim.Ivar.fill done_ ())
-        done;
-        Sim.Ivar.read done_;
+        Sim.fork_join
+          (fun i ->
+            for _ = 1 to 3 do
+              Sim.Resource.acquire r;
+              grants := i :: !grants;
+              Sim.sleep (Sim.ms 1);
+              Sim.Resource.release r
+            done)
+          [ 1; 2; 3 ];
         List.rev !grants)
   in
   Alcotest.(check (list int))
@@ -382,22 +391,16 @@ let prop_resource_never_over_capacity =
       Sim.run (fun () ->
           let r = Sim.Resource.create ~capacity:cap "r" in
           let active = ref 0 in
-          let pending = ref (List.length durations) in
-          let done_ = Sim.Ivar.create () in
-          List.iter
+          Sim.fork_join
             (fun d ->
-              Sim.spawn (fun () ->
-                  Sim.sleep (Sim.random_int 50);
-                  Sim.Resource.acquire r;
-                  incr active;
-                  if !active > !max_seen then max_seen := !active;
-                  Sim.sleep d;
-                  decr active;
-                  Sim.Resource.release r;
-                  decr pending;
-                  if !pending = 0 then Sim.Ivar.fill done_ ()))
-            durations;
-          if !pending = 0 then () else Sim.Ivar.read done_);
+              Sim.sleep (Sim.random_int 50);
+              Sim.Resource.acquire r;
+              incr active;
+              if !active > !max_seen then max_seen := !active;
+              Sim.sleep d;
+              decr active;
+              Sim.Resource.release r)
+            durations);
       !max_seen <= cap)
 
 let () =
@@ -414,6 +417,7 @@ let () =
           Alcotest.test_case "heap tie-break" `Quick test_heap_tiebreak;
           Alcotest.test_case "at clamps past" `Quick test_at_clamps_past;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
+          Alcotest.test_case "fork_join" `Quick test_fork_join;
         ] );
       ( "ivar",
         [

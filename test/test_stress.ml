@@ -44,26 +44,19 @@ let test_concurrent_namespace_races () =
       let t = T.build ~petal_servers:3 ~ndisks:2 ~ngroups:16 () in
       let servers = Array.init 4 (fun _ -> T.add_server t ()) in
       let d = Fs.mkdir servers.(0) ~dir:Fs.root "arena" in
-      let pending = ref (4 * 25) in
-      let all = Sim.Ivar.create () in
-      Array.iteri
-        (fun si fs ->
-          for k = 0 to 24 do
-            Sim.spawn (fun () ->
-                let name = Printf.sprintf "n%d" (k mod 6) in
-                (try
-                   match k mod 4 with
-                   | 0 -> ignore (Fs.create fs ~dir:d name)
-                   | 1 -> Fs.unlink fs ~dir:d name
-                   | 2 -> Fs.rename fs ~sdir:d name ~ddir:d (name ^ "-r")
-                   | _ -> ignore (Fs.lookup fs ~dir:d name)
-                 with Errors.Error _ -> () (* races legitimately fail *));
-                ignore si;
-                decr pending;
-                if !pending = 0 then Sim.Ivar.fill all ())
-          done)
-        servers;
-      Sim.Ivar.read all;
+      Sim.fork_join
+        (fun (fs, k) ->
+          let name = Printf.sprintf "n%d" (k mod 6) in
+          try
+            match k mod 4 with
+            | 0 -> ignore (Fs.create fs ~dir:d name)
+            | 1 -> Fs.unlink fs ~dir:d name
+            | 2 -> Fs.rename fs ~sdir:d name ~ddir:d (name ^ "-r")
+            | _ -> ignore (Fs.lookup fs ~dir:d name)
+          with Errors.Error _ -> () (* races legitimately fail *))
+        (List.concat_map
+           (fun fs -> List.init 25 (fun k -> (fs, k)))
+           (Array.to_list servers));
       (* Whatever happened, the tree must be consistent. *)
       Fs.sync servers.(0);
       Alcotest.(check int) "fsck clean after races" 0
@@ -127,19 +120,12 @@ let test_block_locks_correctness () =
       let b = T.add_server t ~config () in
       let f = Fs.create a ~dir:Fs.root "striped" in
       Fs.truncate a f ~size:(64 * 4096);
-      let pending = ref 2 in
-      let all = Sim.Ivar.create () in
-      let writer fs base ch =
-        Sim.spawn (fun () ->
-            for k = 0 to 31 do
-              Fs.write fs f ~off:((base + (k * 2)) * 4096) (Bytes.make 4096 ch)
-            done;
-            decr pending;
-            if !pending = 0 then Sim.Ivar.fill all ())
-      in
-      writer a 0 'A';
-      writer b 1 'B';
-      Sim.Ivar.read all;
+      Sim.fork_join
+        (fun (fs, base, ch) ->
+          for k = 0 to 31 do
+            Fs.write fs f ~off:((base + (k * 2)) * 4096) (Bytes.make 4096 ch)
+          done)
+        [ (a, 0, 'A'); (b, 1, 'B') ];
       (* Every even block is A's, every odd block is B's, from both
          servers' viewpoints. *)
       List.iter
