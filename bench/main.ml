@@ -415,27 +415,43 @@ let ms_of t = Sim.to_sec t *. 1000.0
    derived from the filename (BENCH_5.json shipped with a hand-typed
    "pr": 4 — wrong, and silently so); keeping one constant makes the
    two impossible to disagree. *)
-let bench_out = "BENCH_20.json"
+let bench_out = "BENCH_21.json"
 let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
 
-(* Row stores for the emitter: json_bench (workloads, reconf) runs
-   before simbench and scale in file order, but the JSON file is
-   written by [write_json] below, after all three have populated
-   these. *)
-let json_rows : (string * float * int * float * float) list ref = ref []
-let reconf_rows : (string * float * int * int) list ref = ref []
+(* The json's sections, in file order, each a store of rows
+   [(name, [(key, formatted value)])] that the producers below append
+   to as they measure; [write_json] only emits them. Values arrive
+   formatted, so each producer keeps its own number formats. *)
+let sections =
+  List.map (fun name -> (name, ref [])) [ "workloads"; "reconf"; "soak"; "sim"; "scale" ]
+let rows section = !(List.assoc section sections)
+
+let add_row section row =
+  let r = List.assoc section sections in
+  r := !r @ [ row ]
+
+let dec = string_of_int
+let fix prec x = Printf.sprintf "%.*f" prec x
 
 let json_bench () =
   print_endline hrule;
   Printf.printf "%s: throughput + latency percentiles per workload\n" bench_out;
-  let results = json_rows in
+  (* Printed after the reconf lines, as one table. *)
+  let table = ref [] in
   let record name ~bytes ~elapsed lats =
     let thr =
       if elapsed > 0 then float_of_int bytes /. 1e6 /. Sim.to_sec elapsed else 0.0
     in
-    results :=
-      (name, thr, List.length lats, percentile_ms lats 0.5, percentile_ms lats 0.99)
-      :: !results
+    let ops = List.length lats in
+    let p50 = percentile_ms lats 0.5 and p99 = percentile_ms lats 0.99 in
+    add_row "workloads"
+      ( name,
+        [ ("throughput_mb_per_s", fix 3 thr); ("ops", dec ops);
+          ("p50_ms", fix 3 p50); ("p99_ms", fix 3 p99) ] );
+    table :=
+      Printf.sprintf "%-28s %8.1f MB/s %5d ops  p50 %8.3f ms  p99 %8.3f ms\n" name
+        thr ops p50 p99
+      :: !table
   in
   (* Frangipani large-file sequential write + read, per-64KB-op latency. *)
   Sim.run (fun () ->
@@ -548,14 +564,13 @@ let json_bench () =
         let b0 = sum Petal.Server.xfer_bytes_pushed in
         let t0 = Sim.now () in
         f ();
-        let row =
+        let secs = Sim.to_sec (Sim.now () - t0) in
+        let pushes = sum Petal.Server.xfer_push_count - p0 in
+        let bytes = sum Petal.Server.xfer_bytes_pushed - b0 in
+        add_row "reconf"
           ( name,
-            Sim.to_sec (Sim.now () - t0),
-            sum Petal.Server.xfer_push_count - p0,
-            sum Petal.Server.xfer_bytes_pushed - b0 )
-        in
-        reconf_rows := !reconf_rows @ [ row ];
-        let _, secs, pushes, bytes = row in
+            [ ("drain_seconds", fix 3 secs); ("chunks_pushed", dec pushes);
+              ("bytes_migrated", dec bytes) ] );
         Printf.printf "  reconf[%-13s] drain %6.2f s  pushes %5d  bytes %9d\n"
           name secs pushes bytes
       in
@@ -565,11 +580,7 @@ let json_bench () =
       measure "drain_member" (fun () ->
           Petal.Client.remove_server c ~idx:0;
           await_epoch 2));
-  List.iter
-    (fun (name, thr, ops, p50, p99) ->
-      Printf.printf "%-28s %8.1f MB/s %5d ops  p50 %8.3f ms  p99 %8.3f ms\n" name
-        thr ops p50 p99)
-    (List.rev !results)
+  List.iter print_string (List.rev !table)
 
 (* --- simbench: simulation-kernel microbenchmarks ----------------------------------- *)
 
@@ -579,8 +590,6 @@ let json_bench () =
    Each workload stresses one kernel hot path with a known op count;
    ns/op = host seconds / ops. Rows are collected for the json's
    "sim" section. *)
-
-let simbench_rows : (string * int * float) list ref = ref []
 
 let sim_row name ops f =
   (* Start each measurement from a compacted heap: these rows are
@@ -592,7 +601,7 @@ let sim_row name ops f =
   f ();
   let dt = Sys.time () -. t0 in
   let ns = dt *. 1e9 /. float_of_int ops in
-  simbench_rows := !simbench_rows @ [ (name, ops, ns) ];
+  add_row "sim" (name, [ ("ops", dec ops); ("ns_per_op", fix 1 ns) ]);
   Printf.printf "  %-24s %9d ops %10.1f ns/op %10.2f Mops/s\n" name ops ns
     (float_of_int ops /. dt /. 1e6)
 
@@ -675,35 +684,24 @@ let merged_reads (tb : Petal.Testbed.t) =
     (Array.fold_left (fun n d -> n + Blockdev.Disk.merged d))
     0 tb.Petal.Testbed.disks
 
-(* Petal disk-arm utilisation during the workload, (max, mean) over
-   every disk: a placement that piles a layout stride onto a few
-   servers shows up as a max near 1 over a low mean. [du_merged]
-   counts the disk reads that joined an identical in-flight read. *)
-type disk_util = { du_max : float; du_mean : float; du_merged : int }
-
-(* Lock requests the clerks sent during the workload and the messages
-   that carried them: requests made for one lock server in one
-   simulated instant share a message (a fresh-inode refill's 8). *)
-type lock_reqs = { requests : int; request_msgs : int }
-
+(* Lock requests the clerks have sent and the messages that carried
+   them: requests made for one lock server in one simulated instant
+   share a message (a fresh-inode refill's 8). *)
 let lock_reqs fss =
   List.fold_left
-    (fun acc fs ->
+    (fun (reqs, msgs) fs ->
       let s = Frangipani.Fs.lease_stats fs in
-      { requests = acc.requests + s.Locksvc.Clerk.requests;
-        request_msgs = acc.request_msgs + s.Locksvc.Clerk.request_msgs })
-    { requests = 0; request_msgs = 0 } fss
+      (reqs + s.Locksvc.Clerk.requests, msgs + s.Locksvc.Clerk.request_msgs))
+    (0, 0) fss
 
-let per_msg lr = float_of_int lr.requests /. float_of_int (max 1 lr.request_msgs)
-
-let scale_rows :
-    (int * Workloads.Multitenant.result * Sim.stats * disk_util * lock_reqs * float) list ref =
-  ref []
-
+(* Each row also records Petal disk-arm utilisation during the
+   workload, (max, mean) over every disk: a placement that piles a
+   layout stride onto a few servers shows up as a max near 1 over a
+   low mean. *)
 let scale_one n =
   Gc.compact () (* same rationale as [sim_row]: gated metric *);
   let host0 = Sys.time () in
-  let r, st, du, lr =
+  let r, st, (du_max, du_mean, du_merged), (reqs, msgs) =
     Sim.run (fun () ->
         let t =
           T.build ~petal_servers:(max 4 (n / 4)) ~ndisks:4
@@ -716,34 +714,43 @@ let scale_one n =
           |> List.concat_map (fun ds -> Array.to_list (Array.map Blockdev.Disk.arm ds))
         in
         List.iter Sim.Resource.reset_stats arms;
-        let m0 = merged_reads t.T.petal and lr0 = lock_reqs fss in
+        let m0 = merged_reads t.T.petal and reqs0, msgs0 = lock_reqs fss in
         let r = Workloads.Multitenant.run vfss () in
-        let lr1 = lock_reqs fss in
-        let lr =
-          { requests = lr1.requests - lr0.requests;
-            request_msgs = lr1.request_msgs - lr0.request_msgs }
-        in
+        let reqs1, msgs1 = lock_reqs fss in
         let utils = List.map Sim.Resource.utilization arms in
-        let du =
-          { du_max = List.fold_left Float.max 0.0 utils;
-            du_mean = List.fold_left ( +. ) 0.0 utils /. float_of_int (List.length utils);
-            du_merged = merged_reads t.T.petal - m0 }
-        in
-        (r, Sim.stats (), du, lr))
+        ( r,
+          Sim.stats (),
+          ( List.fold_left Float.max 0.0 utils,
+            List.fold_left ( +. ) 0.0 utils /. float_of_int (List.length utils),
+            merged_reads t.T.petal - m0 ),
+          (reqs1 - reqs0, msgs1 - msgs0) ))
   in
   let host_secs = Sys.time () -. host0 in
   Printf.printf "    [sim] events %d spawns %d skipped %d heap_len %d\n%!"
     st.Sim.events st.Sim.spawns st.Sim.skipped st.Sim.heap_len;
-  scale_rows := !scale_rows @ [ (n, r, st, du, lr, host_secs) ];
+  let per_msg = float_of_int reqs /. float_of_int (max 1 msgs) in
+  let events_per_sec = float_of_int st.Sim.events /. host_secs in
   let open Workloads.Multitenant in
+  add_row "scale"
+    ( Printf.sprintf "servers_%d" n,
+      [ ("ops", dec r.ops); ("distinct_files", dec r.distinct_files);
+        ("fs_ops_per_sec", fix 1 r.ops_per_sec); ("mb_per_s", fix 3 r.mb_per_s);
+        ("petal_disk_util_max", fix 4 du_max);
+        ("petal_disk_util_mean", fix 4 du_mean);
+        ("petal_disk_reads_merged", dec du_merged);
+        ("lock_requests", dec reqs);
+        ("lock_request_msgs", dec msgs);
+        ("lock_requests_per_msg", fix 3 per_msg);
+        ("sim_seconds", fix 3 r.seconds); ("host_seconds", fix 3 host_secs);
+        ("sim_events", dec st.Sim.events);
+        ("events_per_sec", fix 0 events_per_sec);
+        ("host_sec_per_sim_sec", fix 4 (host_secs /. r.seconds)) ] );
   Printf.printf
     "  %3d servers: %6d ops %5d files %8.0f ops/s %7.2f MB/s | petal disk util \
      max %.2f mean %.2f merged %d | lock reqs %d in %d msgs (%.2f/msg) | sim \
      %6.2f s  host %6.2f s  %9.0f ev/s  %6.3f host-s/sim-s\n%!"
-    n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du.du_max du.du_mean du.du_merged
-    lr.requests lr.request_msgs (per_msg lr)
-    r.seconds host_secs
-    (float_of_int st.Sim.events /. host_secs)
+    n r.ops r.distinct_files r.ops_per_sec r.mb_per_s du_max du_mean du_merged
+    reqs msgs per_msg r.seconds host_secs events_per_sec
     (host_secs /. r.seconds)
 
 let scale () =
@@ -762,8 +769,6 @@ let scale () =
    one short seeded round. Counters only — the numbers that matter
    for the trajectory are how much invariant checking ran and how
    long the worst hot-chunk cutover took. *)
-let soak_rows : (string * Workloads.Soak.outcome * float) list ref = ref []
-
 let soak_bench () =
   print_endline hrule;
   print_endline
@@ -784,7 +789,16 @@ let soak_bench () =
       (Sim.to_sec o.Soak.max_cutover_ns)
       o.Soak.checks_run
       (List.length o.Soak.violations);
-    soak_rows := !soak_rows @ [ (name, o, host) ]
+    add_row "soak"
+      ( name,
+        [ ("sim_hours", fix 2 o.Soak.sim_hours); ("host_seconds", fix 1 host);
+          ("acked", dec o.Soak.acked); ("failed_ops", dec o.Soak.failed_ops);
+          ("freeze_rejects", dec o.Soak.freeze_rejects);
+          ("freeze_waits", dec o.Soak.freeze_waits);
+          ("max_cutover_s", fix 3 (Sim.to_sec o.Soak.max_cutover_ns));
+          ("invariant_checks", dec o.Soak.checks_run);
+          ("violations", dec (List.length o.Soak.violations));
+          ("wal_reclaims", dec o.Soak.wal_reclaims); ("log_replays", dec o.Soak.replays) ] )
   in
   one "composed_quick" (Soak.Scripted "composed_quick");
   one "seeded_600s" ~duration:(Sim.sec 600.0) ~fs_servers:16
@@ -793,8 +807,7 @@ let soak_bench () =
 (* --- machine-readable snapshot ------------------------------------------------------ *)
 
 (* One json section: a row per line, [name: { key: value, ... }], in
-   the line-oriented layout bench/check_regress.exe parses. Values
-   arrive formatted, so each section keeps its own number formats. *)
+   the line-oriented layout bench/check_regress.exe parses. *)
 let emit_section oc ~last (section, rows) =
   Printf.fprintf oc "  %S: {\n" section;
   let n = List.length rows in
@@ -806,7 +819,7 @@ let emit_section oc ~last (section, rows) =
     rows;
   Printf.fprintf oc "  }%s\n" (if last then "" else ",")
 
-(* Writes [bench_out] from the rows the other experiments collected,
+(* Writes [bench_out] from the sections the other experiments filled,
    running any producer that has not run yet (so `bench json` alone
    still emits a complete file). Sections: "workloads" and "reconf"
    from json_bench, "soak" from the composed-nemesis rounds, "sim"
@@ -814,69 +827,14 @@ let emit_section oc ~last (section, rows) =
    gates "workloads", "sim", "scale" and "soak"; "reconf" is
    counter-only. *)
 let write_json () =
-  if !json_rows = [] then json_bench ();
-  if !simbench_rows = [] then simbench ();
-  if !scale_rows = [] then scale ();
-  if !soak_rows = [] then soak_bench ();
-  let d = string_of_int and f prec x = Printf.sprintf "%.*f" prec x in
-  let sections =
-    [
-      ( "workloads",
-        List.rev_map
-          (fun (name, thr, ops, p50, p99) ->
-            ( name,
-              [ ("throughput_mb_per_s", f 3 thr); ("ops", d ops);
-                ("p50_ms", f 3 p50); ("p99_ms", f 3 p99) ] ))
-          !json_rows );
-      ( "reconf",
-        List.map
-          (fun (name, secs, pushes, bytes) ->
-            ( name,
-              [ ("drain_seconds", f 3 secs); ("chunks_pushed", d pushes);
-                ("bytes_migrated", d bytes) ] ))
-          !reconf_rows );
-      ( "soak",
-        List.map
-          (fun (name, (o : Workloads.Soak.outcome), host) ->
-            let open Workloads.Soak in
-            ( name,
-              [ ("sim_hours", f 2 o.sim_hours); ("host_seconds", f 1 host);
-                ("acked", d o.acked); ("failed_ops", d o.failed_ops);
-                ("freeze_rejects", d o.freeze_rejects);
-                ("freeze_waits", d o.freeze_waits);
-                ("max_cutover_s", f 3 (Sim.to_sec o.max_cutover_ns));
-                ("invariant_checks", d o.checks_run);
-                ("violations", d (List.length o.violations));
-                ("wal_reclaims", d o.wal_reclaims); ("log_replays", d o.replays) ] ))
-          !soak_rows );
-      ( "sim",
-        List.map
-          (fun (name, ops, ns) -> (name, [ ("ops", d ops); ("ns_per_op", f 1 ns) ]))
-          !simbench_rows );
-      ( "scale",
-        List.map
-          (fun (n, r, st, du, lr, host_secs) ->
-            let open Workloads.Multitenant in
-            ( Printf.sprintf "servers_%d" n,
-              [ ("ops", d r.ops); ("distinct_files", d r.distinct_files);
-                ("fs_ops_per_sec", f 1 r.ops_per_sec); ("mb_per_s", f 3 r.mb_per_s);
-                ("petal_disk_util_max", f 4 du.du_max);
-                ("petal_disk_util_mean", f 4 du.du_mean);
-                ("petal_disk_reads_merged", d du.du_merged);
-                ("lock_requests", d lr.requests);
-                ("lock_request_msgs", d lr.request_msgs);
-                ("lock_requests_per_msg", f 3 (per_msg lr));
-                ("sim_seconds", f 3 r.seconds); ("host_seconds", f 3 host_secs);
-                ("sim_events", d st.Sim.events);
-                ("events_per_sec", f 0 (float_of_int st.Sim.events /. host_secs));
-                ("host_sec_per_sim_sec", f 4 (host_secs /. r.seconds)) ] ))
-          !scale_rows );
-    ]
-  in
+  if rows "workloads" = [] then json_bench ();
+  if rows "sim" = [] then simbench ();
+  if rows "scale" = [] then scale ();
+  if rows "soak" = [] then soak_bench ();
   let oc = open_out bench_out in
   Printf.fprintf oc "{\n  \"pr\": %d,\n" bench_pr;
   let n = List.length sections in
-  List.iteri (fun i sec -> emit_section oc ~last:(i = n - 1) sec) sections;
+  List.iteri (fun i (name, r) -> emit_section oc ~last:(i = n - 1) (name, !r)) sections;
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "wrote %s\n" bench_out

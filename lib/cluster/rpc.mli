@@ -46,9 +46,11 @@ val call_async :
 (** Issue a request of [size] bytes and return immediately (after the
     sender-side protocol-stack cost) with an ivar that is filled with
     the reply, or with [`Timeout] once the timeout (default 1 s of
-    simulated time) expires. Callers can keep many requests
-    outstanding and wait once — the submit/complete split the whole
-    block-I/O path is built on. *)
+    simulated time) expires. Outside this module its one caller is
+    the Petal client's piece submission, which fires each piece's
+    first attempt from the submitting process (keeping submission
+    order and backpressure there) and hands the reply to a per-piece
+    waiter. *)
 
 val call :
   t ->

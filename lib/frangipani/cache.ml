@@ -229,9 +229,8 @@ let fill_runs ?(prefetch = false) ?(still_wanted = fun () -> true) t runs
        pieces out concurrently and coalesces across run boundaries. *)
     let datas =
       try
-        Petal.Client.await
-          (Petal.Client.read_runs_async ~prefetch t.vd
-             (List.map (fun (_, addr, len, _) -> (addr, len)) prepared))
+        Petal.Client.read_runs ~prefetch t.vd
+          (List.map (fun (_, addr, len, _) -> (addr, len)) prepared)
       with ex ->
         finish ();
         raise ex
@@ -286,10 +285,9 @@ let group_runs dirty =
    window is exactly one Petal chunk ([Petal.Protocol.chunk_bytes]),
    so every run is one chunk piece and no two runs touch inside one
    chunk. Once the batch lands, entries whose generation is
-   unchanged become clean; [on_run_done] runs per run (even on
-   failure). If submission itself raises (e.g. the host died),
-   [on_run_done] still runs for every run so their entries are not
-   left marked in-flight forever. *)
+   unchanged become clean. [on_run_done] runs per run even when the
+   write fails (e.g. the host died), so no entry is left marked
+   in-flight forever. *)
 let write_runs t runs ~on_run_done =
   if runs <> [] then begin
     List.iter (fun _ -> Faultpoint.hit "cache.write_run") runs;
@@ -304,17 +302,12 @@ let write_runs t runs ~on_run_done =
         runs
     in
     let finish () = List.iter on_run_done runs in
-    match Petal.Client.write_runs_async t.vd extents with
-    | h -> (
-      match Petal.Client.wait h with
-      | Ok () ->
-        List.iter
-          (List.iter (fun (e, g) -> if e.gen = g then mark_clean t e))
-          gens;
-        finish ()
-      | Error ex ->
-        finish ();
-        raise ex)
+    match Petal.Client.write_runs t.vd extents with
+    | () ->
+      List.iter
+        (List.iter (fun (e, g) -> if e.gen = g then mark_clean t e))
+        gens;
+      finish ()
     | exception ex ->
       finish ();
       raise ex

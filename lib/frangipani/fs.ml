@@ -60,14 +60,13 @@ let format vd =
   let bsec = Bytes.make Layout.sector '\000' in
   Codec.put_int bsec 0 1;
   Bytes.set bsec 8 '\001';
-  (* The three formatting writes are independent: submit them all,
-     then wait once. *)
-  List.iter Petal.Client.await
+  (* The three formatting writes are independent: one scatter-gather
+     write, its pieces submitted bitmap first, superblock last. *)
+  Petal.Client.write_runs vd
     [
-      Petal.Client.write_async vd ~off:Layout.superblock_addr
-        (Ondisk.encode_superblock ());
-      Petal.Client.write_async vd ~off:(Layout.inode_addr root) sector;
-      Petal.Client.write_async vd ~off:(Layout.bit_sector Layout.Inode_pool 0) bsec;
+      (Layout.bit_sector Layout.Inode_pool 0, bsec);
+      (Layout.inode_addr root, sector);
+      (Layout.superblock_addr, Ondisk.encode_superblock ());
     ]
 
 (* --- lock helpers -------------------------------------------------------- *)
@@ -617,12 +616,10 @@ let mount ~host ~rpc ~vd ~lock_servers ?(table = "fs0") ?(config = Ctx.default_c
        it empty (§7: a restarted server begins with an empty log). *)
     Clerk.acquire clerk ~lock:(Lockns.log_lock slot) Types.W;
     let zeros = Bytes.make (Layout.log_bytes / 2) '\000' in
-    List.iter Petal.Client.await
+    Petal.Client.write_runs vd
       [
-        Petal.Client.write_async vd ~off:(Layout.log_addr ~slot) zeros;
-        Petal.Client.write_async vd
-          ~off:(Layout.log_addr ~slot + (Layout.log_bytes / 2))
-          zeros;
+        (Layout.log_addr ~slot + (Layout.log_bytes / 2), zeros);
+        (Layout.log_addr ~slot, zeros);
       ]
   end;
   Cluster.Host.on_crash host (fun () ->

@@ -57,11 +57,6 @@ type vdisk = {
   frozen : int option;
 }
 
-type 'a handle = ('a, exn) result Sim.Ivar.t
-
-let wait h = Sim.Ivar.read h
-let await h = match wait h with Ok v -> v | Error ex -> raise ex
-
 type stats = {
   writes : int;
   write_seconds : float;
@@ -191,29 +186,16 @@ let fetch_map t =
 (* A scatter-gather operation: every chunk piece is submitted up
    front (bounded by the in-flight pool), then a waiter process per
    piece drives its own primary→secondary failover, so a slow or dead
-   replica never stalls sibling pieces. The caller's handle fills
-   once, with the first failure or with the gathered result. *)
-type 'a gather = {
-  handle : 'a handle;
-  result : unit -> 'a;
-  mutable remaining : int;
-  started : Sim.time;
-  account : Sim.time -> unit;
-}
-
-let gather_create ~npieces ~result ~account =
-  { handle = Sim.Ivar.create (); result; remaining = npieces;
-    started = Sim.now (); account }
+   replica never stalls sibling pieces. [outcome] fills once, with the
+   first failure or when the last piece lands. *)
+type gather = { outcome : (unit, exn) result Sim.Ivar.t; mutable remaining : int }
 
 let gather_fill g r =
-  if not (Sim.Ivar.is_filled g.handle) then begin
-    g.account (Sim.now () - g.started);
-    Sim.Ivar.fill g.handle r
-  end
+  if not (Sim.Ivar.is_filled g.outcome) then Sim.Ivar.fill g.outcome r
 
 let gather_piece_done g =
   g.remaining <- g.remaining - 1;
-  if g.remaining = 0 then gather_fill g (Ok (g.result ()))
+  if g.remaining = 0 then gather_fill g (Ok ())
 
 (* A suspected server is skipped (no timeout paid) until its probe
    window opens; the first piece after that retries it for real. *)
@@ -437,13 +419,30 @@ let sel v = match v.frozen with Some e -> At e | None -> Current
    [dbuf]. *)
 type dest = { dbuf : bytes; dpos : int; srcoff : int; dlen : int }
 
-(* The shared read engine: split every run into chunk pieces, then
-   coalesce adjacent pieces that address the same chunk (and thus the
-   same server) into a single RPC — e.g. the tail of one 64 KB run
-   and the head of the next, when runs are not chunk-aligned. Each
-   coalesced RPC scatters its reply into all its destination
-   segments. *)
-let read_scatter ?prefetch v ~runs ~result ~account =
+(* Submit every piece through [submit], then block until the last one
+   lands or the first one fails, and re-raise that failure. A raise
+   while submitting (e.g. our host died) fails the operation too,
+   unless an earlier piece already had. *)
+let scatter submit ps =
+  if ps <> [] then begin
+    let g = { outcome = Sim.Ivar.create (); remaining = List.length ps } in
+    (try List.iter (submit g) ps with ex -> gather_fill g (Error ex));
+    match Sim.Ivar.read g.outcome with Ok () -> () | Error ex -> raise ex
+  end
+
+(* Add the simulated time [f] blocks for to [add], failure included. *)
+let timed add f =
+  let t0 = Sim.now () in
+  Fun.protect ~finally:(fun () -> add (Sim.now () - t0)) f
+
+(* The read engine: split every run into chunk pieces, then coalesce
+   adjacent pieces that address the same chunk (and thus the same
+   server) into a single RPC — e.g. the tail of one 64 KB run and the
+   head of the next, when runs are not chunk-aligned. Each coalesced
+   RPC scatters its reply into all its destination segments. *)
+let read_runs ?prefetch v runs =
+  v.c.read_ops <- v.c.read_ops + 1;
+  let runs = List.map (fun (off, len) -> (off, Bytes.create len)) runs in
   List.iter (fun (off, buf) -> check_aligned ~off ~len:(Bytes.length buf)) runs;
   let raw =
     List.concat_map
@@ -471,12 +470,9 @@ let read_scatter ?prefetch v ~runs ~result ~account =
   v.c.read_rpc_count <- v.c.read_rpc_count + List.length merged;
   v.c.read_coalesce_count <-
     v.c.read_coalesce_count + (List.length raw - List.length merged);
-  let g = gather_create ~npieces:(List.length merged) ~result ~account in
-  if merged = [] then gather_fill g (Ok (result ()))
-  else begin
-    try
-      List.iter
-        (fun (chunk, within, len, ds) ->
+  timed (fun dt -> v.c.read_ns <- v.c.read_ns + dt) (fun () ->
+      scatter
+        (fun g (chunk, within, len, ds) ->
           submit_piece ?prefetch v.c g ~root:v.root ~chunk ~nrep:v.nrep
             ~size:read_req_size
             ~req_of:(fun ~solo:_ ->
@@ -489,35 +485,20 @@ let read_scatter ?prefetch v ~runs ~result ~account =
                   (fun d -> Bytes.blit data d.srcoff d.dbuf d.dpos d.dlen)
                   ds
               | _ -> failwith "petal: bad read reply"))
-        merged
-    with ex -> gather_fill g (Error ex)
-  end;
-  g.handle
+        merged);
+  List.map snd runs
 
-let read v ~off ~len =
-  v.c.read_ops <- v.c.read_ops + 1;
-  let buf = Bytes.create len in
-  await
-    (read_scatter v
-       ~runs:[ (off, buf) ]
-       ~result:(fun () -> buf)
-       ~account:(fun dt -> v.c.read_ns <- v.c.read_ns + dt))
+let read v ~off ~len = List.hd (read_runs v [ (off, len) ])
 
-let read_runs_async ?prefetch v runs =
-  v.c.read_ops <- v.c.read_ops + 1;
-  let bufs = List.map (fun (off, len) -> (off, Bytes.create len)) runs in
-  read_scatter ?prefetch v ~runs:bufs
-    ~result:(fun () -> List.map snd bufs)
-    ~account:(fun dt -> v.c.read_ns <- v.c.read_ns + dt)
-
-(* The write-side twin of {!read_scatter}, without its merge: split
-   every [(off, data)] run into chunk pieces and send one RPC per
-   piece, each shipping a (doff, dlen) slice of the caller's buffer —
-   no copy, payloads are immutable once sent (Storage.mli's ownership
-   rules). Frangipani's write-back already hands over maximal runs
-   inside aligned chunk-sized windows ([Cache.group_runs]), so it
-   never submits two adjacent pieces of one chunk. *)
-let write_scatter v ~runs ~account =
+(* The write-side twin of {!read_runs}, without its merge: split every
+   [(off, data)] run into chunk pieces and send one RPC per piece, each
+   shipping a (doff, dlen) slice of the caller's buffer — no copy,
+   payloads are immutable once sent (Storage.mli's ownership rules).
+   Frangipani's write-back already hands over maximal runs inside
+   aligned chunk-sized windows ([Cache.group_runs]), so it never
+   submits two adjacent pieces of one chunk. *)
+let write_runs v runs =
+  v.c.write_ops <- v.c.write_ops + 1;
   if is_snapshot v then raise Read_only;
   List.iter (fun (off, data) -> check_aligned ~off ~len:(Bytes.length data)) runs;
   let ps =
@@ -532,14 +513,10 @@ let write_scatter v ~runs ~account =
           (pieces ~off ~len:(Bytes.length data)))
       runs
   in
-  let n = List.length ps in
-  v.c.write_piece_count <- v.c.write_piece_count + n;
-  let g = gather_create ~npieces:n ~result:(fun () -> ()) ~account in
-  if ps = [] then gather_fill g (Ok ())
-  else begin
-    try
-      List.iter
-        (fun (chunk, within, data, doff, dlen) ->
+  v.c.write_piece_count <- v.c.write_piece_count + List.length ps;
+  timed (fun dt -> v.c.write_ns <- v.c.write_ns + dt) (fun () ->
+      scatter
+        (fun g (chunk, within, data, doff, dlen) ->
           Faultpoint.hit "petal.write_piece";
           submit_piece v.c g ~root:v.root ~chunk ~nrep:v.nrep
             ~size:(write_req_size dlen)
@@ -559,58 +536,32 @@ let write_scatter v ~runs ~account =
                 raise (Stale_write "expired lease timestamp")
               | Perr e -> failwith ("petal: " ^ e)
               | _ -> failwith "petal: bad write reply"))
-        ps
-    with ex -> gather_fill g (Error ex)
-  end;
-  g.handle
+        ps)
 
-let write_async v ~off data =
-  v.c.write_ops <- v.c.write_ops + 1;
-  write_scatter v
-    ~runs:[ (off, data) ]
-    ~account:(fun dt -> v.c.write_ns <- v.c.write_ns + dt)
-
-let write_runs_async v runs =
-  v.c.write_ops <- v.c.write_ops + 1;
-  write_scatter v ~runs
-    ~account:(fun dt -> v.c.write_ns <- v.c.write_ns + dt)
+let write v ~off data = write_runs v [ (off, data) ]
 
 let decommit v ~off ~len =
   if is_snapshot v then raise Read_only;
   check_aligned ~off ~len;
   if off mod chunk_bytes <> 0 || len mod chunk_bytes <> 0 then
     invalid_arg "petal: decommit must be chunk-aligned";
-  let ps = pieces ~off ~len in
-  let g =
-    gather_create ~npieces:(List.length ps)
-      ~result:(fun () -> ())
-      ~account:(fun _ -> ())
-  in
-  if ps = [] then gather_fill g (Ok ())
-  else begin
-    try
-      List.iter
-        (fun (chunk, _, _) ->
-          Faultpoint.hit "petal.decommit_piece";
-          submit_piece v.c g ~root:v.root ~chunk ~nrep:v.nrep ~size:small
-            ~req_of:(fun ~solo ->
-              (* Per-attempt stamp, as on the write path. *)
-              let expires = v.c.write_guard () in
-              Decommit_req
-                { root = v.root; chunk; forward = not solo;
-                  mepoch = v.c.mepoch; expires })
-            ~on_reply:(function
-              | Decommit_ok -> ()
-              | Perr "expired lease timestamp" ->
-                raise (Stale_write "expired lease timestamp")
-              | Perr e -> failwith ("petal: " ^ e)
-              | _ -> failwith "petal: bad decommit reply"))
-        ps
-    with ex -> gather_fill g (Error ex)
-  end;
-  await g.handle
-
-let write v ~off data = await (write_async v ~off data)
+  scatter
+    (fun g (chunk, _, _) ->
+      Faultpoint.hit "petal.decommit_piece";
+      submit_piece v.c g ~root:v.root ~chunk ~nrep:v.nrep ~size:small
+        ~req_of:(fun ~solo ->
+          (* Per-attempt stamp, as on the write path. *)
+          let expires = v.c.write_guard () in
+          Decommit_req
+            { root = v.root; chunk; forward = not solo;
+              mepoch = v.c.mepoch; expires })
+        ~on_reply:(function
+          | Decommit_ok -> ()
+          | Perr "expired lease timestamp" ->
+            raise (Stale_write "expired lease timestamp")
+          | Perr e -> failwith ("petal: " ^ e)
+          | _ -> failwith "petal: bad decommit reply"))
+    (pieces ~off ~len)
 
 let snapshot v =
   if is_snapshot v then raise Read_only;

@@ -7,13 +7,15 @@
     must be 512-byte aligned; requests may span chunk boundaries and
     are split internally.
 
-    I/O is submit-then-wait: {!read_runs_async} and {!write_async}
-    fan all chunk pieces out concurrently (each piece failing over to
-    its replica independently) and return a completion {!handle}; the
-    blocking {!read}/{!write} are thin wrappers. Submission applies
-    backpressure — at most 64 pieces (4 MB, the write-behind window
-    of §4) are outstanding per driver, so a flood of writes blocks
-    the submitter rather than growing unbounded queues.
+    I/O blocks like a local disk's, but fans out inside the call:
+    {!read_runs} and {!write_runs} submit every chunk piece of every
+    extent at once (each piece failing over to its replica
+    independently), then return when the last piece lands or raise
+    the first piece's failure without waiting for the rest.
+    Submission applies backpressure — at most 64 pieces (4 MB, the
+    write-behind window of §4) are outstanding per driver, so a flood
+    of writes blocks the submitter rather than growing unbounded
+    queues.
 
     Reconfiguration: every data request carries the map epoch the
     client routed under. A server whose committed map differs rejects
@@ -26,18 +28,6 @@ type t
 
 type vdisk
 (** An open virtual disk. *)
-
-type 'a handle
-(** A completion handle: fills exactly once, with the operation's
-    result or the first failure. Abstract so only the client can fill
-    it — callers observe it through {!await} / {!wait}. *)
-
-val await : 'a handle -> 'a
-(** Block until the handle fills; re-raise its failure. *)
-
-val wait : 'a handle -> ('a, exn) result
-(** Block until the handle fills; return its result without
-    raising. *)
 
 val connect :
   rpc:Cluster.Rpc.t ->
@@ -87,36 +77,32 @@ val open_vdisk : t -> int -> vdisk
 val id : vdisk -> int
 val is_snapshot : vdisk -> bool
 
-val read_runs_async : ?prefetch:bool -> vdisk -> (int * int) list -> bytes list handle
-(** Submit several [(off, len)] extents as one scatter-gather read;
-    the handle fills with one buffer per extent, in order, once every
-    piece of every extent has landed. Adjacent chunk pieces of
-    consecutive extents that address the same chunk (hence the same
-    server) are coalesced into a single RPC — the batched read path's
-    round-trip saver, visible in {!op_stats}. With [prefetch:true] the
-    pieces draw from a separate, smaller in-flight pool (16 pieces,
-    one prefetch window), so speculative read-ahead can never
-    occupy the slots a foreground read or dirty write-back needs. *)
+val read_runs : ?prefetch:bool -> vdisk -> (int * int) list -> bytes list
+(** Read several [(off, len)] extents as one scatter-gather operation;
+    returns one buffer per extent, in order, once every piece of every
+    extent has landed. Uncommitted space reads as zeros. Adjacent
+    chunk pieces of consecutive extents that address the same chunk
+    (hence the same server) are coalesced into a single RPC — the
+    batched read path's round-trip saver, visible in {!op_stats}.
+    With [prefetch:true] the pieces draw from a separate, smaller
+    in-flight pool (16 pieces, one prefetch window), so speculative
+    read-ahead can never occupy the slots a foreground read or dirty
+    write-back needs. *)
 
-val write_async : vdisk -> off:int -> bytes -> unit handle
-(** Submit a write. When the handle fills the data is durable (both
-    replicas for 2-way disks, modulo degraded mode when a replica is
-    down). Raises {!Protocol.Read_only} on snapshots. *)
-
-val write_runs_async : vdisk -> (int * bytes) list -> unit handle
-(** Submit several [(off, data)] extents as one scatter-gather write;
-    the handle fills once every piece of every extent is durable.
-    Each chunk piece goes down as its own RPC; unlike
-    {!read_runs_async} there is no coalescing, because Frangipani's
-    write-back already submits maximal runs inside aligned
-    chunk-sized windows. *)
+val write_runs : vdisk -> (int * bytes) list -> unit
+(** Write several [(off, data)] extents as one scatter-gather
+    operation. On return every piece is durable (both replicas for
+    2-way disks, modulo degraded mode when a replica is down). Pieces
+    go down in list order, one RPC each: unlike {!read_runs} there is
+    no coalescing, because Frangipani's write-back already submits
+    maximal runs inside aligned chunk-sized windows. Raises
+    {!Protocol.Read_only} on snapshots. *)
 
 val read : vdisk -> off:int -> len:int -> bytes
-(** Blocking read of [len] bytes at virtual offset [off]; uncommitted
-    space reads as zeros. *)
+(** [read_runs] of the one extent [(off, len)]. *)
 
 val write : vdisk -> off:int -> bytes -> unit
-(** [await (write_async ...)]. *)
+(** [write_runs] of the one extent [(off, data)]. *)
 
 val decommit : vdisk -> off:int -> len:int -> unit
 (** Free the physical space backing a chunk-aligned range. *)
@@ -133,9 +119,9 @@ val set_write_guard : vdisk -> (unit -> int option) -> unit
     sets it to [lease_valid_until - margin] at mount. *)
 
 type stats = {
-  writes : int;  (** write/decommit submissions *)
+  writes : int;  (** {!write}/{!write_runs} calls; decommits are not counted *)
   write_seconds : float;  (** simulated time inside writes *)
-  reads : int;  (** read submissions (single- or multi-extent) *)
+  reads : int;  (** {!read}/{!read_runs} calls *)
   read_seconds : float;  (** simulated time inside reads *)
   read_pieces : int;  (** chunk pieces across all reads, pre-coalescing *)
   read_rpcs : int;  (** read RPCs actually issued *)

@@ -367,28 +367,69 @@ let test_multichunk_concurrent () =
         true
         (r3 < 2 * r1))
 
-(* Two independently submitted writes overlap: awaiting both costs
-   about one write, not two. *)
-let test_async_handles_overlap () =
+(* Two writers on one driver overlap: both together cost about one
+   write, not two. *)
+let test_concurrent_writers_overlap () =
   Sim.run (fun () ->
       let _, _, _, vd = setup () in
       let t0 = Sim.now () in
       Petal.Client.write vd ~off:0 (bytes_pat chunk 3);
       let w1 = Sim.now () - t0 in
       let t0 = Sim.now () in
-      let h1 = Petal.Client.write_async vd ~off:(8 * chunk) (bytes_pat chunk 4) in
-      let h2 = Petal.Client.write_async vd ~off:(16 * chunk) (bytes_pat chunk 5) in
-      Petal.Client.await h1;
-      Petal.Client.await h2;
+      Sim.fork_join
+        (fun (i, seed) -> Petal.Client.write vd ~off:(i * chunk) (bytes_pat chunk seed))
+        [ (8, 4); (16, 5) ];
       let w2 = Sim.now () - t0 in
       Alcotest.(check bool)
-        (Printf.sprintf "two async writes overlap (one %dns, both %dns)" w1 w2)
+        (Printf.sprintf "two concurrent writes overlap (one %dns, both %dns)" w1 w2)
         true
         (w2 < 2 * w1);
       Alcotest.(check bool) "first write landed" true
         (Bytes.equal (bytes_pat chunk 4) (Petal.Client.read vd ~off:(8 * chunk) ~len:chunk));
       Alcotest.(check bool) "second write landed" true
         (Bytes.equal (bytes_pat chunk 5) (Petal.Client.read vd ~off:(16 * chunk) ~len:chunk)))
+
+(* An empty scatter-gather is a no-op: it returns at the same instant
+   and sends nothing. *)
+let test_empty_runs () =
+  Sim.run (fun () ->
+      let _, _, _, vd = setup () in
+      let s0 = Petal.Client.op_stats vd in
+      let t0 = Sim.now () in
+      Alcotest.(check int) "no buffers" 0 (List.length (Petal.Client.read_runs vd []));
+      Petal.Client.write_runs vd [];
+      Alcotest.(check int) "same instant" t0 (Sim.now ());
+      let s1 = Petal.Client.op_stats vd in
+      let open Petal.Client in
+      Alcotest.(check (list int)) "no pieces, no rpcs"
+        [ s0.read_pieces; s0.read_rpcs; s0.write_pieces; s0.write_rpcs ]
+        [ s1.read_pieces; s1.read_rpcs; s1.write_pieces; s1.write_rpcs ])
+
+(* The first failed piece ends the call: a write spanning a chunk on
+   a server that refuses the client and a chunk behind a 500 ms delay
+   raises the refusal without waiting for the delayed piece. *)
+let test_first_failure_returns () =
+  Sim.run (fun () ->
+      let net = Net.create () in
+      let tb = Petal.Testbed.build ~net ~nservers:2 ~ndisks:3 () in
+      let rpc = Rpc.create (Net.attach net (Host.create "client")) in
+      let c = Petal.Testbed.client tb ~rpc in
+      let vd = Petal.Client.open_vdisk c (Petal.Client.create_vdisk c ~nrep:2) in
+      (* With two servers, consecutive chunks alternate primaries. *)
+      Petal.Server.set_trusted tb.Petal.Testbed.servers.(0) (Some []);
+      let nf = Netfault.create net in
+      Netfault.shape nf ~src:(Rpc.addr rpc) ~dst:tb.Petal.Testbed.addrs.(1)
+        ~delay:(Sim.ms 500);
+      let t0 = Sim.now () in
+      (match Petal.Client.write_runs vd [ (0, bytes_pat (2 * chunk) 7) ] with
+      | () -> Alcotest.fail "write to an untrusting server succeeded"
+      | exception Failure msg ->
+        Alcotest.(check string) "refusal surfaces" "petal: unauthorized" msg);
+      let dt = Sim.now () - t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "returns at the first failure (%dns)" dt)
+        true
+        (dt < Sim.ms 100))
 
 (* With 2 servers and one down, a 4-chunk write has two pieces whose
    primary is dead. Each pays the 2 s failover timeout — but they must
@@ -463,8 +504,7 @@ let test_read_runs_coalesce () =
       Petal.Client.write vd ~off:0 data;
       let s0 = Petal.Client.op_stats vd in
       let bufs =
-        Petal.Client.await
-          (Petal.Client.read_runs_async vd [ (0, 32768); (32768, 32768) ])
+        Petal.Client.read_runs vd [ (0, 32768); (32768, 32768) ]
       in
       (match bufs with
       | [ a; b ] ->
@@ -487,8 +527,7 @@ let test_write_runs_per_piece () =
       let _, _, _, vd = setup () in
       let a = bytes_pat 32768 12 and b = bytes_pat 32768 13 in
       let s0 = Petal.Client.op_stats vd in
-      Petal.Client.await
-        (Petal.Client.write_runs_async vd [ (0, a); (32768, b) ]);
+      Petal.Client.write_runs vd [ (0, a); (32768, b) ];
       let s1 = Petal.Client.op_stats vd in
       let open Petal.Client in
       Alcotest.(check int) "pieces" 2 (s1.write_pieces - s0.write_pieces);
@@ -511,9 +550,7 @@ let test_read_runs_overlap () =
       let single = Sim.now () - t0 in
       let t0 = Sim.now () in
       let bufs =
-        Petal.Client.await
-          (Petal.Client.read_runs_async vd
-             (List.init nchunks (fun i -> (i * cb, cb))))
+        Petal.Client.read_runs vd (List.init nchunks (fun i -> (i * cb, cb)))
       in
       let batch = Sim.now () - t0 in
       List.iteri
@@ -538,9 +575,7 @@ let test_read_runs_failover_concurrent () =
       Host.crash tb.Petal.Testbed.hosts.(0);
       let t0 = Sim.now () in
       let bufs =
-        Petal.Client.await
-          (Petal.Client.read_runs_async vd
-             (List.init nchunks (fun i -> (i * cb, cb))))
+        Petal.Client.read_runs vd (List.init nchunks (fun i -> (i * cb, cb)))
       in
       let elapsed = Sim.now () - t0 in
       List.iteri
@@ -792,7 +827,11 @@ let () =
           Alcotest.test_case "cross-chunk I/O" `Quick test_cross_chunk;
           Alcotest.test_case "multi-chunk pieces issue concurrently" `Quick
             test_multichunk_concurrent;
-          Alcotest.test_case "async handles overlap" `Quick test_async_handles_overlap;
+          Alcotest.test_case "concurrent writers overlap" `Quick
+            test_concurrent_writers_overlap;
+          Alcotest.test_case "empty runs are a no-op" `Quick test_empty_runs;
+          Alcotest.test_case "first failed piece returns" `Quick
+            test_first_failure_returns;
           Alcotest.test_case "multi-extent read coalesces" `Quick
             test_read_runs_coalesce;
           Alcotest.test_case "multi-extent write, rpc per piece" `Quick
