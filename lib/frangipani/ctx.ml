@@ -46,7 +46,9 @@ type t = {
   mutable recov_applied : int;  (** diffs whose version won (written) *)
   mutable recov_skipped : int;  (** diffs already on disk (version check) *)
   mutable recov_torn : int;  (** replays whose log ended in a torn record *)
-  read_ahead_next : (int, int) Hashtbl.t;  (** inum -> predicted next offset *)
+  read_ahead_next : (int, int) Hashtbl.t;
+      (** inum -> predicted next offset; -1 after an invalidating
+          revoke *)
   read_ahead_order : int Queue.t;
       (** insertion order of [read_ahead_next] keys, for eviction *)
   prefetch_inflight : (int, int) Hashtbl.t;
@@ -105,6 +107,15 @@ let note_read_ahead t ~inum ~next =
   Hashtbl.replace t.read_ahead_next inum next
 
 let forget_read_ahead t inum = Hashtbl.remove t.read_ahead_next inum
+
+(* An invalidating revoke discarded the file's cache, and with it any
+   window a prefetch brought in: the next read predicts nothing (no
+   read starts at a negative offset), so only a second read in a row,
+   with no revoke between, prefetches again. A file with no entry was
+   never read here and keeps the offset-0 rule. *)
+let disarm_read_ahead t inum =
+  if Hashtbl.mem t.read_ahead_next inum then
+    Hashtbl.replace t.read_ahead_next inum (-1)
 
 (* Per-inode bound on in-flight prefetch bytes: two full windows, so
    consecutive windows overlap but a slow Petal cannot accumulate an

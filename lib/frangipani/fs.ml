@@ -376,12 +376,16 @@ let reg_inode ctx inum =
 (* Read-ahead (§9.2): the prefetch inherits the caller's shared hold
    on the file lock and releases it when the fetch completes, like a
    kernel read-ahead keeping the buffers busy. The paper's Figure 8
-   anomaly — a revoke serialised behind a prefetch whose data is then
-   discarded anyway — is fixed by cancellation rather than ablation:
-   the hold is registered as sheddable, and when a revoke arrives
-   while the fetch is in flight the clerk's [on_contended] callback
-   releases it immediately and flags the fetch cancelled, so its data
-   (possibly stale by landing time) is simply not inserted.
+   anomaly — prefetched data that a revoke discards unread — has two
+   halves. A revoke serialised behind an in-flight prefetch is
+   cancellation's: the hold is registered as sheddable, and when a
+   revoke arrives while the fetch is in flight the clerk's
+   [on_contended] callback releases it immediately and flags the fetch
+   cancelled, so its data (possibly stale by landing time) is simply
+   not inserted. A prefetch that lands whole before the next revoke
+   throws it away is the predictor's: an invalidating revoke disarms
+   the file ([on_revoke]), so under write sharing a reader prefetches
+   only after two reads in a row with no revoke between them.
 
    [boffs] are the blocks actually worth fetching (mapped, uncached,
    within the per-inode in-flight budget); their bytes were charged by
@@ -425,8 +429,9 @@ let read ctx inum ~off ~len =
   with
   | data, ino, next ->
     (* Read-ahead fires only on sequential access (this read started
-       where the previous one ended, or at the file head) — the UFS
-       heuristic. *)
+       where the previous one ended, or at the head of a file not read
+       here before) — the UFS heuristic. A read after an invalidating
+       revoke never counts. *)
     let sequential =
       match Ctx.predicted_next ctx inum with
       | Some predicted -> off = predicted
@@ -544,7 +549,10 @@ let on_revoke ctx ~lock ~to_read =
   end
   else begin
     Cache.flush_lock ctx.Ctx.cache lock;
-    if not to_read then Cache.invalidate_lock ctx.Ctx.cache lock
+    if not to_read then begin
+      Cache.invalidate_lock ctx.Ctx.cache lock;
+      Option.iter (Ctx.disarm_read_ahead ctx) (Lockns.inode_of_lock lock)
+    end
   end
 
 let on_expired ctx () =

@@ -66,6 +66,10 @@ val lookup : t -> dir:int -> string -> int
 (** Raises [Enoent] if absent. ["."] resolves to [dir] itself. *)
 
 val readdir : t -> int -> (string * int) list
+(** The directory's entries. Moves its approximate atime only when this
+    server holds the directory's lock exclusively (a cached write lock);
+    under a shared hold the inode is left clean. *)
+
 val readlink : t -> int -> string
 
 val link : t -> dir:int -> string -> inum:int -> unit
@@ -85,9 +89,12 @@ val rename : t -> sdir:int -> string -> ddir:int -> string -> unit
 (* --- file I/O ----------------------------------------------------------- *)
 
 val read : t -> int -> off:int -> len:int -> bytes
-(** Read up to [len] bytes at [off] (clamped at end-of-file). Updates
-    the approximate atime; triggers read-ahead if configured. A
-    negative [off] fails with [Einval]. *)
+(** Read up to [len] bytes at [off] (clamped at end-of-file). Moves
+    the approximate atime only when this server holds the file's lock
+    exclusively (a cached write lock); under a shared hold the inode is
+    left clean. A sequential read triggers read-ahead if configured;
+    the first read after a revoke that invalidated the file's cache
+    does not. A negative [off] fails with [Einval]. *)
 
 val write : t -> int -> off:int -> bytes -> unit
 (** Write [data] at [off], extending the file as needed. A negative

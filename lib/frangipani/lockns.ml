@@ -8,6 +8,12 @@ open Locksvc
 
 let barrier_lock = 1
 let inode_lock inum = 0x1_0000_0000 + inum
+
+(** The file an inode lock covers; [None] for every other lock. *)
+let inode_of_lock lock =
+  let inum = lock - inode_lock 0 in
+  if inum >= 0 && inum < Layout.max_inodes then Some inum else None
+
 let bitmap_lock gseg = 0x8_0000_0000 + gseg
 let log_lock slot = 0x1_0_0000_0000 + slot
 let block_lock addr = (1 lsl 53) + (addr / Layout.block)

@@ -58,7 +58,7 @@ val acquire_for_recovery : t -> lock:int -> unit
     recovery demon to take ownership of the victim's log. *)
 
 val holds : t -> lock:int -> Types.mode option
-(** The cached global mode, for tests and assertions. *)
+(** The cached global mode. *)
 
 val lease_valid_until : t -> Simkit.Sim.time
 

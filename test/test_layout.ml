@@ -110,7 +110,8 @@ let prop_bitmap_math =
       && sector < Layout.pool_bitmap_base pool + (tb / 2))
 
 let prop_lock_ids_unique =
-  (* Lock ids from different namespaces must never collide. *)
+  (* Lock ids from different namespaces must never collide, and only
+     an inode lock maps back to a file. *)
   QCheck.Test.make ~name:"lock-id namespaces are disjoint" ~count:500
     QCheck.(quad (int_bound (Layout.max_inodes - 1)) (int_bound 255)
               (int_bound 4) (int_bound 100_000))
@@ -130,7 +131,9 @@ let prop_lock_ids_unique =
           Lockns.block_lock (Layout.small_addr Layout.Small_data 12345);
         ]
       in
-      List.length (List.sort_uniq compare ids) = 5)
+      List.length (List.sort_uniq compare ids) = 5
+      && List.map Lockns.inode_of_lock ids
+         = [ None; Some inum; None; None; None ])
 
 let prop_inode_codec_roundtrip =
   QCheck.Test.make ~name:"inode encode/decode round-trips" ~count:300

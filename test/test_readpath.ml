@@ -160,6 +160,77 @@ let test_revoke_mid_prefetch () =
       Alcotest.(check bool) "prefetched data was discarded" true
         Petal.Client.(s1.reads - s0.reads > 0))
 
+(* --- reads under a shared lock leave the inode clean ------------------------ *)
+
+let test_shared_read_leaves_inode_clean () =
+  Sim.run (fun () ->
+      let _, servers = setup ~nservers:2 () in
+      let a = List.nth servers 0 and b = List.nth servers 1 in
+      let f = Fs.create a ~dir:Fs.root "shared" in
+      Fs.write a f ~off:0 (bytes_pat 65536 15);
+      Fs.sync a;
+      ignore (Fs.read b f ~off:0 ~len:65536);
+      (* a's write revokes b's R lock; b has nothing dirty to write
+         back, not even an atime. *)
+      let w0 = (Fs.petal_stats b).Petal.Client.writes in
+      Fs.write a f ~off:0 (bytes_pat 4096 16);
+      Alcotest.(check int) "reader's revoke writes nothing to Petal" w0
+        (Fs.petal_stats b).Petal.Client.writes;
+      (* Under the writer's exclusive hold a read still moves atime. *)
+      let before = (Fs.stat a f).Fs.atime in
+      Sim.sleep (Sim.sec 1.0);
+      ignore (Fs.read a f ~off:0 ~len:4096);
+      Alcotest.(check bool) "read under W advances atime" true
+        ((Fs.stat a f).Fs.atime > before))
+
+(* --- an invalidating revoke disarms read-ahead ---------------------------- *)
+
+let test_revoke_disarms_read_ahead () =
+  Sim.run (fun () ->
+      let _, servers = setup ~nservers:2 () in
+      let a = List.nth servers 0 and b = List.nth servers 1 in
+      let f = Fs.create a ~dir:Fs.root "streamed" in
+      let size = 1024 * 1024 in
+      let data = bytes_pat size 17 in
+      write_out a f data;
+      let piece = 65536 in
+      let prefetching () = Hashtbl.mem b.Ctx.prefetch_inflight f in
+      let settle () = Sim.sleep (Sim.sec 2.0) in
+      let read_at i =
+        let got = Fs.read b f ~off:(i * piece) ~len:piece in
+        Alcotest.(check bool)
+          (Printf.sprintf "data @%dK" (i * 64))
+          true
+          (Bytes.equal got (Bytes.sub data (i * piece) piece))
+      in
+      (* A stream nobody revokes prefetches from offset 0. *)
+      read_at 0;
+      Alcotest.(check bool) "unrevoked stream prefetches at 0" true (prefetching ());
+      settle ();
+      read_at 1;
+      settle ();
+      (* a's write invalidates b's cache, prefetched window included. *)
+      let fresh = Bytes.make 4096 'A' in
+      Fs.write a f ~off:0 fresh;
+      Bytes.blit fresh 0 data 0 4096;
+      (* Sequential by offset, but the first read after the revoke
+         pays only for its own blocks: the inode sector and one data
+         run. *)
+      let r0 = (Fs.petal_stats b).Petal.Client.reads in
+      read_at 2;
+      Alcotest.(check bool) "no prefetch after revoke" false (prefetching ());
+      settle ();
+      Alcotest.(check int) "only demand reads after revoke" 2
+        ((Fs.petal_stats b).Petal.Client.reads - r0);
+      (* The next sequential read, with no revoke between, re-arms. *)
+      read_at 3;
+      Alcotest.(check bool) "second read in a row prefetches" true (prefetching ());
+      settle ();
+      let r1 = (Fs.petal_stats b).Petal.Client.reads in
+      read_at 4;
+      Alcotest.(check int) "window was prefetched" r1
+        (Fs.petal_stats b).Petal.Client.reads)
+
 (* --- replica failure during a batched read ---------------------------------- *)
 
 let test_dead_replica_batched_read () =
@@ -237,5 +308,9 @@ let () =
             test_dead_replica_batched_read;
           Alcotest.test_case "read-ahead table bounded" `Quick
             test_read_ahead_table_bounded;
+          Alcotest.test_case "shared read leaves inode clean" `Quick
+            test_shared_read_leaves_inode_clean;
+          Alcotest.test_case "revoke disarms read-ahead" `Quick
+            test_revoke_disarms_read_ahead;
         ] );
     ]

@@ -84,6 +84,29 @@ let test_contention_runs () =
       Alcotest.(check bool) "some writes happened" true
         (r.Workloads.Contention.write_mb_per_s > 0.0))
 
+(* Figure 8: under write sharing, read-ahead must not cost readers
+   throughput — prefetched windows that every revoke discards used to
+   make ON trail OFF. Deterministic, so the bound is exact. *)
+let test_read_ahead_under_write_sharing () =
+  let read_mb_per_s config =
+    Sim.run (fun () ->
+        let t = T.build ~petal_servers:3 ~ndisks:3 ~ngroups:16 () in
+        let writer = V.of_frangipani (T.add_server t ~config ()) in
+        let readers =
+          List.init 2 (fun _ -> V.of_frangipani (T.add_server t ~config ()))
+        in
+        (Workloads.Contention.readers_vs_writer ~reader_vfss:readers
+           ~writer_vfs:writer ~write_bytes:(1024 * 1024) ~duration:(Sim.sec 10.0))
+          .Workloads.Contention.read_mb_per_s)
+  in
+  let base = Frangipani.Ctx.default_config in
+  let on = read_mb_per_s base in
+  let off = read_mb_per_s { base with Frangipani.Ctx.read_ahead = 0 } in
+  Alcotest.(check bool)
+    (Printf.sprintf "read-ahead ON %.3f >= 0.98 x OFF %.3f MB/s" on off)
+    true
+    (on >= 0.98 *. off)
+
 let test_write_write_sharing_runs () =
   Sim.run (fun () ->
       let t = T.build ~petal_servers:3 ~ndisks:3 ~ngroups:16 () in
@@ -107,6 +130,8 @@ let () =
       ( "contention",
         [
           Alcotest.test_case "readers vs writer" `Quick test_contention_runs;
+          Alcotest.test_case "read-ahead under write sharing" `Quick
+            test_read_ahead_under_write_sharing;
           Alcotest.test_case "write/write sharing" `Quick test_write_write_sharing_runs;
         ] );
     ]
