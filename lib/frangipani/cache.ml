@@ -192,7 +192,7 @@ let present t addr = Hashtbl.mem t.tbl addr || Hashtbl.mem t.inflight addr
    bytes each — the batched miss path of a scatter-gather read.
    Granules already cached or being fetched elsewhere are skipped;
    readers of those wait on the other fetch through {!entry}. *)
-let fill_runs ?(prefetch = false) ?(still_wanted = fun () -> true) t runs
+let fill_runs ?(still_wanted = fun () -> true) t runs
     ~granule =
   (* Granules already cached (or being fetched) are hits of the
      read-ahead; misses are counted below, per entry this fetch
@@ -229,7 +229,7 @@ let fill_runs ?(prefetch = false) ?(still_wanted = fun () -> true) t runs
        pieces out concurrently and coalesces across run boundaries. *)
     let datas =
       try
-        Petal.Client.read_runs ~prefetch t.vd
+        Petal.Client.read_runs t.vd
           (List.map (fun (_, addr, len, _) -> (addr, len)) prepared)
       with ex ->
         finish ();

@@ -63,7 +63,6 @@ val present : t -> int -> bool
     prefetch would skip — used to size read-ahead windows.) *)
 
 val fill_runs :
-  ?prefetch:bool ->
   ?still_wanted:(unit -> bool) ->
   t ->
   (int * int * int) list ->
@@ -73,8 +72,8 @@ val fill_runs :
     submission (pieces of every run fan out concurrently; adjacent
     pieces in one chunk coalesce into one RPC) and populate clean
     entries of [granule] bytes — the batched scatter-gather read
-    path. [prefetch:true] draws the pieces from the Petal client's
-    separate (smaller) speculative pool. [still_wanted] is consulted
+    path; a read-ahead window and a foreground miss draw on the same
+    Petal client in-flight pool. [still_wanted] is consulted
     when the data arrives: if it answers false (a cancelled
     read-ahead — its lock was revoked mid-fetch) nothing is inserted,
     and readers already waiting on the fetch re-issue it

@@ -49,10 +49,6 @@ type t = {
   read_ahead_next : (int, int) Hashtbl.t;
       (** inum -> predicted next offset; -1 after an invalidating
           revoke *)
-  read_ahead_order : int Queue.t;
-      (** insertion order of [read_ahead_next] keys, for eviction *)
-  prefetch_inflight : (int, int) Hashtbl.t;
-      (** inum -> bytes of prefetch currently in flight (capped) *)
   shed_holds : (int, (bool ref * Locksvc.Types.mode) list) Hashtbl.t;
       (** lock -> discretionary holds on it (in-flight prefetches in R,
           fresh-inode batch refills in W) with their shed flags — what
@@ -71,39 +67,17 @@ let charge_bytes t n =
 
 (* The sequential-access predictor must not grow with the number of
    files ever read: entries are dropped when their inode is destroyed
-   or truncated to zero, and the table is capped, evicting the
-   oldest-inserted entries (losing one only costs a missed prefetch
-   window). *)
+   or truncated to zero, and a table that reaches the cap is emptied
+   (losing an entry only costs one missed prefetch window). *)
 let read_ahead_table_cap = 512
 
 let predicted_next t inum = Hashtbl.find_opt t.read_ahead_next inum
 
 let note_read_ahead t ~inum ~next =
-  if not (Hashtbl.mem t.read_ahead_next inum) then begin
-    while
-      Hashtbl.length t.read_ahead_next >= read_ahead_table_cap
-      && not (Queue.is_empty t.read_ahead_order)
-    do
-      Hashtbl.remove t.read_ahead_next (Queue.pop t.read_ahead_order)
-    done;
-    (* The order queue can accumulate entries for inodes meanwhile
-       unlinked (and duplicates from re-insertion after unlink);
-       compact it once it is clearly mostly stale. *)
-    if Queue.length t.read_ahead_order > 2 * read_ahead_table_cap then begin
-      let seen = Hashtbl.create 64 in
-      let fresh = Queue.create () in
-      Queue.iter
-        (fun i ->
-          if Hashtbl.mem t.read_ahead_next i && not (Hashtbl.mem seen i) then begin
-            Hashtbl.add seen i ();
-            Queue.push i fresh
-          end)
-        t.read_ahead_order;
-      Queue.clear t.read_ahead_order;
-      Queue.transfer fresh t.read_ahead_order
-    end;
-    Queue.push inum t.read_ahead_order
-  end;
+  if
+    Hashtbl.length t.read_ahead_next >= read_ahead_table_cap
+    && not (Hashtbl.mem t.read_ahead_next inum)
+  then Hashtbl.reset t.read_ahead_next;
   Hashtbl.replace t.read_ahead_next inum next
 
 let forget_read_ahead t inum = Hashtbl.remove t.read_ahead_next inum
@@ -116,24 +90,6 @@ let forget_read_ahead t inum = Hashtbl.remove t.read_ahead_next inum
 let disarm_read_ahead t inum =
   if Hashtbl.mem t.read_ahead_next inum then
     Hashtbl.replace t.read_ahead_next inum (-1)
-
-(* Per-inode bound on in-flight prefetch bytes: two full windows, so
-   consecutive windows overlap but a slow Petal cannot accumulate an
-   unbounded pile of speculative fetches behind one file. *)
-let prefetch_cap_bytes t = 2 * t.config.read_ahead * Layout.block
-
-let prefetch_budget_blocks t inum =
-  let used = Option.value ~default:0 (Hashtbl.find_opt t.prefetch_inflight inum) in
-  max 0 ((prefetch_cap_bytes t - used) / Layout.block)
-
-let prefetch_charge t inum bytes =
-  Hashtbl.replace t.prefetch_inflight inum
-    (Option.value ~default:0 (Hashtbl.find_opt t.prefetch_inflight inum) + bytes)
-
-let prefetch_discharge t inum bytes =
-  match Hashtbl.find_opt t.prefetch_inflight inum with
-  | Some v when v > bytes -> Hashtbl.replace t.prefetch_inflight inum (v - bytes)
-  | _ -> Hashtbl.remove t.prefetch_inflight inum
 
 (* Registry of discretionary holds, keyed by lock: an in-flight
    prefetch's inherited R hold, a fresh-inode batch refill's W holds.

@@ -85,7 +85,7 @@ let missing_blocks ctx (ino : Ondisk.inode) boffs =
    addresses into contiguous runs of up to 64 KB (holes and the
    small/large-block address discontinuity split runs naturally) and
    submit every run through one batched scatter-gather fetch. *)
-let fetch_blocks ?prefetch ?still_wanted ctx inum
+let fetch_blocks ?still_wanted ctx inum
     (ino : Ondisk.inode) boffs =
   let missing =
     List.filter_map (fun boff -> block_addr ino ~boff) boffs
@@ -102,7 +102,7 @@ let fetch_blocks ?prefetch ?still_wanted ctx inum
       [] missing
     |> List.rev
   in
-  Cache.fill_runs ?prefetch ?still_wanted ctx.Ctx.cache
+  Cache.fill_runs ?still_wanted ctx.Ctx.cache
     (List.map
        (fun (addr, len) -> (Ctx.data_lock ctx ~inum ~addr, addr, len))
        runs)

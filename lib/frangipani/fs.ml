@@ -387,28 +387,24 @@ let reg_inode ctx inum =
    the file ([on_revoke]), so under write sharing a reader prefetches
    only after two reads in a row with no revoke between them.
 
-   [boffs] are the blocks actually worth fetching (mapped, uncached,
-   within the per-inode in-flight budget); their bytes were charged by
-   the caller and are discharged here when the batch lands, however it
-   lands. The whole window goes down as one batched submission,
-   drawing on the Petal client's separate speculative in-flight pool
-   so it never crowds out foreground reads or dirty write-back. *)
+   [boffs] are the blocks actually worth fetching (mapped, neither
+   cached nor in flight). The whole window goes down as one batched
+   submission through the Petal client's one in-flight pool, the same
+   as a foreground read. *)
 let read_ahead_holding_lock ctx inum ino boffs =
-  let bytes = List.length boffs * Layout.block in
   let lock = ilock inum in
   let cancelled = ref false in
   Ctx.hold_register ctx ~lock Types.R cancelled;
   Sim.spawn (fun () ->
       Fun.protect
         ~finally:(fun () ->
-          Ctx.prefetch_discharge ctx inum bytes;
           (* Whoever removes the registry entry owns the release; a
              contended revoke may already have shed our hold. *)
           if Ctx.hold_take ctx ~lock cancelled then
             Clerk.release ctx.Ctx.clerk ~lock Types.R)
         (fun () ->
           try
-            File.fetch_blocks ~prefetch:true
+            File.fetch_blocks
               ~still_wanted:(fun () -> not !cancelled)
               ctx inum ino boffs
           with
@@ -446,21 +442,17 @@ let read ctx inum ~off ~len =
           List.init n (fun i -> boff0 + (i * Layout.block))
           |> List.filter (fun boff -> boff < ino.Ondisk.size)
         in
-        (* Only blocks a fetch would actually transfer count against
-           the per-inode budget; a window past the cap is clipped, not
-           skipped, so a slow Petal bounds speculation at two windows
-           in flight. *)
-        let missing = File.missing_blocks ctx ino boffs in
-        let budget = Ctx.prefetch_budget_blocks ctx inum in
-        List.filteri (fun i _ -> i < budget) missing
+        (* Blocks already cached or in flight are not fetched again:
+           a sequential reader has waited for every block below
+           [next], so one file never has more than one window in
+           flight ahead of it, however slow Petal is. *)
+        File.missing_blocks ctx ino boffs
       end
       else []
     in
-    if window <> [] then begin
+    if window <> [] then
       (* Hand our hold over to the prefetch process. *)
-      Ctx.prefetch_charge ctx inum (List.length window * Layout.block);
       read_ahead_holding_lock ctx inum ino window
-    end
     else Clerk.release ctx.Ctx.clerk ~lock:(ilock inum) Types.R;
     data
   | exception e ->
@@ -594,8 +586,6 @@ let mount ~host ~rpc ~vd ~lock_servers ?(table = "fs0") ?(config = Ctx.default_c
       recov_skipped = 0;
       recov_torn = 0;
       read_ahead_next = Hashtbl.create 64;
-      read_ahead_order = Queue.create ();
-      prefetch_inflight = Hashtbl.create 64;
       shed_holds = Hashtbl.create 16;
     }
   in

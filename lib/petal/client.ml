@@ -7,7 +7,6 @@ type t = {
   servers : Net.addr array;
       (* the fixed provisioned-member set; which members serve data is
          the Paxos-agreed [active] map below *)
-  timeout : Sim.time;
   inflight : Sim.Resource.t;
       (* bounds outstanding chunk pieces: submission blocks here, so
          backpressure lives at the driver, not in every caller *)
@@ -28,10 +27,6 @@ type t = {
   mutable read_rpc_count : int; (* read RPCs actually issued *)
   mutable read_coalesce_count : int; (* pieces merged into a neighbour *)
   mutable write_piece_count : int; (* write pieces = write RPCs issued *)
-  prefetch_inflight : Sim.Resource.t;
-      (* speculative reads are bounded separately (and tighter) than
-         the main pool, so a deep read-ahead window can never occupy
-         the slots a foreground read or dirty write-back needs *)
   (* Servers whose last piece RPC timed out, mapped to the time of
      their next probe: until then pieces go straight to the other
      replica instead of re-paying the timeout, and after a successful
@@ -79,23 +74,19 @@ type stats = {
    (§4); 64 pieces of up to 64 KB each is 4 MB. *)
 let max_inflight_pieces = 64
 
-(* Speculative (read-ahead) pieces get their own, smaller bound: 16
-   pieces of up to 64 KB is one full prefetch window in flight. *)
-let max_prefetch_pieces = 16
-
 (* The per-replica timeout must comfortably exceed a queued raw-disk
    write burst; failover latency is dominated by it, so it trades
    responsiveness against spurious degradation. *)
+let timeout = Sim.sec 2.0
+
 let connect ~rpc ~servers ?active () =
   let active =
     match active with
     | Some l -> Array.of_list (List.sort_uniq compare l)
     | None -> Array.init (Array.length servers) Fun.id
   in
-  { rpc; servers; timeout = Sim.sec 2.0;
+  { rpc; servers;
     inflight = Sim.Resource.create ~capacity:max_inflight_pieces "petal.inflight";
-    prefetch_inflight =
-      Sim.Resource.create ~capacity:max_prefetch_pieces "petal.prefetch";
     write_guard = (fun () -> None);
     active; mepoch = 0;
     write_ops = 0; write_ns = 0; read_ops = 0; read_ns = 0;
@@ -243,10 +234,8 @@ let max_wait_rounds = 120
    map refresh and a re-route against the new owners (bounded by
    [max_map_rounds]), which is how a client rides through a
    reconfiguration cutover without surfacing replica loss. *)
-let submit_piece ?(prefetch = false) t g ~root ~chunk ~nrep ~size ~req_of
-    ~on_reply =
-  let pool = if prefetch then t.prefetch_inflight else t.inflight in
-  Sim.Resource.acquire pool;
+let submit_piece t g ~root ~chunk ~nrep ~size ~req_of ~on_reply =
+  Sim.Resource.acquire t.inflight;
   let pi = primary_of t ~root ~chunk in
   let to_secondary = nrep > 1 && skip_primary t pi in
   if to_secondary then t.primary_skip_count <- t.primary_skip_count + 1;
@@ -254,12 +243,12 @@ let submit_piece ?(prefetch = false) t g ~root ~chunk ~nrep ~size ~req_of
     try
       if to_secondary then
         Rpc.call_async t.rpc ~dst:t.servers.(secondary_of t ~root ~chunk)
-          ~timeout:t.timeout ~size (req_of ~solo:true)
+          ~timeout ~size (req_of ~solo:true)
       else
-        Rpc.call_async t.rpc ~dst:t.servers.(pi) ~timeout:t.timeout ~size
+        Rpc.call_async t.rpc ~dst:t.servers.(pi) ~timeout ~size
           (req_of ~solo:false)
     with ex ->
-      Sim.Resource.release pool;
+      Sim.Resource.release t.inflight;
       raise ex
   in
   (* The failover step, shared by the first attempt's completion and
@@ -267,7 +256,7 @@ let submit_piece ?(prefetch = false) t g ~root ~chunk ~nrep ~size ~req_of
      and the replica if there is one. *)
   let call_primary pi =
     match
-      Rpc.call t.rpc ~dst:t.servers.(pi) ~timeout:t.timeout ~size
+      Rpc.call t.rpc ~dst:t.servers.(pi) ~timeout ~size
         (req_of ~solo:false)
     with
     | Ok r ->
@@ -281,7 +270,7 @@ let submit_piece ?(prefetch = false) t g ~root ~chunk ~nrep ~size ~req_of
     if nrep > 1 then
       match
         Rpc.call t.rpc ~dst:t.servers.(secondary_of t ~root ~chunk)
-          ~timeout:t.timeout ~size (req_of ~solo:true)
+          ~timeout ~size (req_of ~solo:true)
       with
       | Ok r -> Some r
       | Error `Timeout -> None
@@ -335,10 +324,10 @@ let submit_piece ?(prefetch = false) t g ~root ~chunk ~nrep ~size ~req_of
       | exception ex ->
         (* Our own host died mid-failover: fail the op, don't abort
            the simulation from this helper process. *)
-        Sim.Resource.release pool;
+        Sim.Resource.release t.inflight;
         gather_fill g (Error ex)
       | reply -> (
-        Sim.Resource.release pool;
+        Sim.Resource.release t.inflight;
         match reply with
         | None ->
           let msg =
@@ -440,7 +429,7 @@ let timed add f =
    server) into a single RPC — e.g. the tail of one 64 KB run and the
    head of the next, when runs are not chunk-aligned. Each coalesced
    RPC scatters its reply into all its destination segments. *)
-let read_runs ?prefetch v runs =
+let read_runs v runs =
   v.c.read_ops <- v.c.read_ops + 1;
   let runs = List.map (fun (off, len) -> (off, Bytes.create len)) runs in
   List.iter (fun (off, buf) -> check_aligned ~off ~len:(Bytes.length buf)) runs;
@@ -473,7 +462,7 @@ let read_runs ?prefetch v runs =
   timed (fun dt -> v.c.read_ns <- v.c.read_ns + dt) (fun () ->
       scatter
         (fun g (chunk, within, len, ds) ->
-          submit_piece ?prefetch v.c g ~root:v.root ~chunk ~nrep:v.nrep
+          submit_piece v.c g ~root:v.root ~chunk ~nrep:v.nrep
             ~size:read_req_size
             ~req_of:(fun ~solo:_ ->
               Read_req

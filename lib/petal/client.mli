@@ -77,17 +77,16 @@ val open_vdisk : t -> int -> vdisk
 val id : vdisk -> int
 val is_snapshot : vdisk -> bool
 
-val read_runs : ?prefetch:bool -> vdisk -> (int * int) list -> bytes list
+val read_runs : vdisk -> (int * int) list -> bytes list
 (** Read several [(off, len)] extents as one scatter-gather operation;
     returns one buffer per extent, in order, once every piece of every
     extent has landed. Uncommitted space reads as zeros. Adjacent
     chunk pieces of consecutive extents that address the same chunk
     (hence the same server) are coalesced into a single RPC — the
     batched read path's round-trip saver, visible in {!op_stats}.
-    With [prefetch:true] the pieces draw from a separate, smaller
-    in-flight pool (16 pieces, one prefetch window), so speculative
-    read-ahead can never occupy the slots a foreground read or dirty
-    write-back needs. *)
+    Every piece, foreground or read-ahead, read or write, waits for a
+    slot in the client's one in-flight pool (64 pieces) — the only
+    backpressure between Frangipani and Petal. *)
 
 val write_runs : vdisk -> (int * bytes) list -> unit
 (** Write several [(off, data)] extents as one scatter-gather

@@ -53,9 +53,16 @@ type file_state = Done of int | Inflight
 
 let io_unit = 4096
 
+(* Zipf skew within a tenant; the share of ops on an existing file
+   that rewrite it rather than read it; the share of ops that read the
+   cluster-wide shared set; and that set's size. *)
+let zipf_s = 1.1
+let write_frac = 0.3
+let shared_frac = 0.05
+let nshared = 8
+
 let run vfss ?(users_per_server = 16) ?(ops_per_user = 24) ?(namespace = 16384)
-    ?(zipf_s = 1.1) ?(write_frac = 0.3) ?(shared_frac = 0.05)
-    ?(nshared = 8) ?(think = Sim.ms 2) () =
+    ?(think = Sim.ms 2) () =
   let nservers = List.length vfss in
   if nservers = 0 then invalid_arg "Multitenant.run: no servers";
   let sample = zipf_cdf ~n:namespace ~s:zipf_s in

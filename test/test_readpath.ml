@@ -194,7 +194,9 @@ let test_revoke_disarms_read_ahead () =
       let data = bytes_pat size 17 in
       write_out a f data;
       let piece = 65536 in
-      let prefetching () = Hashtbl.mem b.Ctx.prefetch_inflight f in
+      (* A prefetch's inherited hold sits in the shed registry exactly
+         while its fetch is in flight. *)
+      let prefetching () = Hashtbl.mem b.Ctx.shed_holds (Lockns.inode_lock f) in
       let settle () = Sim.sleep (Sim.sec 2.0) in
       let read_at i =
         let got = Fs.read b f ~off:(i * piece) ~len:piece in
@@ -230,6 +232,54 @@ let test_revoke_disarms_read_ahead () =
       read_at 4;
       Alcotest.(check int) "window was prefetched" r1
         (Fs.petal_stats b).Petal.Client.reads)
+
+(* --- a slow Petal does not pile up speculation -------------------------------- *)
+
+let test_slow_petal_bounds_speculation () =
+  Sim.run (fun () ->
+      let t, fs = one () in
+      let f = Fs.create fs ~dir:Fs.root "slow" in
+      let size = 4 * 1024 * 1024 in
+      let data = bytes_pat size 19 in
+      write_out fs f data;
+      let ino = Inode.read fs f in
+      (* Every message to a Petal server waits 50 ms, so prefetches
+         stay in flight across many reads. *)
+      let nf = Cluster.Netfault.create t.T.net in
+      Array.iter
+        (fun dst -> Cluster.Netfault.shape nf ~dst ~delay:(Sim.ms 50))
+        t.T.petal.Petal.Testbed.addrs;
+      let read_ahead = fs.Ctx.config.Ctx.read_ahead in
+      let piece = 65536 in
+      let most = ref 0 in
+      for i = 0 to (size / piece) - 1 do
+        let got = Fs.read fs f ~off:(i * piece) ~len:piece in
+        Alcotest.(check bool)
+          (Printf.sprintf "data @%dK" (i * 64))
+          true
+          (Bytes.equal got (Bytes.sub data (i * piece) piece));
+        (* Let the prefetch this read spawned register its window,
+           then count the blocks past the read's end that are cached
+           or in flight: never more than one window, however slow the
+           fetches. *)
+        Sim.sleep (Sim.ms 1);
+        let next = (i + 1) * piece in
+        let ahead =
+          List.init ((size - next) / Layout.block) (fun k ->
+              next + (k * Layout.block))
+          |> List.filter (fun boff ->
+                 match File.block_addr ino ~boff with
+                 | Some addr -> Cache.present fs.Ctx.cache addr
+                 | None -> false)
+          |> List.length
+        in
+        most := max !most ahead;
+        Alcotest.(check bool)
+          (Printf.sprintf "at most one window ahead @%dK (%d blocks)" (i * 64)
+             ahead)
+          true (ahead <= read_ahead)
+      done;
+      Alcotest.(check int) "a whole window ran ahead" read_ahead !most)
 
 (* --- replica failure during a batched read ---------------------------------- *)
 
@@ -312,5 +362,7 @@ let () =
             test_shared_read_leaves_inode_clean;
           Alcotest.test_case "revoke disarms read-ahead" `Quick
             test_revoke_disarms_read_ahead;
+          Alcotest.test_case "slow Petal bounds speculation" `Quick
+            test_slow_petal_bounds_speculation;
         ] );
     ]
