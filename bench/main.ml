@@ -415,7 +415,7 @@ let ms_of t = Sim.to_sec t *. 1000.0
    derived from the filename (BENCH_5.json shipped with a hand-typed
    "pr": 4 — wrong, and silently so); keeping one constant makes the
    two impossible to disagree. *)
-let bench_out = "BENCH_23.json"
+let bench_out = "BENCH_24.json"
 let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
 
 (* The json's sections, in file order, each a store of rows

@@ -27,6 +27,11 @@
     create then locks the fresh inode (normally still cached), reads
     it (a cache hit unless a revoke invalidated it) and claims its
     bit, so the segment lock covers only the scan and the bit flip.
+    The batch is topped up behind the creates ({!top_up}): a take
+    that leaves fewer than [batch / 2] starts one background refill
+    unless one is in flight, so a create refills under its directory
+    lock only when it finds the batch empty, and then for itself,
+    without waiting for the top-up.
 
     Locking discipline: a create holds its directory lock, then the
     fresh inode's, then the segment lock; segment locks are acquired
@@ -158,16 +163,49 @@ let refill_inodes ctx =
     List.iter (Hashtbl.remove ps.reserved) bits;
     raise e
 
-(** The next fresh inode number for [txn], refilling the batch when
-    it is empty; its reservation passes to [txn]. *)
+(** Refill in the background once fewer than half a batch is left,
+    unless a top-up is already in flight or the server is unusable.
+    The top-up is its own process and holds none of the create's
+    locks. A failed one has released its locks and dropped its
+    reservations ({!refill_inodes}); it ends quietly, like a failed
+    prefetch. *)
+let top_up ctx =
+  let st = ctx.Ctx.alloc in
+  if Queue.length st.fresh < batch / 2 && (not st.topping_up) && Ctx.usable ctx then begin
+    st.topping_up <- true;
+    Sim.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> st.topping_up <- false)
+          (fun () ->
+            try refill_inodes ctx
+            with
+            | Error _ | Types.Lease_expired | Cluster.Host.Crashed _
+            | Petal.Protocol.Unavailable _
+            -> ()))
+  end
+
+(** The next fresh inode number for [txn]; its reservation passes to
+    [txn]. A create that finds the batch empty refills it itself: had
+    it waited for an in-flight top-up, every concurrent creator on the
+    server would queue behind that one batch of 8. *)
 let rec take_inode ctx txn =
   match Queue.take_opt ctx.Ctx.alloc.fresh with
   | Some inum ->
     hand_over ctx txn Layout.Inode_pool inum;
+    top_up ctx;
     inum
   | None ->
     refill_inodes ctx;
     take_inode ctx txn
+
+(** Give back the fresh batch, whose sectors a cache drop evicts: the
+    next create refills with one read instead of missing on each
+    inode sector in turn. *)
+let drop_fresh ctx =
+  let st = ctx.Ctx.alloc in
+  let ps = Alloc_state.pool st Layout.Inode_pool in
+  Queue.iter (Hashtbl.remove ps.reserved) st.fresh;
+  Queue.clear st.fresh
 
 (** Set the reserved [bit] within [txn] if it is still clear, holding
     its segment lock until [txn] commits; false if another server

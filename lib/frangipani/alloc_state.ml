@@ -14,12 +14,15 @@ type t = {
   fresh : int Queue.t;
       (** reserved inode numbers, fetched and not yet handed to a
           create; their reservations belong to the server *)
+  mutable topping_up : bool;
+      (** a background refill of [fresh] is in flight *)
 }
 
 let create () =
   {
     pools = Array.init 5 (fun _ -> { seg = None; hint = 0; reserved = Hashtbl.create 8 });
     fresh = Queue.create ();
+    topping_up = false;
   }
 
 let pool t p = t.pools.(Layout.pool_index p)

@@ -55,8 +55,9 @@ type t = {
           a contended revoke sheds *)
 }
 
-let check_usable t =
-  if t.poisoned || t.unmounted then Errors.fail Errors.Eio
+let usable t = not (t.poisoned || t.unmounted)
+
+let check_usable t = if not (usable t) then Errors.fail Errors.Eio
 
 let charge_op t = Cluster.Host.consume t.host cpu_per_op
 

@@ -636,7 +636,9 @@ let unmount ctx =
 
 let crash ctx = Cluster.Host.crash ctx.Ctx.host
 
-let drop_caches ctx = Cache.drop_clean ctx.Ctx.cache
+let drop_caches ctx =
+  Cache.drop_clean ctx.Ctx.cache;
+  Alloc.drop_fresh ctx
 
 (* --- fault injection (exercises Fsck) ----------------------------------- *)
 

@@ -148,7 +148,8 @@ val recovery_stats : t -> recovery_stats
 
 val drop_caches : t -> unit
 (** Evict all clean cached blocks (used by the uncached-read
-    experiments, Figure 6). *)
+    experiments, Figure 6) and give back the fresh-inode batch whose
+    sectors they held. *)
 
 (** {2 Fault injection}
 

@@ -396,16 +396,15 @@ let test_batched_inode_fetch () =
 
 (* A batch that starts off a run boundary straddles two lock-id runs:
    its 8 requests go in one message per lock server those runs map to,
-   so at most two. *)
+   so at most two. The batch under test is the top-up that draining
+   the mount's first batch starts. *)
 let test_unaligned_inode_batch () =
   Sim.run (fun () ->
       let _, fs = one () in
       let d = Fs.mkdir fs ~dir:Fs.root "d" in
       let run = Locksvc.Types.run_length in
-      (* Empty the batch, then point the next scan mid-run. *)
-      List.iter
-        (fun k -> ignore (Fs.create fs ~dir:d (Printf.sprintf "pad%d" k)))
-        (List.init (Queue.length fs.Ctx.alloc.fresh) Fun.id);
+      Alcotest.(check bool) "no top-up in flight" false fs.Ctx.alloc.topping_up;
+      (* Point the next scan mid-run, then empty the batch. *)
       let ps = Alloc_state.pool fs.Ctx.alloc Layout.Inode_pool in
       ps.hint <- ps.hint - (ps.hint mod run) + run + (run / 2);
       let stats () =
@@ -413,9 +412,14 @@ let test_unaligned_inode_batch () =
         (s.Locksvc.Clerk.requests, s.Locksvc.Clerk.request_msgs)
       in
       let r0, m0 = stats () in
-      let f = Fs.create fs ~dir:d "f" in
+      List.iter
+        (fun k -> ignore (Fs.create fs ~dir:d (Printf.sprintf "pad%d" k)))
+        (List.init (Queue.length fs.Ctx.alloc.fresh) Fun.id);
+      (* Let the top-up land: the batch is then exactly its inodes. *)
+      Sim.sleep (Sim.sec 1.0);
+      Alcotest.(check bool) "the top-up landed" false fs.Ctx.alloc.topping_up;
       let r1, m1 = stats () in
-      let batch = f :: List.of_seq (Queue.to_seq fs.Ctx.alloc.fresh) in
+      let batch = List.of_seq (Queue.to_seq fs.Ctx.alloc.fresh) in
       Alcotest.(check int) "one batch" run (List.length batch);
       Alcotest.(check int) "two runs" 2
         (List.length (List.sort_uniq compare (List.map (fun i -> Inode.lock i / run) batch)));
@@ -425,29 +429,31 @@ let test_unaligned_inode_batch () =
       Fs.sync fs;
       Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs)))
 
-(* The contested inode sits in A's batch. Server B, pointed at A's
-   inode-bitmap segment with an empty batch of its own, reserves and
-   fetches the same bits — it cannot see A's reservations — and claims
-   the contested one. A's next create takes the contested inode first:
-   its claim finds the bit set and the create moves on to the next of
-   its batch. *)
+(* The contested inode sits in A's batch. Server B, its next scan
+   pointed at A's inode-bitmap segment, drains its own batch; the
+   top-up that starts reserves and fetches the same bits — B cannot
+   see A's reservations — and B claims the contested one. A's next
+   create takes the contested inode first: its claim finds the bit set
+   and the create moves on to the next of its batch. *)
 let test_lost_reservation () =
   Sim.run (fun () ->
       let _, servers = setup ~nservers:2 () in
       let a, b = (List.nth servers 0, List.nth servers 1) in
       let da = Fs.mkdir a ~dir:Fs.root "da" in
       let db = Fs.mkdir b ~dir:Fs.root "db" in
-      (* Empty B's batch. *)
-      let pads =
-        List.init (Queue.length b.Ctx.alloc.fresh) (fun k ->
-            Fs.create b ~dir:db (Printf.sprintf "pad%d" k))
-      in
-      Alcotest.(check bool) "B's batch is empty" true (Queue.is_empty b.Ctx.alloc.fresh);
+      Alcotest.(check bool) "no top-up in flight at B" false b.Ctx.alloc.topping_up;
       let pa = Alloc_state.pool a.Ctx.alloc Layout.Inode_pool in
       let pb = Alloc_state.pool b.Ctx.alloc Layout.Inode_pool in
       let contested = Queue.peek a.Ctx.alloc.fresh in
       pb.seg <- pa.seg;
       pb.hint <- contested - Layout.segment_first_bit (Option.get pa.seg);
+      let pads =
+        List.init (Queue.length b.Ctx.alloc.fresh) (fun k ->
+            Fs.create b ~dir:db (Printf.sprintf "pad%d" k))
+      in
+      Sim.sleep (Sim.sec 1.0);
+      Alcotest.(check (option int)) "B's top-up reserved the contested inode" (Some contested)
+        (Queue.peek_opt b.Ctx.alloc.fresh);
       let fb = Fs.create b ~dir:db "fb" in
       Alcotest.(check int) "B claimed the contested inode" contested fb;
       Alcotest.(check bool) "still in A's batch" true (Queue.peek a.Ctx.alloc.fresh = contested);
@@ -470,38 +476,49 @@ let test_lost_reservation () =
         (Bytes.to_string (Fs.read a (Fs.lookup a ~dir:db "fb") ~off:0 ~len:6));
       Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check a)))
 
+(* Drain [a]'s batch with creates in [dir] while [holder] holds the
+   inode lock of the last of the next [Alloc.batch] bits: the top-up
+   the draining starts gathers the others and waits for that one.
+   Returns the top-up's first inode (on a fresh file system every bit
+   from the rotor on is clear), the lock and the drained inodes. *)
+let stall_top_up a ~dir ~holder =
+  let pa = Alloc_state.pool a.Ctx.alloc Layout.Inode_pool in
+  let first = Layout.segment_first_bit (Option.get pa.seg) + pa.hint in
+  let held = Lockns.inode_lock (first + Alloc.batch - 1) in
+  Locksvc.Clerk.acquire holder.Ctx.clerk ~lock:held Locksvc.Types.W;
+  let pads =
+    List.init (Queue.length a.Ctx.alloc.fresh) (fun k ->
+        Fs.create a ~dir (Printf.sprintf "pad%d" k))
+  in
+  Sim.sleep (Sim.ms 100);
+  (first, held, pads)
+
 (* A batch refill gathers its eight inode locks concurrently. While it
    waits for one (the test holds the last of A's next eight at A),
    another server's request for one the refill already holds must not
    wait behind it: the contended revoke sheds the refill's hold. So
    two refills whose batches overlap never wait on each other in a
-   cycle. *)
+   cycle. The refill is the top-up that draining A's batch starts. *)
 let test_refill_sheds_contended_hold () =
   Sim.run (fun () ->
       let _, servers = setup ~nservers:2 () in
       let a, b = (List.nth servers 0, List.nth servers 1) in
       let da = Fs.mkdir a ~dir:Fs.root "da" in
-      let pads =
-        List.init (Queue.length a.Ctx.alloc.fresh) (fun k ->
-            Fs.create a ~dir:da (Printf.sprintf "pad%d" k))
-      in
-      let pa = Alloc_state.pool a.Ctx.alloc Layout.Inode_pool in
-      let first = Layout.segment_first_bit (Option.get pa.seg) + pa.hint in
-      let held_by_test = Lockns.inode_lock (first + Alloc.batch - 1) in
+      Alcotest.(check bool) "no top-up in flight" false a.Ctx.alloc.topping_up;
+      let first, held_by_test, pads = stall_top_up a ~dir:da ~holder:a in
       let contested = Lockns.inode_lock first in
-      Locksvc.Clerk.acquire a.Ctx.clerk ~lock:held_by_test Locksvc.Types.W;
-      let fa = spawn_create a ~dir:da "fa" in
-      Sim.sleep (Sim.ms 100);
       let got = Sim.Ivar.create () in
       Sim.spawn (fun () ->
           Locksvc.Clerk.acquire b.Ctx.clerk ~lock:contested Locksvc.Types.W;
           Sim.Ivar.fill got ());
       Sim.sleep (Sim.sec 1.0);
       Alcotest.(check bool) "B holds a lock of A's refill while it waits" true
-        (Sim.Ivar.is_filled got && not (Sim.Ivar.is_filled fa));
+        (Sim.Ivar.is_filled got && a.Ctx.alloc.topping_up);
       Locksvc.Clerk.release b.Ctx.clerk ~lock:contested Locksvc.Types.W;
       Locksvc.Clerk.release a.Ctx.clerk ~lock:held_by_test Locksvc.Types.W;
-      let fa = Sim.Ivar.read fa in
+      Sim.sleep (Sim.sec 1.0);
+      Alcotest.(check bool) "the refill landed" false a.Ctx.alloc.topping_up;
+      let fa = Fs.create a ~dir:da "fa" in
       Alcotest.(check int) "A created the first of its batch" first fa;
       Alcotest.(check bool) "no inode allocated twice" true (distinct ((da :: fa :: pads)));
       Fs.write a fa ~off:0 (Bytes.of_string "from A");
@@ -509,6 +526,118 @@ let test_refill_sheds_contended_hold () =
       Alcotest.(check string) "A's file through B" "from A"
         (Bytes.to_string (Fs.read b (Fs.lookup b ~dir:da "fa") ~off:0 ~len:6));
       Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check a)))
+
+(* Creates further apart than one batch refill: each top-up lands
+   before the next create, so no create sends a Petal read or a lock
+   request, and every one costs what a cache-hit create costs, while
+   three batches' worth of inodes are refilled behind them. *)
+let test_refill_off_create_path () =
+  Sim.run (fun () ->
+      let _, fs = one () in
+      let d = Fs.mkdir fs ~dir:Fs.root "d" in
+      let n = 3 * Alloc.batch in
+      (* Grow the directory for [n] entries first. *)
+      List.iter (fun k -> ignore (Fs.create fs ~dir:d (Printf.sprintf "g%d" k))) (List.init n Fun.id);
+      List.iter (fun k -> Fs.unlink fs ~dir:d (Printf.sprintf "g%d" k)) (List.init n Fun.id);
+      Fs.sync fs;
+      Sim.sleep (Sim.sec 1.0);
+      let reads () = (Fs.petal_stats fs).Petal.Client.reads in
+      let requests () = (Fs.lease_stats fs).Locksvc.Clerk.requests in
+      let reads0 = reads () and requests0 = requests () in
+      let creates =
+        List.init n (fun k ->
+            Sim.sleep (Sim.ms 50);
+            let r = reads () and q = requests () and t0 = Sim.now () in
+            let inum = Fs.create fs ~dir:d (Printf.sprintf "f%d" k) in
+            (inum, Sim.now () - t0, reads () - r, requests () - q))
+      in
+      let _, hit, _, _ = List.hd creates in
+      List.iteri
+        (fun k (_, dt, r, q) ->
+          Alcotest.(check int) (Printf.sprintf "create %d: Petal reads" k) 0 r;
+          Alcotest.(check int) (Printf.sprintf "create %d: lock requests" k) 0 q;
+          Alcotest.(check int) (Printf.sprintf "create %d: cache-hit latency" k) hit dt)
+        creates;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d lock requests refilled >= 2 batches" (requests () - requests0))
+        true
+        (requests () - requests0 >= 2 * Alloc.batch);
+      Alcotest.(check bool) "Petal reads refilled them" true (reads () - reads0 >= 2);
+      Alcotest.(check bool) "distinct inode numbers" true
+        (distinct (d :: List.map (fun (i, _, _, _) -> i) creates));
+      Fs.sync fs;
+      Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs)))
+
+(* A cache drop evicts the fresh batch's inode sectors, so the batch
+   goes with them: the next create refills with one read of 8 sectors
+   rather than the next creates each missing on their own. *)
+let test_drop_caches_gives_back_batch () =
+  Sim.run (fun () ->
+      let _, fs = one () in
+      let d = Fs.mkdir fs ~dir:Fs.root "d" in
+      let before = Fs.create fs ~dir:d "before" in
+      Sim.sleep (Sim.sec 1.0);
+      Alcotest.(check bool) "a batch is held" false (Queue.is_empty fs.Ctx.alloc.fresh);
+      Fs.sync fs;
+      Fs.drop_caches fs;
+      let ps = Alloc_state.pool fs.Ctx.alloc Layout.Inode_pool in
+      Alcotest.(check bool) "batch given back" true (Queue.is_empty fs.Ctx.alloc.fresh);
+      Alcotest.(check int) "no reservation kept" 0 (Hashtbl.length ps.reserved);
+      let reads () = (Fs.petal_stats fs).Petal.Client.reads in
+      ignore (Fs.create fs ~dir:d "warm");
+      let r0 = reads () in
+      let after =
+        List.init (Alloc.batch - 2) (fun k -> Fs.create fs ~dir:d (Printf.sprintf "f%d" k))
+      in
+      Alcotest.(check int) "the refill's sectors serve the next creates" 0 (reads () - r0);
+      Alcotest.(check bool) "distinct inode numbers" true (distinct (d :: before :: after));
+      Fs.sync fs;
+      Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs)))
+
+(* A top-up in flight (waiting for an inode lock B holds) is stopped
+   by a crash, a lease expiry or an unmount of its server. It ends
+   without an exception escaping into the scheduler and without a
+   reservation outliving it; a new server whose first scan covers the
+   same bits reuses them, and fsck is clean. *)
+let test_top_up_stopped how () =
+  Sim.run (fun () ->
+      let t, servers = setup ~nservers:2 () in
+      let a, b = (List.nth servers 0, List.nth servers 1) in
+      let da = Fs.mkdir a ~dir:Fs.root "da" in
+      let first, held, pads = stall_top_up a ~dir:da ~holder:b in
+      Fs.sync a;
+      Alcotest.(check bool) "A's top-up is in flight" true a.Ctx.alloc.topping_up;
+      let a_addr = T.addr_of t a in
+      (match how with
+      | `Crash -> Fs.crash a
+      | `Expire -> Cluster.Net.set_fault_cut t.T.net (fun s d -> s = a_addr || d = a_addr)
+      | `Unmount -> Fs.unmount a);
+      Locksvc.Clerk.release b.Ctx.clerk ~lock:held Locksvc.Types.W;
+      Sim.sleep (Sim.sec 60.0);
+      Cluster.Net.clear_fault_cut t.T.net;
+      Alcotest.(check bool) "A is stopped" true
+        (match how with
+        | `Crash -> not (Cluster.Host.is_alive a.Ctx.host)
+        | `Expire -> not (Locksvc.Clerk.check_lease_margin a.Ctx.clerk)
+        | `Unmount -> a.Ctx.unmounted);
+      Alcotest.(check bool) "the top-up ended" false a.Ctx.alloc.topping_up;
+      let pa = Alloc_state.pool a.Ctx.alloc Layout.Inode_pool in
+      Alcotest.(check (list int)) "no reservation outlives it"
+        (List.sort compare (List.of_seq (Queue.to_seq a.Ctx.alloc.fresh)))
+        (List.sort compare (Hashtbl.fold (fun bit () acc -> bit :: acc) pa.reserved []));
+      (* The restart: a new server, its first scan pointed at the
+         bits the stopped top-up had reserved. *)
+      let c = T.add_server t () in
+      let pc = Alloc_state.pool c.Ctx.alloc Layout.Inode_pool in
+      pc.seg <- pa.seg;
+      pc.hint <- first - Layout.segment_first_bit (Option.get pa.seg);
+      let later = List.init 10 (fun k -> Fs.create c ~dir:da (Printf.sprintf "c%d" k)) in
+      Alcotest.(check int) "C reuses the first reserved bit" first (List.hd later);
+      Alcotest.(check bool) "distinct inode numbers" true (distinct ((da :: pads) @ later));
+      Alcotest.(check int) "A's files survive" (List.length pads + 10)
+        (List.length (Fs.readdir c da));
+      Fs.sync c;
+      Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check c)))
 
 (* --- failure handling ------------------------------------------------------ *)
 
@@ -706,6 +835,13 @@ let () =
           Alcotest.test_case "unaligned inode batch" `Quick test_unaligned_inode_batch;
           Alcotest.test_case "refill sheds a contended hold" `Quick
             test_refill_sheds_contended_hold;
+          Alcotest.test_case "refill off the create path" `Quick test_refill_off_create_path;
+          Alcotest.test_case "drop_caches gives back the batch" `Quick
+            test_drop_caches_gives_back_batch;
+          Alcotest.test_case "top-up stopped by a crash" `Quick (test_top_up_stopped `Crash);
+          Alcotest.test_case "top-up stopped by lease expiry" `Quick
+            (test_top_up_stopped `Expire);
+          Alcotest.test_case "top-up stopped by unmount" `Quick (test_top_up_stopped `Unmount);
           Alcotest.test_case "write-behind skips a revoked block" `Quick
             test_writeback_skips_revoked_entry;
         ] );
