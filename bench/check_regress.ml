@@ -4,7 +4,7 @@
      dune exec bench/check_regress.exe -- --allow-missing   -- pass when < 2 files
      dune exec bench/check_regress.exe OLD.json NEW.json
 
-   Four sections are gated, each with its own tolerance:
+   Five sections are gated, each with its own tolerance:
 
    - "workloads": per-workload "throughput_mb_per_s" must not drop
      more than 20%. Simulated-time numbers, fully deterministic.
@@ -25,6 +25,12 @@
      write freeze bounds hot-chunk cutover; losing that bound shows
      up here before it shows up as a soak timeout). Simulated-time
      counters, fully deterministic.
+
+   - "idle": per-cluster-size "events_per_sim_s" and
+     "events_per_host_per_sim_s" of a mounted cluster doing nothing
+     must not rise more than 20% (simulated-time counts, fully
+     deterministic): a new periodic daemon or an all-pairs message
+     shows up here first.
 
    A gated metric present only in the newer file never fails: a
    section the older snapshot predates (e.g. "sim" and "scale"
@@ -51,6 +57,8 @@ let gates =
       ] );
     ( "soak",
       [ ("invariant_checks", Higher, 0.20); ("max_cutover_s", Lower, 1.00) ] );
+    ( "idle",
+      [ ("events_per_sim_s", Lower, 0.20); ("events_per_host_per_sim_s", Lower, 0.20) ] );
   ]
 
 (* Metrics a PR's tentpole specifically optimised: the new value must

@@ -5,7 +5,7 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table1  -- one experiment
      (targets: table1 table2 table3 fig5 fig6 fig7 fig8 fig9 ww
-               ablation simbench scale soak json)
+               ablation simbench scale soak idle json)
 
    Absolute numbers come from the simulator's calibrated constants
    (see EXPERIMENTS.md); what must match the paper is the SHAPE —
@@ -415,7 +415,7 @@ let ms_of t = Sim.to_sec t *. 1000.0
    derived from the filename (BENCH_5.json shipped with a hand-typed
    "pr": 4 — wrong, and silently so); keeping one constant makes the
    two impossible to disagree. *)
-let bench_out = "BENCH_24.json"
+let bench_out = "BENCH_25.json"
 let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
 
 (* The json's sections, in file order, each a store of rows
@@ -423,7 +423,8 @@ let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
    to as they measure; [write_json] only emits them. Values arrive
    formatted, so each producer keeps its own number formats. *)
 let sections =
-  List.map (fun name -> (name, ref [])) [ "workloads"; "reconf"; "soak"; "sim"; "scale" ]
+  List.map (fun name -> (name, ref []))
+    [ "workloads"; "reconf"; "soak"; "sim"; "scale"; "idle" ]
 let rows section = !(List.assoc section sections)
 
 let add_row section row =
@@ -762,6 +763,39 @@ let scale () =
     \ expected while Petal capacity grows proportionally)";
   List.iter scale_one [ 64; 96; 128 ]
 
+(* --- idle: what a mounted cluster costs with nothing to do ------------------------- *)
+
+(* Simulator events per simulated second of an idle cluster: the
+   periodic daemons and the messages they send, and nothing else. The
+   servers mount, 15 s pass, and the next 60 s are counted. An idle
+   cluster's cost should grow with its hosts (file servers plus
+   Petal/lock machines), not with their square. Simulated-time
+   counts, so deterministic. *)
+let idle_one (n, p) =
+  let per_sec =
+    Sim.run (fun () ->
+        let t = T.build ~petal_servers:p ~ndisks:4 ~disk_capacity:(512 * mb) () in
+        for _ = 1 to n do
+          ignore (T.add_server t ())
+        done;
+        Sim.sleep (Sim.sec 15.0);
+        let e0 = (Sim.stats ()).Sim.events in
+        Sim.sleep (Sim.sec 60.0);
+        float_of_int ((Sim.stats ()).Sim.events - e0) /. 60.0)
+  in
+  let per_host = per_sec /. float_of_int (n + p) in
+  add_row "idle"
+    ( Printf.sprintf "servers_%d_over_%d" n p,
+      [ ("events_per_sim_s", fix 0 per_sec);
+        ("events_per_host_per_sim_s", fix 1 per_host) ] );
+  Printf.printf "  %3d servers over %2d: %8.0f events/sim-s  %6.1f per host\n%!" n p
+    per_sec per_host
+
+let idle () =
+  print_endline hrule;
+  print_endline "idle: events per simulated second of a mounted, idle cluster";
+  List.iter idle_one [ (8, 7); (32, 8); (128, 32) ]
+
 (* --- soak: composed-nemesis invariant scenarios ------------------------------------- *)
 
 (* A bench-sized slice of the soak harness (the 20-seed x 1-hour run
@@ -823,14 +857,15 @@ let emit_section oc ~last (section, rows) =
    running any producer that has not run yet (so `bench json` alone
    still emits a complete file). Sections: "workloads" and "reconf"
    from json_bench, "soak" from the composed-nemesis rounds, "sim"
-   from simbench, "scale" from the cluster-scaling runs. check_regress
-   gates "workloads", "sim", "scale" and "soak"; "reconf" is
-   counter-only. *)
+   from simbench, "scale" from the cluster-scaling runs, "idle" from
+   the idle clusters. check_regress gates "workloads", "sim",
+   "scale", "soak" and "idle"; "reconf" is counter-only. *)
 let write_json () =
   if rows "workloads" = [] then json_bench ();
   if rows "sim" = [] then simbench ();
   if rows "scale" = [] then scale ();
   if rows "soak" = [] then soak_bench ();
+  if rows "idle" = [] then idle ();
   let oc = open_out bench_out in
   Printf.fprintf oc "{\n  \"pr\": %d,\n" bench_pr;
   let n = List.length sections in
@@ -856,6 +891,7 @@ let experiments =
     ("simbench", simbench);
     ("scale", scale);
     ("soak", soak_bench);
+    ("idle", idle);
     ("json", write_json);
   ]
 

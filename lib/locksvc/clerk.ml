@@ -540,19 +540,23 @@ let create ~rpc ~servers ~table:ctable () =
   Sim.spawn ~name:"clerk.housekeeping" (housekeeping t);
   t
 
+(* After expiry, close sends nothing: an [L_close] would retire the
+   lease before a live clerk has replayed its log. *)
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Hashtbl.iter
-      (fun _ st ->
-        if st.global <> None then begin
-          send_release t st None;
-          st.global <- None
-        end)
-      t.locks;
-    (match
-       Rpc.call t.rpc ~dst:(List.hd t.servers) ~timeout:(Sim.sec 1.0) ~size:msg
-         (L_close { table = t.ctable; lease = t.clease })
-     with
-    | Ok _ | Error `Timeout -> ())
+    if not t.expired then begin
+      Hashtbl.iter
+        (fun _ st ->
+          if st.global <> None then begin
+            send_release t st None;
+            st.global <- None
+          end)
+        t.locks;
+      match
+        Rpc.call t.rpc ~dst:(List.hd t.servers) ~timeout:(Sim.sec 1.0) ~size:msg
+          (L_close { table = t.ctable; lease = t.clease })
+      with
+      | Ok _ | Error `Timeout -> ()
+    end
   end

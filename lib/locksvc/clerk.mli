@@ -84,4 +84,5 @@ val stats : t -> stats
 
 val close : t -> unit
 (** Release all cached locks and close the table (clean shutdown).
-    The caller must have flushed dirty data first. *)
+    The caller must have flushed dirty data first. After the lease
+    expired it sends nothing: the lease stays until its log is replayed. *)

@@ -45,6 +45,7 @@ type t = {
   locks : (string * int, lockst) Hashtbl.t; (* owned groups only *)
   ready : (int, unit) Hashtbl.t; (* groups this server may serve *)
   hb : (Net.addr, Sim.time) Hashtbl.t;
+  mutable renewed : (int * Sim.time) list; (* answered since the last tick *)
   recovering : (int, unit) Hashtbl.t; (* dead leases with recovery in flight *)
   grants : (string * int * mode) Outbox.t; (* table, lock, mode *)
 }
@@ -315,12 +316,17 @@ let propose_remove_server t addr =
 let propose_add_server t addr =
   if not (List.mem addr t.servers) then ignore (P.propose (paxos t) (Add_server { addr }))
 
+(* The one periodic message between lock servers; the tick then
+   re-pumps every lock, in case a revoke or grant was lost. *)
 let heartbeat_daemon t () =
   let rec loop () =
     Sim.sleep (Sim.sec 2.0);
     if Host.is_alive t.host then begin
+      let renewed = t.renewed and size = 16 + (16 * List.length t.renewed) in
+      t.renewed <- [];
       List.iter
-        (fun a -> if a <> my_addr t then Rpc.oneway t.rpc ~dst:a ~size:16 S_heartbeat)
+        (fun a ->
+          if a <> my_addr t then Rpc.oneway t.rpc ~dst:a ~size (S_heartbeat { renewed }))
         t.servers;
       List.iter
         (fun a ->
@@ -335,7 +341,8 @@ let heartbeat_daemon t () =
                 Hashtbl.remove t.hb a;
                 Sim.spawn (fun () -> try propose_remove_server t a with Host.Crashed _ -> ())
               end)
-        t.servers
+        t.servers;
+      pump_all t
     end;
     loop ()
   in
@@ -416,14 +423,7 @@ let rpc_handler t ~src body =
     match Hashtbl.find_opt t.leases lease with
     | Some lr when not lr.dead ->
       lr.last_renew <- Sim.now ();
-      (* Tell the peer servers: each keeps its own lease clock, and a
-         peer the clerk cannot reach right now must not expire a
-         lease the service as a whole is still renewing. *)
-      List.iter
-        (fun a ->
-          if a <> my_addr t then
-            Rpc.oneway t.rpc ~dst:a ~size:16 (S_renew_note { lease }))
-        t.servers;
+      t.renewed <- (lease, Sim.now ()) :: t.renewed;
       Some (L_renewed, 16)
     | Some _ | None -> Some (L_err "unknown lease", msg))
   | L_sync -> Some (L_synced { servers = t.servers; ngroups = t.ngroups }, msg)
@@ -439,29 +439,21 @@ let oneway_handler t ~src body =
   | L_release { table; lease; lock; to_mode } ->
     handle_release t ~table ~lease ~lock ~to_mode
   | L_recovered { table; dead_lease } -> handle_recovered t ~table ~dead_lease
-  | S_heartbeat ->
+  | S_heartbeat { renewed } ->
     Hashtbl.replace t.hb src (Sim.now ());
+    List.iter
+      (fun (lease, at) ->
+        match Hashtbl.find_opt t.leases lease with
+        | Some lr when not lr.dead -> lr.last_renew <- max lr.last_renew at
+        | Some _ | None -> ())
+      renewed;
     (* A peer we removed during a partition is audibly alive again:
        bring it back. (Without this, stale removals — including the
        minority side's own queued proposals committing after heal —
        would only ever shrink the membership.) *)
     if not (List.mem src t.servers) then
       Sim.spawn (fun () -> try propose_add_server t src with Host.Crashed _ -> ())
-  | S_renew_note { lease } -> (
-    match Hashtbl.find_opt t.leases lease with
-    | Some lr when not lr.dead -> lr.last_renew <- Sim.now ()
-    | Some _ | None -> ())
   | _ -> ()
-
-(* Re-sent revokes and deferred grants need a periodic nudge in case
-   messages were lost. *)
-let pump_daemon t () =
-  let rec loop () =
-    Sim.sleep (Sim.sec 2.0);
-    if Host.is_alive t.host then pump_all t;
-    loop ()
-  in
-  loop ()
 
 let create ~host ~rpc ~peers ~index ?(ngroups = default_ngroups) ~stable () =
   let t =
@@ -479,6 +471,7 @@ let create ~host ~rpc ~peers ~index ?(ngroups = default_ngroups) ~stable () =
       locks = Hashtbl.create 1024;
       ready = Hashtbl.create 64;
       hb = Hashtbl.create 8;
+      renewed = [];
       recovering = Hashtbl.create 8;
       grants = Outbox.create ();
     }
@@ -495,5 +488,4 @@ let create ~host ~rpc ~peers ~index ?(ngroups = default_ngroups) ~stable () =
   Rpc.on_oneway rpc (oneway_handler t);
   Sim.spawn ~name:"locksvc.expiry" (expiry_daemon t);
   Sim.spawn ~name:"locksvc.heartbeat" (heartbeat_daemon t);
-  Sim.spawn ~name:"locksvc.pump" (pump_daemon t);
   t

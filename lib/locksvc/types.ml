@@ -70,13 +70,13 @@ type Net.payload +=
   | L_recovered of { table : string; dead_lease : int }
   | L_get_state of { table : string; group : int }
   | L_state of { held : (string * int * mode) list }
-  | S_heartbeat
-  | S_renew_note of { lease : int }
-      (** server -> server: a renewal landed here; refresh your copy
-          of the lease clock. One lock server partitioned from a
-          clerk must not declare the lease dead while the clerk is
-          still renewing through its peers — the lock service is one
-          logical service (§6), however many machines implement it. *)
+  | S_heartbeat of { renewed : (int * Simkit.Sim.time) list }
+      (** server -> server every 2 s: alive, and these leases renewed
+          here since the last heartbeat, each at the instant given;
+          the receiver moves its lease clock up to it, never back. A
+          lock server cut from a clerk must not expire a lease the
+          clerk still renews through its peers: the lock service is
+          one logical service (§6). *)
   | L_err of string
 
 let msg = 64 (* nominal size of the small lock-protocol messages *)

@@ -46,6 +46,11 @@ struct
 
   let majority t = (List.length t.peers / 2) + 1
 
+  (* How long any Paxos call waits for its reply: a round's Prepare
+     and Accept, and the catch-up Query. A shorter Query timeout
+     drops replies that queue behind bulk traffic on a busy link. *)
+  let rpc_timeout = Sim.ms 300
+
   let promised_for t slot =
     match Hashtbl.find_opt t.st.promised slot with
     | Some b -> b
@@ -102,7 +107,7 @@ struct
     let results = ref [] in
     Sim.fork_join
       (fun peer ->
-        match Rpc.call t.rpc ~dst:peer ~timeout:(Sim.ms 300) ~size:64 msg with
+        match Rpc.call t.rpc ~dst:peer ~timeout:rpc_timeout ~size:64 msg with
         | Ok reply -> results := reply :: !results
         | Error `Timeout -> ()
         | exception Host.Crashed _ -> ())
@@ -200,7 +205,7 @@ struct
         | _ -> (
           let peer = List.nth others (Sim.random_int (List.length others)) in
           match
-            Rpc.call t.rpc ~dst:peer ~timeout:(Sim.ms 200) ~size:32
+            Rpc.call t.rpc ~dst:peer ~timeout:rpc_timeout ~size:32
               (Query { group = t.group; from_slot = t.applied })
           with
           | Ok (Answer { entries }) ->

@@ -202,6 +202,116 @@ let test_renewal_drops_until_expiry () =
       Alcotest.(check (option mode)) "fresh clerk acquires after heal"
         (Some Types.W) (Clerk.holds c2 ~lock:11))
 
+(* A clerk whose lease expired is unmounted before any other clerk
+   has the table open. Its close must not retire the lease: the next
+   clerk to open the table is asked to recover it. *)
+let test_expired_close_keeps_recovery () =
+  Sim.run (fun () ->
+      let bed = mkservice () in
+      let nf = Netfault.create bed.net in
+      let _, victim = mkclerk bed "victim" in
+      Clerk.acquire victim ~lock:31 Types.W;
+      let victim_lease = Clerk.lease victim in
+      Netfault.isolate nf 3 (* the victim: attached after the 3 servers *);
+      Sim.sleep (Sim.sec 45.0);
+      Netfault.heal_all nf;
+      Clerk.close victim;
+      let _, later = mkclerk bed "later" in
+      let asked = ref None in
+      Clerk.set_callbacks later
+        ~on_revoke:(fun ~lock:_ ~to_read:_ -> ())
+        ~on_do_recovery:(fun ~dead_lease ->
+          Clerk.acquire_for_recovery later ~lock:31;
+          Clerk.release later ~lock:31 Types.W;
+          if !asked = None then asked := Some dead_lease)
+        ~on_expired:(fun () -> ());
+      Sim.sleep (Sim.sec 25.0);
+      Alcotest.(check (option int)) "the later clerk recovers the victim"
+        (Some victim_lease) !asked;
+      Clerk.acquire later ~lock:31 Types.W;
+      Alcotest.(check (option mode)) "victim's lock free after recovery"
+        (Some Types.W) (Clerk.holds later ~lock:31))
+
+(* A clerk cut off from one lock server keeps renewing through the
+   others, and those servers pass its renewals on in their heartbeats:
+   the cut server must not expire a lease the service as a whole is
+   still renewing, nor ask anyone to recover it. *)
+let test_cut_clerk_keeps_lease () =
+  Sim.run (fun () ->
+      let bed = mkservice ~nservers:3 () in
+      let nf = Netfault.create bed.net in
+      let _, holder = mkclerk bed "holder" in
+      let _, witness = mkclerk bed "witness" in
+      let holder_expired = ref false and nagged = ref 0 in
+      Clerk.set_callbacks holder
+        ~on_revoke:(fun ~lock:_ ~to_read:_ -> ())
+        ~on_do_recovery:(fun ~dead_lease:_ -> ())
+        ~on_expired:(fun () -> holder_expired := true);
+      Clerk.set_callbacks witness
+        ~on_revoke:(fun ~lock:_ ~to_read:_ -> ())
+        ~on_do_recovery:(fun ~dead_lease:_ -> incr nagged)
+        ~on_expired:(fun () -> ());
+      Clerk.acquire holder ~lock:21 Types.W;
+      Clerk.acquire witness ~lock:22 Types.W;
+      (* The holder was attached 4th, after the 3 servers: address 3. *)
+      Netfault.cut nf 3 bed.saddrs.(0);
+      Sim.sleep (Sim.sec 120.0);
+      Alcotest.(check bool) "holder not expired" false !holder_expired;
+      Alcotest.(check (option mode)) "holder still holds" (Some Types.W)
+        (Clerk.holds holder ~lock:21);
+      Alcotest.(check bool) "holder's lease margin" true (Clerk.check_lease_margin holder);
+      Alcotest.(check int) "witness never asked to recover" 0 !nagged;
+      Netfault.heal_all nf;
+      Clerk.release holder ~lock:21 Types.W;
+      Clerk.release witness ~lock:22 Types.W)
+
+(* The revoke to a holder is lost. The server re-sends it on a later
+   2 s tick, so the waiter is granted a few ticks after the heal
+   rather than never. The waiter's own retransmitted requests, which
+   would also prompt a re-send, are dropped once its first request is
+   in. *)
+let test_lost_revoke_resent () =
+  Sim.run (fun () ->
+      let bed = mkservice () in
+      let _, holder = mkclerk bed "holder" in
+      let _, waiter = mkclerk bed "waiter" in
+      let revoked = ref 0 in
+      Clerk.set_callbacks holder
+        ~on_revoke:(fun ~lock:_ ~to_read:_ -> incr revoked)
+        ~on_do_recovery:(fun ~dead_lease:_ -> ())
+        ~on_expired:(fun () -> ());
+      Clerk.acquire holder ~lock:13 Types.W;
+      Clerk.release holder ~lock:13 Types.W;
+      (* Holder and waiter were attached after the 3 servers. *)
+      let holder_addr = 3 and waiter_addr = 4 in
+      let to_holder = ref true and from_waiter = ref false and dropped = ref 0 in
+      Net.set_fault_cut bed.net (fun s d ->
+          let cut =
+            (!to_holder && d = holder_addr && Array.mem s bed.saddrs)
+            || (!from_waiter && s = waiter_addr && Array.mem d bed.saddrs)
+          in
+          if cut && d = holder_addr then incr dropped;
+          cut);
+      let granted = ref None in
+      Sim.spawn (fun () ->
+          Clerk.acquire waiter ~lock:13 Types.W;
+          granted := Some (Sim.now ()));
+      Sim.sleep (Sim.ms 50);
+      from_waiter := true;
+      Sim.sleep (Sim.ms 950);
+      to_holder := false;
+      let healed = Sim.now () in
+      Alcotest.(check bool) "revoke dropped" true (!dropped > 0 && !revoked = 0);
+      Alcotest.(check (option int)) "not granted while cut" None !granted;
+      Sim.sleep (Sim.sec 8.0);
+      Net.clear_fault_cut bed.net;
+      Alcotest.(check int) "holder revoked once" 1 !revoked;
+      match !granted with
+      | Some t ->
+        Alcotest.(check bool) "granted within 3 ticks of the heal" true
+          (t - healed <= Sim.sec 6.0)
+      | None -> Alcotest.fail "waiter never granted")
+
 let test_lock_server_crash_reassignment () =
   Sim.run (fun () ->
       let bed = mkservice ~nservers:3 () in
@@ -419,6 +529,11 @@ let () =
             test_renewal_drops_until_expiry;
           Alcotest.test_case "lock server crash reassigns" `Quick
             test_lock_server_crash_reassignment;
+          Alcotest.test_case "expired close leaves recovery" `Quick
+            test_expired_close_keeps_recovery;
+          Alcotest.test_case "cut clerk keeps its lease" `Quick
+            test_cut_clerk_keeps_lease;
+          Alcotest.test_case "lost revoke re-sent" `Quick test_lost_revoke_resent;
         ] );
       ("safety", [ QCheck_alcotest.to_alcotest prop_no_conflicting_holders ]);
     ]
