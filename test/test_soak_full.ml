@@ -52,7 +52,7 @@ let () =
     incr ran;
     Printf.printf
       "  %-24s %5.2fh acked %5d failed %4d%s epochs %d/%d pushes %5d gc %4d \
-       drops %5d retries %4d freeze %4d cutover %5.1fs checks %4d viol %d\n%!"
+       drops %5d retries %4d freeze %4d cutover %5.1fs checks %4d viol %d end %d\n%!"
       o.Soak.label o.Soak.sim_hours o.Soak.acked o.Soak.failed_ops
       (if o.Soak.expired_servers > 0 then " EXPIRED" else "        ")
       o.Soak.committed o.Soak.requested o.Soak.xfer_pushes o.Soak.gc_chunks
@@ -60,7 +60,8 @@ let () =
       o.Soak.freeze_rejects
       (Sim.to_sec o.Soak.max_cutover_ns)
       o.Soak.checks_run
-      (List.length o.Soak.violations);
+      (List.length o.Soak.violations)
+      o.Soak.end_ns;
     (match Soak.failures o with
     | [] -> ()
     | fs ->
