@@ -180,6 +180,67 @@ let test_label_dispatch () =
   refused "partition with 0 servers" (fun () ->
       Soak.run ~fs_servers:0 (Soak.Scripted "lossy"))
 
+(* --- schedules as data ----------------------------------------------------- *)
+
+(* Every schedule a spec names is plain data: the same on two calls,
+   naming only machines the profile has, its nemesis events in time
+   order and every fault cleared before the run's duration. A seeded
+   schedule's windows are also sequential: each fault is cleared before
+   the next one begins. Checked for every scripted label and seeds
+   0-199 of each profile. *)
+let test_schedule_data () =
+  List.iter
+    (fun (_, p) ->
+      let petal = Soak.petal_servers p and tracked = (Soak.shape p).Soak.tracked in
+      let in_range = function
+        | Soak.Petal i -> 0 <= i && i < petal
+        | Soak.Tracked i -> 0 <= i && i < tracked
+      in
+      let nodes = function
+        | Soak.Isolate a | Cut_off a -> [ a ]
+        | Cut (a, b) | Cut_oneway (a, b) -> [ a; b ]
+        | Shape _ | Heal | Clear_shaping | Clear -> []
+      in
+      let check spec =
+        let sc = Soak.schedule_of spec in
+        let fail fmt =
+          Printf.ksprintf (fun m -> Alcotest.fail (Soak.label_of spec ^ ": " ^ m)) fmt
+        in
+        if sc <> Soak.schedule_of spec then fail "two calls differ";
+        let seeded = match spec with Soak.Random _ -> true | Soak.Scripted _ -> false in
+        (* walk the events, tracking whether a cut or a shaping rule is on *)
+        let step (cuts, shaped, last) (at, f) =
+          if at < last then fail "nemesis out of time order at %d" at;
+          if not (List.for_all in_range (nodes f)) then
+            fail "%s names a machine out of range" (Soak.fault_lit f);
+          match f with
+          | Soak.Heal -> (false, shaped, at)
+          | Clear_shaping -> (cuts, false, at)
+          | Clear -> (false, false, at)
+          | _ when seeded && (cuts || shaped || at = last) ->
+            fail "%s at %d begins before the previous window ends" (Soak.fault_lit f) at
+          | Shape _ -> (cuts, true, at)
+          | Isolate _ | Cut_off _ | Cut _ | Cut_oneway _ -> (true, shaped, at)
+        in
+        let cuts, shaped, last = List.fold_left step (false, false, 0) sc.Soak.nemesis in
+        if cuts || shaped || last >= sc.Soak.duration then
+          fail "a fault is not cleared before the duration";
+        List.iter
+          (fun (_, (Soak.Add i | Soak.Remove i)) ->
+            if i < 0 || i >= petal then fail "reconfiguration of member %d" i)
+          sc.Soak.reconfigs;
+        List.iter
+          (fun c ->
+            if c.Soak.victim < 0 || c.Soak.victim >= petal then
+              fail "Petal crash victim %d" c.Soak.victim)
+          sc.Soak.petal_crashes
+      in
+      List.iter (fun l -> check (Soak.Scripted l)) (Soak.scripted_labels p);
+      for n = 0 to 199 do
+        check (Soak.Random (p, n))
+      done)
+    Soak.profiles
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   Alcotest.run "soak"
@@ -207,5 +268,6 @@ let () =
           case "seeded round" test_seeded_round;
           case "deterministic replay" test_composed_replay;
           case "labels dispatch to one profile" test_label_dispatch;
+          case "schedules are well-formed data" test_schedule_data;
         ] );
     ]
