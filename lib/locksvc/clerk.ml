@@ -290,24 +290,25 @@ let on_revoke_msg t ~lock ~to_mode =
          instead of making the remote waiter ride them out. *)
       if st.revoke_to <> None && not st.revoking then t.on_contended ~lock)
 
-let on_do_recovery_msg t ~dead_lease =
+let on_do_recovery_msg t ~src ~dead_lease =
   if not (Hashtbl.mem t.recoveries dead_lease) then begin
     Hashtbl.replace t.recoveries dead_lease ();
     Sim.spawn (fun () ->
         match t.on_do_recovery ~dead_lease with
         | () ->
-          (* Only a completed replay is announced; the lock server
-             then frees the dead server's locks and stops nagging.
-             The callback may have crashed this very host and still
-             returned (a test rigging `crash` as the callback), so
-             the announce itself must tolerate a dead sender. *)
+          (* Only a completed replay is announced, and only to the
+             lock server whose request started it: that one proposes
+             the dead lease's removal, which frees its locks
+             everywhere. The others keep nagging until the removal
+             applies, so a server that dies before proposing is
+             covered by the next replay. The callback may have
+             crashed this very host and still returned (a test
+             rigging `crash` as the callback), so the announce itself
+             must tolerate a dead sender. *)
           (try
-             List.iter
-               (fun dst ->
-                 flush_requests t dst;
-                 Rpc.oneway t.rpc ~dst ~size:msg
-                   (L_recovered { table = t.ctable; dead_lease }))
-               t.servers
+             flush_requests t src;
+             Rpc.oneway t.rpc ~dst:src ~size:msg
+               (L_recovered { table = t.ctable; dead_lease })
            with Host.Crashed _ -> ());
           Hashtbl.remove t.recoveries dead_lease
         | exception Host.Crashed _ -> ()
@@ -484,7 +485,7 @@ let create ~rpc ~servers ~table:ctable () =
       s_request_msgs = 0;
     }
   in
-  Rpc.on_oneway rpc (fun ~src:_ body ->
+  Rpc.on_oneway rpc (fun ~src body ->
       match body with
       | L_grants { grants } ->
         List.iter
@@ -493,7 +494,7 @@ let create ~rpc ~servers ~table:ctable () =
       | L_revoke { table; lock; to_mode } when table = ctable ->
         on_revoke_msg t ~lock ~to_mode
       | L_do_recovery { table; dead_lease } when table = ctable ->
-        on_do_recovery_msg t ~dead_lease
+        on_do_recovery_msg t ~src ~dead_lease
       | _ -> ());
   (* The state-query handler answers for every clerk on this machine
      (one per mounted file system); installed only once per endpoint. *)

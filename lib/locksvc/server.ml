@@ -74,6 +74,9 @@ let held_locks t =
         acc l.holders)
     t.locks []
 
+let applied t =
+  List.filter_map (P.decided (paxos t)) (List.init (P.applied_up_to (paxos t)) Fun.id)
+
 let lockst t key =
   match Hashtbl.find_opt t.locks key with
   | Some l -> l

@@ -24,4 +24,8 @@ val held_locks : t -> (string * int * Types.mode * int) list
 (** [(table, lock, mode, lease)] for every holder this server knows,
     in the groups it currently serves. For tests. *)
 
+val applied : t -> Types.cmd list
+(** The replicated commands this server has applied, in slot order.
+    For tests. *)
+
 val propose_add_server : t -> Cluster.Net.addr -> unit

@@ -152,6 +152,43 @@ let test_lease_expiry_triggers_recovery () =
       Alcotest.(check (option mode)) "survivor holds" (Some Types.W)
         (Clerk.holds c2 ~lock:100))
 
+(* One dead lease costs one [Remove_clerk]: every lock server nags a
+   survivor to replay the dead log, but the survivor reports the
+   finished replay only to the server whose request started it, so the
+   Paxos log applies one removal, not one per lock server. *)
+let test_one_removal_per_dead_lease () =
+  Sim.run (fun () ->
+      let bed = mkservice ~nservers:3 () in
+      let h1, c1 = mkclerk bed "victim" in
+      let _, c2 = mkclerk bed "survivor" in
+      let replays = ref 0 in
+      Clerk.set_callbacks c2
+        ~on_revoke:(fun ~lock:_ ~to_read:_ -> ())
+        ~on_do_recovery:(fun ~dead_lease:_ ->
+          (* a replay takes a while: the other servers' nags land inside it *)
+          incr replays;
+          Sim.sleep (Sim.sec 1.0))
+        ~on_expired:(fun () -> ());
+      Clerk.acquire c1 ~lock:100 Types.W;
+      let victim = Clerk.lease c1 in
+      Host.crash h1;
+      Sim.sleep (Sim.sec 120.0);
+      Alcotest.(check int) "one replay" 1 !replays;
+      Array.iteri
+        (fun i srv ->
+          let removals =
+            List.filter
+              (function Types.Remove_clerk { lease; _ } -> lease = victim | _ -> false)
+              (Server.applied srv)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "lock server %d applied one removal" i)
+            1 (List.length removals))
+        bed.lsrv;
+      Clerk.acquire c2 ~lock:100 Types.W;
+      Alcotest.(check (option mode)) "victim's lock freed" (Some Types.W)
+        (Clerk.holds c2 ~lock:100))
+
 let test_partitioned_clerk_expires () =
   Sim.run (fun () ->
       let bed = mkservice () in
@@ -523,6 +560,8 @@ let () =
         [
           Alcotest.test_case "lease expiry -> recovery" `Quick
             test_lease_expiry_triggers_recovery;
+          Alcotest.test_case "one removal per dead lease" `Quick
+            test_one_removal_per_dead_lease;
           Alcotest.test_case "partitioned clerk expires" `Quick
             test_partitioned_clerk_expires;
           Alcotest.test_case "renewals dropped until expiry" `Quick
