@@ -561,13 +561,14 @@ let json_bench () =
         go 600
       in
       let measure name f =
-        let p0 = sum Petal.Server.xfer_push_count in
-        let b0 = sum Petal.Server.xfer_bytes_pushed in
+        let pushed f = sum (fun s -> f (Petal.Server.stats s)) in
+        let p0 = pushed (fun s -> s.xfer_pushes) in
+        let b0 = pushed (fun s -> s.xfer_bytes) in
         let t0 = Sim.now () in
         f ();
         let secs = Sim.to_sec (Sim.now () - t0) in
-        let pushes = sum Petal.Server.xfer_push_count - p0 in
-        let bytes = sum Petal.Server.xfer_bytes_pushed - b0 in
+        let pushes = pushed (fun s -> s.xfer_pushes) - p0 in
+        let bytes = pushed (fun s -> s.xfer_bytes) - b0 in
         add_row "reconf"
           ( name,
             [ ("drain_seconds", fix 3 secs); ("chunks_pushed", dec pushes);

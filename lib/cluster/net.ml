@@ -21,8 +21,7 @@ type port = {
 }
 
 and t = {
-  mutable ports : port list;
-  mutable next_addr : addr;
+  mutable ports : port array; (* indexed by address: addresses are dense from 0 *)
   mutable fault_cut : addr -> addr -> bool;
   mutable netem : (addr -> addr -> int -> fate) option;
 }
@@ -31,15 +30,13 @@ and fate = Deliver | Lose | Delay of Sim.time
 
 let create () =
   {
-    ports = [];
-    next_addr = 0;
+    ports = [||];
     fault_cut = (fun _ _ -> false);
     netem = None;
   }
 
 let attach t phost =
-  let paddr = t.next_addr in
-  t.next_addr <- t.next_addr + 1;
+  let paddr = Array.length t.ports in
   let p =
     {
       paddr;
@@ -50,7 +47,7 @@ let attach t phost =
       inbox = Sim.Mailbox.create ();
     }
   in
-  t.ports <- p :: t.ports;
+  t.ports <- Array.append t.ports [| p |];
   p
 
 let addr p = p.paddr
@@ -62,9 +59,7 @@ let set_fault_cut t f = t.fault_cut <- f
 let clear_fault_cut t = t.fault_cut <- (fun _ _ -> false)
 let set_netem t f = t.netem <- Some f
 let clear_netem t = t.netem <- None
-let addrs t = List.rev_map (fun p -> p.paddr) t.ports
-
-let find_port t a = List.find_opt (fun p -> p.paddr = a) t.ports
+let addrs t = List.init (Array.length t.ports) Fun.id
 
 let stack_cost size = cpu_ns_per_msg + (cpu_ns_per_byte * size)
 
@@ -88,25 +83,29 @@ let send p ~dst ~size m =
     (* Partition semantics: the cut is evaluated at the delivery
        instant, so a cut installed while a message is in flight
        retroactively drops it (see net.mli). *)
-    if Host.is_alive p.phost && not (t.fault_cut src dst) then
-      match find_port t dst with
-      | Some q when Host.is_alive q.phost ->
-        (* Receive side: the message occupies the receiver's link,
-           then its protocol-stack CPU cost is charged, before the
-           message becomes visible. *)
-        let rx_done = Sim.Resource.reserve q.rx (transfer_time size) in
-        Sim.at rx_done (fun () ->
-            if Host.is_alive q.phost then begin
-              let cpu = Host.cpu q.phost in
-              Sim.Resource.acquire_cb cpu (fun () ->
-                  Sim.at
-                    (Sim.now () + stack_cost size)
-                    (fun () ->
-                      Sim.Resource.release cpu;
-                      if Host.is_alive q.phost then
-                        Sim.Mailbox.send q.inbox (src, m)))
-            end)
-      | Some _ | None -> ()
+    if
+      Host.is_alive p.phost
+      && (not (t.fault_cut src dst))
+      && dst >= 0
+      && dst < Array.length t.ports
+      && Host.is_alive t.ports.(dst).phost
+    then begin
+      let q = t.ports.(dst) in
+      (* Receive side: the message occupies the receiver's link, then
+         its protocol-stack CPU cost is charged, before the message
+         becomes visible. *)
+      let rx_done = Sim.Resource.reserve q.rx (transfer_time size) in
+      Sim.at rx_done (fun () ->
+          if Host.is_alive q.phost then begin
+            let cpu = Host.cpu q.phost in
+            Sim.Resource.acquire_cb cpu (fun () ->
+                Sim.at
+                  (Sim.now () + stack_cost size)
+                  (fun () ->
+                    Sim.Resource.release cpu;
+                    if Host.is_alive q.phost then Sim.Mailbox.send q.inbox (src, m)))
+          end)
+    end
   in
   Sim.at (tx_done + latency) (fun () ->
       (* Network-emulation hook (Netfault): consulted once per

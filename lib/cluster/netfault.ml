@@ -8,10 +8,10 @@ open Simkit
 type shaping = { drop_p : float; delay : Sim.time; jitter : Sim.time }
 
 type stats = {
-  cut_drops : int;
-  loss_drops : int;
-  delayed : int;
-  events : int;
+  mutable cut_drops : int;
+  mutable loss_drops : int;
+  mutable delayed : int;
+  mutable events : int;
 }
 
 type t = {
@@ -21,15 +21,12 @@ type t = {
   (* Most recent rule first; first match wins. [None] matches any
      address. *)
   mutable rules : (Net.addr option * Net.addr option * shaping) list;
-  mutable s_cut_drops : int;
-  mutable s_loss_drops : int;
-  mutable s_delayed : int;
-  mutable s_events : int;
+  st : stats;
 }
 
 let is_cut t src dst =
   if Hashtbl.mem t.cuts (src, dst) then begin
-    t.s_cut_drops <- t.s_cut_drops + 1;
+    t.st.cut_drops <- t.st.cut_drops + 1;
     true
   end
   else false
@@ -46,12 +43,12 @@ let netem t src dst _size =
        given seed replays bit-identically. *)
     let lose = sh.drop_p > 0.0 && Random.State.float t.rng 1.0 < sh.drop_p in
     if lose then begin
-      t.s_loss_drops <- t.s_loss_drops + 1;
+      t.st.loss_drops <- t.st.loss_drops + 1;
       Net.Lose
     end
     else if sh.delay > 0 || sh.jitter > 0 then begin
       let j = if sh.jitter > 0 then Random.State.int t.rng (sh.jitter + 1) else 0 in
-      t.s_delayed <- t.s_delayed + 1;
+      t.st.delayed <- t.st.delayed + 1;
       Net.Delay (sh.delay + j)
     end
     else Net.Deliver
@@ -63,10 +60,7 @@ let create ?(seed = 42) net =
       rng = Random.State.make [| seed; 0x9e3779b9 |];
       cuts = Hashtbl.create 64;
       rules = [];
-      s_cut_drops = 0;
-      s_loss_drops = 0;
-      s_delayed = 0;
-      s_events = 0;
+      st = { cut_drops = 0; loss_drops = 0; delayed = 0; events = 0 };
     }
   in
   Net.set_fault_cut net (is_cut t);
@@ -105,14 +99,8 @@ let schedule t evs =
         (fun (at, act) ->
           let due = t0 + at in
           if Sim.now () < due then Sim.sleep (due - Sim.now ());
-          t.s_events <- t.s_events + 1;
+          t.st.events <- t.st.events + 1;
           act t)
         evs)
 
-let stats t =
-  {
-    cut_drops = t.s_cut_drops;
-    loss_drops = t.s_loss_drops;
-    delayed = t.s_delayed;
-    events = t.s_events;
-  }
+let stats t = { t.st with events = t.st.events }

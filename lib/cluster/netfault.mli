@@ -20,11 +20,11 @@
 
 type t
 
-type stats = {
-  cut_drops : int;  (** messages dropped by a cut at delivery time *)
-  loss_drops : int;  (** messages dropped by sampled loss *)
-  delayed : int;  (** messages given extra delay *)
-  events : int;  (** schedule events applied so far *)
+type stats = private {
+  mutable cut_drops : int;  (** messages dropped by a cut at delivery time *)
+  mutable loss_drops : int;  (** messages dropped by sampled loss *)
+  mutable delayed : int;  (** messages given extra delay *)
+  mutable events : int;  (** schedule events applied so far *)
 }
 
 val create : ?seed:int -> Net.t -> t
@@ -76,3 +76,4 @@ val schedule : t -> (Simkit.Sim.time * (t -> unit)) list -> unit
     {!cut}/{!partition}/{!shape}/{!clear}. *)
 
 val stats : t -> stats
+(** A copy of the counters; later faults do not change it. *)

@@ -10,12 +10,12 @@ type Net.payload +=
 type handler = src:Net.addr -> Net.payload -> (Net.payload * int) option
 
 type stats = {
-  calls : int;
-  attempts : int;
-  timeouts : int;
-  retries : int;
-  dups_suppressed : int;
-  dedup_evictions : int;
+  mutable calls : int;
+  mutable attempts : int;
+  mutable timeouts : int;
+  mutable retries : int;
+  mutable dups_suppressed : int;
+  mutable dedup_evictions : int;
 }
 
 (* Server-side duplicate-suppression cache for [dedup] requests
@@ -35,12 +35,7 @@ type t = {
   replies : (Net.addr * int, cached) Hashtbl.t;
   reply_order : (Net.addr * int) Queue.t;
   mutable next_id : int;
-  mutable s_calls : int;
-  mutable s_attempts : int;
-  mutable s_timeouts : int;
-  mutable s_retries : int;
-  mutable s_dups : int;
-  mutable s_evictions : int;
+  st : stats;
 }
 
 let port t = t.port
@@ -49,15 +44,7 @@ let host t = Net.host t.port
 let add_handler t h = t.handlers <- t.handlers @ [ h ]
 let on_oneway t f = t.oneway_subs <- t.oneway_subs @ [ f ]
 
-let stats t =
-  {
-    calls = t.s_calls;
-    attempts = t.s_attempts;
-    timeouts = t.s_timeouts;
-    retries = t.s_retries;
-    dups_suppressed = t.s_dups;
-    dedup_evictions = t.s_evictions;
-  }
+let stats t = { t.st with calls = t.st.calls }
 
 let run_handlers t ~src body =
   let rec try_handlers = function
@@ -89,11 +76,11 @@ let handle_request t ~src id ~dedup body =
     | Some (Done r) ->
       (* Retransmission of a request we already executed: answer from
          the cache, do not run the handler again. *)
-      t.s_dups <- t.s_dups + 1;
+      t.st.dups_suppressed <- t.st.dups_suppressed + 1;
       send_reply t ~dst:src id r
     | Some In_progress ->
       (* First copy's handler is still running; it will reply. *)
-      t.s_dups <- t.s_dups + 1
+      t.st.dups_suppressed <- t.st.dups_suppressed + 1
     | None -> (
       Hashtbl.replace t.replies key In_progress;
       Queue.push key t.reply_order;
@@ -104,7 +91,7 @@ let handle_request t ~src id ~dedup body =
            for operations that tolerate re-execution against a
            restarted server (the crash path already forgets the whole
            cache). *)
-        t.s_evictions <- t.s_evictions + 1;
+        t.st.dedup_evictions <- t.st.dedup_evictions + 1;
         Hashtbl.remove t.replies (Queue.pop t.reply_order)
       end;
       match run_handlers t ~src body with
@@ -158,12 +145,15 @@ let create port =
       replies = Hashtbl.create 64;
       reply_order = Queue.create ();
       next_id = 0;
-      s_calls = 0;
-      s_attempts = 0;
-      s_timeouts = 0;
-      s_retries = 0;
-      s_dups = 0;
-      s_evictions = 0;
+      st =
+        {
+          calls = 0;
+          attempts = 0;
+          timeouts = 0;
+          retries = 0;
+          dups_suppressed = 0;
+          dedup_evictions = 0;
+        };
     }
   in
   (* The dedup cache is volatile server state: a crash loses it, so a
@@ -184,18 +174,18 @@ let attempt t ~dst ~timeout ~dedup ~size ~id body =
     Sim.Timer.after timeout (fun () ->
         if not (Sim.Ivar.is_filled iv) then begin
           Hashtbl.remove t.pending id;
-          t.s_timeouts <- t.s_timeouts + 1;
+          t.st.timeouts <- t.st.timeouts + 1;
           Sim.Ivar.fill iv (Error `Timeout)
         end)
   in
   Hashtbl.replace t.pending id (iv, timer);
-  t.s_attempts <- t.s_attempts + 1;
+  t.st.attempts <- t.st.attempts + 1;
   Net.send t.port ~dst ~size (Req { id; dedup; body });
   iv
 
 let call_async t ~dst ?(timeout = Sim.sec 1.0) ~size body =
   Host.check (host t);
-  t.s_calls <- t.s_calls + 1;
+  t.st.calls <- t.st.calls + 1;
   t.next_id <- t.next_id + 1;
   attempt t ~dst ~timeout ~dedup:false ~size ~id:t.next_id body
 
@@ -207,14 +197,14 @@ let max_backoff = Sim.sec 5.0
 let call_retry t ~dst ?(timeout = Sim.sec 1.0) ?(attempts = 4)
     ?(backoff = Sim.ms 100) ~size body =
   Host.check (host t);
-  t.s_calls <- t.s_calls + 1;
+  t.st.calls <- t.st.calls + 1;
   t.next_id <- t.next_id + 1;
   (* One id for all attempts: a late reply to an earlier copy
      completes the current attempt, and the server can suppress
      duplicate executions keyed on (src, id). *)
   let id = t.next_id in
   let rec go n delay =
-    if n > 1 then t.s_retries <- t.s_retries + 1;
+    if n > 1 then t.st.retries <- t.st.retries + 1;
     match Sim.Ivar.read (attempt t ~dst ~timeout ~dedup:true ~size ~id body) with
     | Ok r -> Ok r
     | Error `Timeout when n < attempts ->

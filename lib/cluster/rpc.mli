@@ -82,20 +82,20 @@ val call_retry :
     restarted incarnation, exactly as against a real rebooted server.
     Returns [`Timeout] only after every attempt has timed out. *)
 
-type stats = {
-  calls : int;  (** [call]/[call_async]/[call_retry] invocations *)
-  attempts : int;  (** request transmissions, retries included *)
-  timeouts : int;  (** attempts that timed out *)
-  retries : int;  (** retransmissions by [call_retry] *)
-  dups_suppressed : int;  (** server-side duplicate requests absorbed *)
-  dedup_evictions : int;
+type stats = private {
+  mutable calls : int;  (** [call]/[call_async]/[call_retry] invocations *)
+  mutable attempts : int;  (** request transmissions, retries included *)
+  mutable timeouts : int;  (** attempts that timed out *)
+  mutable retries : int;  (** retransmissions by [call_retry] *)
+  mutable dups_suppressed : int;  (** server-side duplicate requests absorbed *)
+  mutable dedup_evictions : int;
       (** reply-cache entries dropped because the cache hit its cap —
           each one licenses a (safe) re-execution on retransmission *)
 }
 
 val stats : t -> stats
-(** Cumulative counters for this endpoint (both its client and server
-    roles). *)
+(** A copy of the cumulative counters for this endpoint (both its
+    client and server roles); later traffic does not change it. *)
 
 val oneway : t -> dst:Net.addr -> size:int -> Net.payload -> unit
 (** Fire-and-forget datagram through this endpoint. *)

@@ -27,6 +27,15 @@ let default_config =
     block_locks = false;
   }
 
+(** This server's recovery-demon counters (replays of other servers'
+    logs); {!Fs.recovery_stats} hands out copies. *)
+type recovery_stats = {
+  mutable replays : int;  (** recovery replays started on this server *)
+  mutable diffs_applied : int;  (** diffs whose version won (written) *)
+  mutable diffs_skipped : int;  (** diffs already on disk (version check) *)
+  mutable torn_tails : int;  (** replays whose log ended in a torn record *)
+}
+
 type t = {
   host : Cluster.Host.t;
   config : config;
@@ -42,10 +51,7 @@ type t = {
       (** lease expired with dirty data: all operations fail until
           unmount (§6) *)
   mutable unmounted : bool;
-  mutable recov_runs : int;  (** recovery replays started on this server *)
-  mutable recov_applied : int;  (** diffs whose version won (written) *)
-  mutable recov_skipped : int;  (** diffs already on disk (version check) *)
-  mutable recov_torn : int;  (** replays whose log ended in a torn record *)
+  recovery : recovery_stats;
   read_ahead_next : (int, int) Hashtbl.t;
       (** inum -> predicted next offset; -1 after an invalidating
           revoke *)

@@ -30,20 +30,15 @@ let net_stats (ctx : t) = Cluster.Rpc.stats ctx.Ctx.rpc
 let lease_stats (ctx : t) = Clerk.stats ctx.Ctx.clerk
 let is_poisoned (ctx : t) = ctx.Ctx.poisoned
 
-type recovery_stats = {
-  replays : int;  (** recovery replays started on this server *)
-  diffs_applied : int;
-  diffs_skipped : int;  (** version check said already on disk *)
-  torn_tails : int;  (** replays whose log ended in a torn record *)
+type recovery_stats = Ctx.recovery_stats = {
+  mutable replays : int;
+  mutable diffs_applied : int;
+  mutable diffs_skipped : int;
+  mutable torn_tails : int;
 }
 
 let recovery_stats (ctx : t) =
-  {
-    replays = ctx.Ctx.recov_runs;
-    diffs_applied = ctx.Ctx.recov_applied;
-    diffs_skipped = ctx.Ctx.recov_skipped;
-    torn_tails = ctx.Ctx.recov_torn;
-  }
+  { ctx.Ctx.recovery with replays = ctx.Ctx.recovery.replays }
 
 (* --- formatting --------------------------------------------------------- *)
 
@@ -581,10 +576,7 @@ let mount ~host ~rpc ~vd ~lock_servers ?(table = "fs0") ?(config = Ctx.default_c
       readonly;
       poisoned = false;
       unmounted = false;
-      recov_runs = 0;
-      recov_applied = 0;
-      recov_skipped = 0;
-      recov_torn = 0;
+      recovery = { replays = 0; diffs_applied = 0; diffs_skipped = 0; torn_tails = 0 };
       read_ahead_next = Hashtbl.create 64;
       shed_holds = Hashtbl.create 16;
     }

@@ -135,16 +135,16 @@ val lease_stats : t -> Locksvc.Clerk.stats
 
 val is_poisoned : t -> bool
 
-type recovery_stats = {
-  replays : int;  (** recovery replays started on this server *)
-  diffs_applied : int;
-  diffs_skipped : int;  (** version check said already on disk *)
-  torn_tails : int;  (** replays whose log ended in a torn record *)
+type recovery_stats = Ctx.recovery_stats = private {
+  mutable replays : int;  (** recovery replays started on this server *)
+  mutable diffs_applied : int;
+  mutable diffs_skipped : int;  (** version check said already on disk *)
+  mutable torn_tails : int;  (** replays whose log ended in a torn record *)
 }
 
 val recovery_stats : t -> recovery_stats
-(** Counters from this server's recovery demon (replays of other
-    servers' logs it has performed). *)
+(** A copy of the counters from this server's recovery demon (replays
+    of other servers' logs it has performed). *)
 
 val drop_caches : t -> unit
 (** Evict all clean cached blocks (used by the uncached-read

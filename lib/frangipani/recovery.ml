@@ -25,9 +25,9 @@ let apply_diff ctx (d : Wal.diff) =
     if not (Locksvc.Clerk.check_lease_margin ctx.Ctx.clerk) then
       Errors.fail Errors.Eio;
     Petal.Client.write ctx.Ctx.vd ~off:d.addr sector;
-    ctx.Ctx.recov_applied <- ctx.Ctx.recov_applied + 1
+    ctx.Ctx.recovery.diffs_applied <- ctx.Ctx.recovery.diffs_applied + 1
   end
-  else ctx.Ctx.recov_skipped <- ctx.Ctx.recov_skipped + 1
+  else ctx.Ctx.recovery.diffs_skipped <- ctx.Ctx.recovery.diffs_skipped + 1
 
 let run ctx ~dead_lease =
   let slot = dead_lease mod Layout.max_servers in
@@ -40,8 +40,9 @@ let run ctx ~dead_lease =
     ~finally:(fun () -> Locksvc.Clerk.release ctx.Ctx.clerk ~lock Locksvc.Types.W)
     (fun () ->
       let report = Wal.scan_report ctx.Ctx.vd ~slot in
-      ctx.Ctx.recov_runs <- ctx.Ctx.recov_runs + 1;
-      if report.Wal.torn then ctx.Ctx.recov_torn <- ctx.Ctx.recov_torn + 1;
+      let st = ctx.Ctx.recovery in
+      st.replays <- st.replays + 1;
+      if report.Wal.torn then st.torn_tails <- st.torn_tails + 1;
       List.iter (apply_diff ctx) report.Wal.diffs;
       Logs.info (fun m ->
           m "%s: replayed %d diffs (%d records, %d live sectors%s) from slot %d"

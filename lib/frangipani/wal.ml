@@ -31,11 +31,11 @@ type group = {
 }
 
 type wal_stats = {
-  flush_groups : int;  (** groups submitted to Petal *)
-  pipeline_overlaps : int;  (** groups formatted while another was in flight *)
-  log_pressure_stalls : int;  (** submissions that had to reclaim before overwriting *)
-  reclaim_rounds : int;  (** reclaim invocations (stalled + proactive) *)
-  ensure_stalls : int;  (** ensure_flushed calls that waited on the pipeline *)
+  mutable flush_groups : int;
+  mutable pipeline_overlaps : int;
+  mutable log_pressure_stalls : int;
+  mutable reclaim_rounds : int;
+  mutable ensure_stalls : int;
 }
 
 type t = {
@@ -54,11 +54,7 @@ type t = {
   mutable queued : group list; (* formatted groups awaiting submission, oldest first *)
   mutable submitting : bool; (* the single submitter is draining [queued] *)
   flush_done : Sim.Condition.t;
-  mutable s_flush_groups : int;
-  mutable s_overlaps : int;
-  mutable s_pressure : int;
-  mutable s_reclaims : int;
-  mutable s_ensure_stalls : int;
+  st : wal_stats;
 }
 
 (* Sectors per group: the pipeline's stage unit, and the granularity
@@ -88,24 +84,20 @@ let create ~vd ~slot ~synchronous ~lease_ok () =
     queued = [];
     submitting = false;
     flush_done = Sim.Condition.create ();
-    s_flush_groups = 0;
-    s_overlaps = 0;
-    s_pressure = 0;
-    s_reclaims = 0;
-    s_ensure_stalls = 0;
+    st =
+      {
+        flush_groups = 0;
+        pipeline_overlaps = 0;
+        log_pressure_stalls = 0;
+        reclaim_rounds = 0;
+        ensure_stalls = 0;
+      };
   }
 
 let set_reclaim_hook t f = t.reclaim <- f
 let last_rid t = t.next_rid
 
-let stats t =
-  {
-    flush_groups = t.s_flush_groups;
-    pipeline_overlaps = t.s_overlaps;
-    log_pressure_stalls = t.s_pressure;
-    reclaim_rounds = t.s_reclaims;
-    ensure_stalls = t.s_ensure_stalls;
-  }
+let stats t = { t.st with flush_groups = t.st.flush_groups }
 
 let serialize_record diffs =
   let w = Codec.W.create ~size:128 () in
@@ -200,7 +192,7 @@ let format_now t =
     t.pending_bytes <- 0;
     let groups = make_groups records in
     if t.submitting && groups <> [] then
-      t.s_overlaps <- t.s_overlaps + List.length groups;
+      t.st.pipeline_overlaps <- t.st.pipeline_overlaps + List.length groups;
     t.queued <- t.queued @ groups
   end
 
@@ -209,7 +201,7 @@ let format_now t =
 (* Apply (via the reclaim hook) every record wholly contained in
    sectors with lsn <= [upto], then advance the applied barrier. *)
 let reclaim_upto t upto =
-  t.s_reclaims <- t.s_reclaims + 1;
+  t.st.reclaim_rounds <- t.st.reclaim_rounds + 1;
   let rid_limit =
     List.fold_left
       (fun acc (l, r) -> if l <= upto then max acc r else acc)
@@ -252,7 +244,7 @@ let write_group t g =
      size; everything they described must be in place first. *)
   if last_lsn > Layout.log_sectors && last_lsn - Layout.log_sectors > t.applied_barrier
   then begin
-    t.s_pressure <- t.s_pressure + 1;
+    t.st.log_pressure_stalls <- t.st.log_pressure_stalls + 1;
     reclaim_upto t (last_lsn - 1)
   end;
   let sectors =
@@ -311,7 +303,7 @@ let submit_queued t =
       (match t.queued with
       | g' :: rest when g' == g -> t.queued <- rest
       | _ -> ());
-      t.s_flush_groups <- t.s_flush_groups + 1;
+      t.st.flush_groups <- t.st.flush_groups + 1;
       Faultpoint.hit "wal.group";
       Sim.Condition.broadcast t.flush_done;
       maybe_reclaim_ahead t
@@ -369,7 +361,7 @@ let flush t = flush_to t ~target:t.next_rid ~on_stall:ignore
 let ensure_flushed t rid =
   if rid > t.flushed_rid then
     flush_to t ~target:(min rid t.next_rid) ~on_stall:(fun () ->
-        t.s_ensure_stalls <- t.s_ensure_stalls + 1)
+        t.st.ensure_stalls <- t.st.ensure_stalls + 1)
 
 (* Asynchronous flush kick (the non-synchronous append path): format
    and enqueue without blocking the appender, and start a submitter if

@@ -67,18 +67,19 @@ val discard_volatile : t -> unit
 (** Crash simulation: drop the in-memory tail (unwritten records and
     formatted-but-unsubmitted groups). *)
 
-type wal_stats = {
-  flush_groups : int;  (** groups submitted to Petal *)
-  pipeline_overlaps : int;
+type wal_stats = private {
+  mutable flush_groups : int;  (** groups submitted to Petal *)
+  mutable pipeline_overlaps : int;
       (** groups formatted while another was in flight *)
-  log_pressure_stalls : int;
+  mutable log_pressure_stalls : int;
       (** submissions that had to reclaim before overwriting *)
-  reclaim_rounds : int;  (** reclaim invocations (stalled + proactive) *)
-  ensure_stalls : int;
+  mutable reclaim_rounds : int;  (** reclaim invocations (stalled + proactive) *)
+  mutable ensure_stalls : int;
       (** ensure_flushed calls that waited on the pipeline *)
 }
 
 val stats : t -> wal_stats
+(** A copy of the counters; later log traffic does not change it. *)
 
 type scan_report = {
   diffs : diff list;  (** diffs of all complete records, in log order *)

@@ -24,6 +24,12 @@ type lstate = {
   mutable last_used : Sim.time;
 }
 
+type stats = {
+  mutable renew_misses : int;
+  mutable requests : int;
+  mutable request_msgs : int;
+}
+
 type t = {
   rpc : Rpc.t;
   host : Host.t;
@@ -41,19 +47,10 @@ type t = {
   mutable closed : bool;
   recoveries : (int, unit) Hashtbl.t;
   outbox : (int * mode * bool) Outbox.t; (* requests: lock, mode, for_recovery *)
-  mutable s_renew_misses : int;
-  mutable s_requests : int;
-  mutable s_request_msgs : int;
+  st : stats;
 }
 
-type stats = { renew_misses : int; requests : int; request_msgs : int }
-
-let stats t =
-  {
-    renew_misses = t.s_renew_misses;
-    requests = t.s_requests;
-    request_msgs = t.s_request_msgs;
-  }
+let stats t = { t.st with renew_misses = t.st.renew_misses }
 
 let lease t = t.clease
 let table t = t.ctable
@@ -95,8 +92,8 @@ let owner t lid = owner_of ~servers:t.servers ~ngroups:t.ngroups ~table:t.ctable
 let send_requests t dst reqs =
   Rpc.oneway t.rpc ~dst ~size:(batch_size (List.length reqs))
     (L_requests { table = t.ctable; lease = t.clease; reqs });
-  t.s_requests <- t.s_requests + List.length reqs;
-  t.s_request_msgs <- t.s_request_msgs + 1
+  t.st.requests <- t.st.requests + List.length reqs;
+  t.st.request_msgs <- t.st.request_msgs + 1
 
 let flush_requests t dst = Outbox.flush t.outbox dst ~send:(send_requests t)
 
@@ -391,7 +388,7 @@ let housekeeping t () =
             next_renew := Sim.now () + renew_interval
           end
           else begin
-            t.s_renew_misses <- t.s_renew_misses + 1;
+            t.st.renew_misses <- t.st.renew_misses + 1;
             renew_backoff :=
               (if !renew_backoff = 0 then Sim.sec 1.0
                else min (2 * !renew_backoff) (Sim.sec 8.0));
@@ -480,9 +477,7 @@ let create ~rpc ~servers ~table:ctable () =
       closed = false;
       recoveries = Hashtbl.create 4;
       outbox = Outbox.create ();
-      s_renew_misses = 0;
-      s_requests = 0;
-      s_request_msgs = 0;
+      st = { renew_misses = 0; requests = 0; request_msgs = 0 };
     }
   in
   Rpc.on_oneway rpc (fun ~src body ->

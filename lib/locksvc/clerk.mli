@@ -67,16 +67,16 @@ val check_lease_margin : t -> bool
     {!Types.lease_margin} — a Frangipani server calls this before
     every write to Petal. *)
 
-type stats = {
-  renew_misses : int;  (** renewal rounds in which no lock server answered *)
-  requests : int;  (** lock requests sent, retransmissions included *)
-  request_msgs : int;
+type stats = private {
+  mutable renew_misses : int;  (** renewal rounds in which no lock server answered *)
+  mutable requests : int;  (** lock requests sent, retransmissions included *)
+  mutable request_msgs : int;
       (** messages that carried them: requests for one server made in
           one simulated instant share a message *)
 }
 
 val stats : t -> stats
-(** Lease-renewal and request counters. A missed renewal round
+(** A copy of the lease-renewal and request counters. A missed renewal round
     triggers an early retry on a 1→8 s exponential backoff rather than
     waiting out the full renew interval, so [renew_misses] counts
     brushes with the §6 expiry path. [requests / request_msgs] is the

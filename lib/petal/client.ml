@@ -2,6 +2,26 @@ open Simkit
 open Cluster
 open Protocol
 
+(* [write_seconds], [read_seconds] and [write_rpcs] are derived when
+   {!op_stats} takes its copy; the live record leaves them at zero. *)
+type stats = {
+  mutable writes : int;
+  write_seconds : float;
+  mutable reads : int;
+  read_seconds : float;
+  mutable read_pieces : int;
+  mutable read_rpcs : int;
+  mutable read_coalesced : int;
+  mutable write_pieces : int;
+  write_rpcs : int;
+  mutable failovers : int;
+  mutable primary_skips : int;
+  mutable probe_heals : int;
+  mutable map_refreshes : int;
+  mutable wrong_epoch_retries : int;
+  mutable freeze_waits : int;
+}
+
 type t = {
   rpc : Rpc.t;
   servers : Net.addr array;
@@ -19,29 +39,15 @@ type t = {
      spurious replica loss to the cache layer. *)
   mutable active : int array;
   mutable mepoch : int;
-  mutable write_ops : int;
+  st : stats;
   mutable write_ns : int;
-  mutable read_ops : int;
   mutable read_ns : int;
-  mutable read_piece_count : int; (* chunk pieces before coalescing *)
-  mutable read_rpc_count : int; (* read RPCs actually issued *)
-  mutable read_coalesce_count : int; (* pieces merged into a neighbour *)
-  mutable write_piece_count : int; (* write pieces = write RPCs issued *)
   (* Servers whose last piece RPC timed out, mapped to the time of
      their next probe: until then pieces go straight to the other
      replica instead of re-paying the timeout, and after a successful
      probe the primary is used again (heal detection — failover is
      not pinned forever). *)
   suspects : (int, Sim.time) Hashtbl.t;
-  mutable failover_count : int;
-  mutable primary_skip_count : int;
-  mutable probe_heal_count : int;
-  mutable map_refresh_count : int;
-  mutable wrong_epoch_retry_count : int;
-  mutable freeze_wait_count : int;
-      (* wait-and-retry rounds spent against a server NOT ahead of the
-         client's map: Paxos apply lag, or the drain-time write freeze
-         of a pending reconfiguration (which can last many seconds) *)
 }
 
 type vdisk = {
@@ -50,24 +56,6 @@ type vdisk = {
   root : int;
   nrep : int;
   frozen : int option;
-}
-
-type stats = {
-  writes : int;
-  write_seconds : float;
-  reads : int;
-  read_seconds : float;
-  read_pieces : int;
-  read_rpcs : int;
-  read_coalesced : int;
-  write_pieces : int;
-  write_rpcs : int;
-  failovers : int;
-  primary_skips : int;
-  probe_heals : int;
-  map_refreshes : int;
-  wrong_epoch_retries : int;
-  freeze_waits : int;
 }
 
 (* The paper keeps "several megabytes" of write-behind in flight
@@ -89,13 +77,14 @@ let connect ~rpc ~servers ?active () =
     inflight = Sim.Resource.create ~capacity:max_inflight_pieces "petal.inflight";
     write_guard = (fun () -> None);
     active; mepoch = 0;
-    write_ops = 0; write_ns = 0; read_ops = 0; read_ns = 0;
-    read_piece_count = 0; read_rpc_count = 0; read_coalesce_count = 0;
-    write_piece_count = 0;
-    suspects = Hashtbl.create 4;
-    failover_count = 0; primary_skip_count = 0; probe_heal_count = 0;
-    map_refresh_count = 0; wrong_epoch_retry_count = 0;
-    freeze_wait_count = 0 }
+    st =
+      { writes = 0; write_seconds = 0.0; reads = 0; read_seconds = 0.0;
+        read_pieces = 0; read_rpcs = 0; read_coalesced = 0;
+        write_pieces = 0; write_rpcs = 0; failovers = 0; primary_skips = 0;
+        probe_heals = 0; map_refreshes = 0; wrong_epoch_retries = 0;
+        freeze_waits = 0 };
+    write_ns = 0; read_ns = 0;
+    suspects = Hashtbl.create 4 }
 
 (* How long a timed-out server is skipped before a piece probes it
    again. Short enough that a healed partition stops costing the
@@ -106,23 +95,11 @@ let probe_interval = Sim.sec 5.0
 let set_write_guard v f = v.c.write_guard <- f
 
 let op_stats v =
-  {
-    writes = v.c.write_ops;
-    write_seconds = float_of_int v.c.write_ns /. 1e9;
-    reads = v.c.read_ops;
-    read_seconds = float_of_int v.c.read_ns /. 1e9;
-    read_pieces = v.c.read_piece_count;
-    read_rpcs = v.c.read_rpc_count;
-    read_coalesced = v.c.read_coalesce_count;
-    write_pieces = v.c.write_piece_count;
-    write_rpcs = v.c.write_piece_count;
-    failovers = v.c.failover_count;
-    primary_skips = v.c.primary_skip_count;
-    probe_heals = v.c.probe_heal_count;
-    map_refreshes = v.c.map_refresh_count;
-    wrong_epoch_retries = v.c.wrong_epoch_retry_count;
-    freeze_waits = v.c.freeze_wait_count;
-  }
+  let c = v.c in
+  { c.st with
+    write_seconds = float_of_int c.write_ns /. 1e9;
+    read_seconds = float_of_int c.read_ns /. 1e9;
+    write_rpcs = c.st.write_pieces }
 
 (* Placement is [Protocol.ring_slot], the rule the servers check
    ownership with: the primary is the active member at that slot, the
@@ -154,7 +131,7 @@ let poll_order t =
    apply. Keeps the old map if nobody offers a newer one — the
    caller's retry will then fail visibly rather than loop. *)
 let refresh_map t =
-  t.map_refresh_count <- t.map_refresh_count + 1;
+  t.st.map_refreshes <- t.st.map_refreshes + 1;
   let rec go = function
     | [] -> ()
     | i :: rest -> (
@@ -196,12 +173,12 @@ let skip_primary t pi =
   | None -> false
 
 let note_primary_timeout t pi =
-  t.failover_count <- t.failover_count + 1;
+  t.st.failovers <- t.st.failovers + 1;
   Hashtbl.replace t.suspects pi (Sim.now () + probe_interval)
 
 let note_primary_ok t pi =
   if Hashtbl.mem t.suspects pi then begin
-    t.probe_heal_count <- t.probe_heal_count + 1;
+    t.st.probe_heals <- t.st.probe_heals + 1;
     Hashtbl.remove t.suspects pi
   end
 
@@ -238,7 +215,7 @@ let submit_piece t g ~root ~chunk ~nrep ~size ~req_of ~on_reply =
   Sim.Resource.acquire t.inflight;
   let pi = primary_of t ~root ~chunk in
   let to_secondary = nrep > 1 && skip_primary t pi in
-  if to_secondary then t.primary_skip_count <- t.primary_skip_count + 1;
+  if to_secondary then t.st.primary_skips <- t.st.primary_skips + 1;
   let first =
     try
       if to_secondary then
@@ -289,7 +266,7 @@ let submit_piece t g ~root ~chunk ~nrep ~size ~req_of ~on_reply =
       when srv > t.mepoch && mrounds < max_map_rounds ->
       (* Genuinely stale map: the server has committed an epoch we
          have not seen. Refetch and re-route. *)
-      t.wrong_epoch_retry_count <- t.wrong_epoch_retry_count + 1;
+      t.st.wrong_epoch_retries <- t.st.wrong_epoch_retries + 1;
       refresh_map t;
       resolve (mrounds + 1) wrounds (routed_attempt ())
     | Some (Wrong_epoch { mepoch = srv })
@@ -299,8 +276,8 @@ let submit_piece t g ~root ~chunk ~nrep ~size ~req_of ~on_reply =
          mutation back. A refresh would just read the same map back —
          wait it out and retry; once the cutover commits the reject
          flips to [srv > t.mepoch] and the map branch takes over. *)
-      t.wrong_epoch_retry_count <- t.wrong_epoch_retry_count + 1;
-      t.freeze_wait_count <- t.freeze_wait_count + 1;
+      t.st.wrong_epoch_retries <- t.st.wrong_epoch_retries + 1;
+      t.st.freeze_waits <- t.st.freeze_waits + 1;
       Sim.sleep (Sim.ms 250);
       resolve mrounds (wrounds + 1) (routed_attempt ())
     | r -> r
@@ -430,7 +407,7 @@ let timed add f =
    head of the next, when runs are not chunk-aligned. Each coalesced
    RPC scatters its reply into all its destination segments. *)
 let read_runs v runs =
-  v.c.read_ops <- v.c.read_ops + 1;
+  v.c.st.reads <- v.c.st.reads + 1;
   let runs = List.map (fun (off, len) -> (off, Bytes.create len)) runs in
   List.iter (fun (off, buf) -> check_aligned ~off ~len:(Bytes.length buf)) runs;
   let raw =
@@ -455,10 +432,10 @@ let read_runs v runs =
       [] raw
     |> List.rev_map (fun (c, w, l, ds) -> (c, w, l, List.rev ds))
   in
-  v.c.read_piece_count <- v.c.read_piece_count + List.length raw;
-  v.c.read_rpc_count <- v.c.read_rpc_count + List.length merged;
-  v.c.read_coalesce_count <-
-    v.c.read_coalesce_count + (List.length raw - List.length merged);
+  v.c.st.read_pieces <- v.c.st.read_pieces + List.length raw;
+  v.c.st.read_rpcs <- v.c.st.read_rpcs + List.length merged;
+  v.c.st.read_coalesced <-
+    v.c.st.read_coalesced + (List.length raw - List.length merged);
   timed (fun dt -> v.c.read_ns <- v.c.read_ns + dt) (fun () ->
       scatter
         (fun g (chunk, within, len, ds) ->
@@ -487,7 +464,7 @@ let read v ~off ~len = List.hd (read_runs v [ (off, len) ])
    aligned chunk-sized windows ([Cache.group_runs]), so it never
    submits two adjacent pieces of one chunk. *)
 let write_runs v runs =
-  v.c.write_ops <- v.c.write_ops + 1;
+  v.c.st.writes <- v.c.st.writes + 1;
   if is_snapshot v then raise Read_only;
   List.iter (fun (off, data) -> check_aligned ~off ~len:(Bytes.length data)) runs;
   let ps =
@@ -502,7 +479,7 @@ let write_runs v runs =
           (pieces ~off ~len:(Bytes.length data)))
       runs
   in
-  v.c.write_piece_count <- v.c.write_piece_count + List.length ps;
+  v.c.st.write_pieces <- v.c.st.write_pieces + List.length ps;
   timed (fun dt -> v.c.write_ns <- v.c.write_ns + dt) (fun () ->
       scatter
         (fun g (chunk, within, data, doff, dlen) ->

@@ -117,28 +117,29 @@ val set_write_guard : vdisk -> (unit -> int option) -> unit
     (raising {!Protocol.Stale_write} back at the client). Frangipani
     sets it to [lease_valid_until - margin] at mount. *)
 
-type stats = {
-  writes : int;  (** {!write}/{!write_runs} calls; decommits are not counted *)
+type stats = private {
+  mutable writes : int;  (** {!write}/{!write_runs} calls; decommits are not counted *)
   write_seconds : float;  (** simulated time inside writes *)
-  reads : int;  (** {!read}/{!read_runs} calls *)
+  mutable reads : int;  (** {!read}/{!read_runs} calls *)
   read_seconds : float;  (** simulated time inside reads *)
-  read_pieces : int;  (** chunk pieces across all reads, pre-coalescing *)
-  read_rpcs : int;  (** read RPCs actually issued *)
-  read_coalesced : int;  (** pieces merged into a neighbouring RPC *)
-  write_pieces : int;  (** chunk pieces across all writes *)
+  mutable read_pieces : int;  (** chunk pieces across all reads, pre-coalescing *)
+  mutable read_rpcs : int;  (** read RPCs actually issued *)
+  mutable read_coalesced : int;  (** pieces merged into a neighbouring RPC *)
+  mutable write_pieces : int;  (** chunk pieces across all writes *)
   write_rpcs : int;  (** write RPCs issued: one per piece *)
-  failovers : int;  (** piece RPCs that timed out on the primary *)
-  primary_skips : int;  (** pieces routed straight to the replica *)
-  probe_heals : int;  (** suspected primaries found healthy again *)
-  map_refreshes : int;  (** ownership-map refetches *)
-  wrong_epoch_retries : int;  (** pieces re-routed after a [Wrong_epoch] *)
-  freeze_waits : int;
+  mutable failovers : int;  (** piece RPCs that timed out on the primary *)
+  mutable primary_skips : int;  (** pieces routed straight to the replica *)
+  mutable probe_heals : int;  (** suspected primaries found healthy again *)
+  mutable map_refreshes : int;  (** ownership-map refetches *)
+  mutable wrong_epoch_retries : int;  (** pieces re-routed after a [Wrong_epoch] *)
+  mutable freeze_waits : int;
       (** wait-and-retry rounds against a server not ahead of the
           client's map — Paxos apply lag or the drain-time write
           freeze of a pending reconfiguration *)
 }
 
 val op_stats : vdisk -> stats
-(** Operation counters accumulated by this driver instance —
-    simulated time spent inside Petal operations plus the piece, RPC
-    and read-coalescing accounting, for performance debugging. *)
+(** A copy of the operation counters accumulated by this driver
+    instance — simulated time spent inside Petal operations plus the
+    piece, RPC and read-coalescing accounting, for performance
+    debugging. Later operations do not change it. *)

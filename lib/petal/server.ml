@@ -21,6 +21,17 @@ type version = { epoch : int; loc : (int * int) option (* disk index, offset *) 
    commit. *)
 type pending = { target : int array; target_epoch : int }
 
+type stats = {
+  mutable stale_applied : int;
+  mutable wrong_epoch_rejects : int;
+  mutable freeze_rejects : int;
+  mutable max_cutover : Sim.time;
+  mutable xfer_pushes : int;
+  mutable xfer_bytes : int;
+  mutable gc_chunks : int;
+  mutable snap_gc_chunks : int;
+}
+
 type t = {
   host : Host.t;
   rpc : Rpc.t;
@@ -88,30 +99,12 @@ type t = {
      requests are accepted only from these addresses (the trusted
      Frangipani server machines) and from Petal peers. *)
   mutable trusted : (Net.addr, unit) Hashtbl.t option;
-  (* §6 write-guard accounting, the sweep invariant: writes that
-     reached the disk with a lapsed stamp anyway (must stay 0; the
-     lease margin exists to make it so). *)
-  mutable stale_applied : int;
-  (* Reconfiguration accounting. *)
-  mutable wrong_epoch_rejects : int; (* data requests refused by the map guard *)
-  mutable freeze_rejects : int; (* mutations refused by the drain-time freeze *)
-  mutable max_cutover : Sim.time; (* worst pending-to-commit latency since creation *)
-  mutable xfer_pushes : int; (* resync/transfer push RPCs acknowledged *)
-  mutable xfer_bytes : int; (* bytes carried by those pushes *)
-  mutable gc_chunks : int; (* chunks freed because ownership moved away *)
-  mutable snap_gc_chunks : int; (* versions freed by snapshot deletion *)
+  st : stats;
 }
 
 let host t = t.host
 let index t = t.index
-let stale_applied_count t = t.stale_applied
-let wrong_epoch_count t = t.wrong_epoch_rejects
-let freeze_reject_count t = t.freeze_rejects
-let max_cutover_time t = t.max_cutover
-let xfer_push_count t = t.xfer_pushes
-let xfer_bytes_pushed t = t.xfer_bytes
-let gc_chunk_count t = t.gc_chunks
-let snap_gc_chunk_count t = t.snap_gc_chunks
+let stats t = { t.st with stale_applied = t.st.stale_applied }
 let current_epoch t = t.mepoch
 let current_active t = Array.to_list t.active
 let pending_transfer t = t.pending <> None
@@ -137,40 +130,14 @@ let degraded_set t peer =
     set
 
 (* Stamped interval lists: sorted disjoint [a, b) segments, each
-   carrying the write time of the bytes it covers. A new mark takes
-   over whatever part of older segments it overlaps. *)
-let seg_add (a, b, s) segs =
-  let rec cut = function
-    | [] -> []
-    | (x, y, st) :: rest when y <= a -> (x, y, st) :: cut rest
-    | (x, y, st) :: rest when b <= x -> (x, y, st) :: rest
-    | (x, y, st) :: rest ->
-      (if x < a then [ (x, a, st) ] else [])
-      @ (if b < y then [ (b, y, st) ] else [])
-      @ cut rest
-  in
-  let rec ins = function
-    | (x, y, st) :: rest when x < a -> (x, y, st) :: ins rest
-    | rest -> (a, b, s) :: rest
-  in
-  ins (cut segs)
-
-(* Remove [a, b) from a stamped segment list. *)
-let rec seg_sub segs (a, b) =
-  match segs with
-  | [] -> []
-  | (x, y, st) :: rest when y <= a -> (x, y, st) :: seg_sub rest (a, b)
-  | (x, y, st) :: rest when b <= x -> (x, y, st) :: rest
-  | (x, y, st) :: rest ->
-    (if x < a then [ (x, a, st) ] else [])
-    @ (if b < y then [ (b, y, st) ] else [])
-    @ seg_sub rest (a, b)
+   carrying the write time of the bytes it covers. *)
 
 (* Remove from [segs] the parts of [a, b) still stamped [<= upto];
    sub-ranges re-marked with a newer stamp survive. Used when a push
    completes but the entry was re-marked mid-flight: the pushed bytes
    are good for every sub-range whose stamp the push saw, and stale
-   for any a concurrent write stamped afterwards. *)
+   for any a concurrent write stamped afterwards. [~upto:max_int]
+   removes [a, b) outright. *)
 let seg_clear segs (a, b) ~upto =
   List.concat_map
     (fun (x, y, st) ->
@@ -179,6 +146,15 @@ let seg_clear segs (a, b) ~upto =
         (if x < a then [ (x, a, st) ] else [])
         @ if b < y then [ (b, y, st) ] else [])
     segs
+
+(* A new mark takes over whatever part of older segments it
+   overlaps. *)
+let seg_add (a, b, s) segs =
+  let rec ins = function
+    | (x, y, st) :: rest when x < a -> (x, y, st) :: ins rest
+    | rest -> (a, b, s) :: rest
+  in
+  ins (seg_clear segs (a, b) ~upto:max_int)
 
 (* Remove [a, b) from a plain range. *)
 let range_sub (x, y) (a, b) =
@@ -198,6 +174,15 @@ let mark_degraded t ~peer ~root ~chunk ~within ~len ~stamp =
 
 let degraded_count t =
   Hashtbl.fold (fun _ set acc -> acc + Hashtbl.length set) t.degraded 0
+
+(* The chunks some peer's backlog still names: the store keeps them
+   until their ranges are pushed. *)
+let backlog_chunks t =
+  let referenced = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun _ set -> Hashtbl.iter (fun k _ -> Hashtbl.replace referenced k ()) set)
+    t.degraded;
+  referenced
 
 (* Debug tracing for sweep forensics; enabled via PETAL_TRACE=1. *)
 let tracing = Sys.getenv_opt "PETAL_TRACE" <> None
@@ -287,10 +272,7 @@ let free_extent t (d, off) =
    degraded sets still reference (conservative; an inactive member
    should have none). *)
 let purge_stale_store t =
-  let referenced = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ set -> Hashtbl.iter (fun k _ -> Hashtbl.replace referenced k ()) set)
-    t.degraded;
+  let referenced = backlog_chunks t in
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.chunks [] in
   List.iter
     (fun key ->
@@ -304,7 +286,7 @@ let purge_stale_store t =
             (fun v -> match v.loc with Some ext -> free_extent t ext | None -> ())
             !vl);
         Hashtbl.remove t.chunks key;
-        t.gc_chunks <- t.gc_chunks + 1
+        t.st.gc_chunks <- t.st.gc_chunks + 1
       end)
     (List.sort compare keys)
 
@@ -337,27 +319,32 @@ let begin_transfer t (p : pending) =
           (owners p.target ~nrep ~root ~chunk))
     (List.sort compare keys)
 
-(* After cutover, degraded entries toward peers that no longer own
-   their chunk are dead weight (the data migrated through the live
-   owners): prune them so the backlog metric means something. *)
-let prune_degraded t =
+(* A backlog entry can outlive its purpose: a failed forward recorded
+   toward a member a later reconfiguration removed, or a handoff delta
+   toward a chunk whose owners have since moved again. Such a peer now
+   rejects the push forever (it fails [peer_push_ok] on the receiving
+   side), which would wedge the drain — and with it any pending
+   cutover. Drop entries whose peer is not an owner of the chunk under
+   either the committed map or the pending target. Also run at
+   cutover, where it drops the entries toward the old owners: their
+   data migrated through the live ones. *)
+let gc_stale_backlog t =
   Hashtbl.iter
     (fun peer set ->
-      let stale =
-        Hashtbl.fold
-          (fun (root, chunk) _ acc ->
-            let nrep = nrep_of_root t root in
-            let pi =
-              let rec find i = if i >= Array.length t.members then -1
-                else if t.members.(i) = peer then i else find (i + 1)
-              in
-              find 0
-            in
-            if List.mem pi (owners t.active ~nrep ~root ~chunk) then acc
-            else (root, chunk) :: acc)
-          set []
-      in
-      List.iter (Hashtbl.remove set) stale)
+      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) set [] in
+      List.iter
+        (fun (root, chunk) ->
+          let nrep = nrep_of_root t root in
+          let has os = List.exists (fun o -> t.members.(o) = peer) os in
+          let wanted =
+            has (owners t.active ~nrep ~root ~chunk)
+            ||
+            match t.pending with
+            | Some p -> has (owners p.target ~nrep ~root ~chunk)
+            | None -> false
+          in
+          if not wanted then Hashtbl.remove set (root, chunk))
+        (List.sort compare keys))
     t.degraded
 
 (* Free the chunk versions of [root] that no remaining snapshot pins:
@@ -398,7 +385,7 @@ let gc_unpinned_versions t ~root =
         List.iter
           (fun v -> match v.loc with Some ext -> free_extent t ext | None -> ())
           dead;
-        t.snap_gc_chunks <- t.snap_gc_chunks + List.length dead;
+        t.st.snap_gc_chunks <- t.st.snap_gc_chunks + List.length dead;
         (* With nothing pinned beneath it, a tombstone head reads the
            same as an absent chunk: drop the entry. *)
         match kept with
@@ -491,11 +478,11 @@ let apply t slot cmd =
     | Some p when p.target_epoch = target ->
       trace "t=%d CUTOVER %s epoch=%d" (Sim.now ()) (Host.name t.host) target;
       let lat = Sim.now () - t.pending_since in
-      if lat > t.max_cutover then t.max_cutover <- lat;
+      if lat > t.st.max_cutover then t.st.max_cutover <- lat;
       t.active <- p.target;
       t.mepoch <- target;
       t.pending <- None;
-      prune_degraded t
+      gc_stale_backlog t
     | Some _ | None -> () (* duplicate or late proposal: no-op *));
     Hashtbl.replace t.slot_ids slot 0
 
@@ -610,7 +597,7 @@ let write_chunk t ~root ~chunk ~within ~data ~doff ~dlen ~epoch ~expires =
      a hit here is a §6 invariant violation the lease margin is sized
      to prevent, and the partition sweep asserts it stays 0. *)
   let audit_stamp () =
-    if expired expires then t.stale_applied <- t.stale_applied + 1
+    if expired expires then t.st.stale_applied <- t.st.stale_applied + 1
   in
   let vl = versions t (root, chunk) in
   let whole = dlen = chunk_bytes && within = 0 in
@@ -700,7 +687,7 @@ let push_chunk t ~peer ~root ~chunk ~ranges =
         (Decommit_req { root; chunk; forward = false; mepoch = -1; expires = None })
     with
     | Ok Decommit_ok ->
-      t.xfer_pushes <- t.xfer_pushes + 1;
+      t.st.xfer_pushes <- t.st.xfer_pushes + 1;
       true
     | Ok _ | Error `Timeout -> false
   in
@@ -724,8 +711,8 @@ let push_chunk t ~peer ~root ~chunk ~ranges =
                           dlen = b - a; epoch; expires = None; stamp = s })
           with
           | Ok Write_ok ->
-            t.xfer_pushes <- t.xfer_pushes + 1;
-            t.xfer_bytes <- t.xfer_bytes + (b - a);
+            t.st.xfer_pushes <- t.st.xfer_pushes + 1;
+            t.st.xfer_bytes <- t.st.xfer_bytes + (b - a);
             true
           | Ok _ | Error `Timeout -> false)
         ranges
@@ -747,10 +734,7 @@ let push_chunk t ~peer ~root ~chunk ~ranges =
    accepted just before cutover still have to reach the new owner). *)
 let gc_nonowned t =
   if t.pending = None then begin
-    let referenced = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun _ set -> Hashtbl.iter (fun k _ -> Hashtbl.replace referenced k ()) set)
-      t.degraded;
+    let referenced = backlog_chunks t in
     let victims =
       Hashtbl.fold
         (fun (root, chunk) _ acc ->
@@ -778,7 +762,7 @@ let gc_nonowned t =
               (fun v -> match v.loc with Some ext -> free_extent t ext | None -> ())
               !vl;
             Hashtbl.remove t.chunks key;
-            t.gc_chunks <- t.gc_chunks + 1)
+            t.st.gc_chunks <- t.st.gc_chunks + 1)
       (List.sort compare victims)
   end
 
@@ -787,32 +771,6 @@ let nonowned_chunk_count t =
     (fun (root, chunk) _ acc ->
       if is_owner t ~root ~chunk ~nrep:(nrep_of_root t root) then acc else acc + 1)
     t.chunks 0
-
-(* A backlog entry can outlive its purpose: a failed forward recorded
-   toward a member a later reconfiguration removed, or a handoff delta
-   toward a chunk whose owners have since moved again. Such a peer now
-   rejects the push forever (it fails [peer_push_ok] on the receiving
-   side), which would wedge the drain — and with it any pending
-   cutover. Drop entries whose peer is not an owner of the chunk under
-   either the committed map or the pending target. *)
-let gc_stale_backlog t =
-  Hashtbl.iter
-    (fun peer set ->
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) set [] in
-      List.iter
-        (fun (root, chunk) ->
-          let nrep = nrep_of_root t root in
-          let has os = List.exists (fun o -> t.members.(o) = peer) os in
-          let wanted =
-            has (owners t.active ~nrep ~root ~chunk)
-            ||
-            match t.pending with
-            | Some p -> has (owners p.target ~nrep ~root ~chunk)
-            | None -> false
-          in
-          if not wanted then Hashtbl.remove set (root, chunk))
-        (List.sort compare keys))
-    t.degraded
 
 let resync_daemon t () =
   let rec loop () =
@@ -851,8 +809,8 @@ let resync_daemon t () =
                       match
                         List.fold_left
                           (fun acc (a, b, s) ->
-                            if gen = gen0 then seg_sub acc (a, b)
-                            else seg_clear acc (a, b) ~upto:s)
+                            seg_clear acc (a, b)
+                              ~upto:(if gen = gen0 then max_int else s))
                           cur ranges
                       with
                       | [] -> Hashtbl.remove set (root, chunk)
@@ -933,7 +891,7 @@ let reject_stale = Some (Perr "expired lease timestamp", small)
    pending the old map stays authoritative, so traffic is undisturbed
    until the cutover instant. *)
 let reject_wrong_epoch t =
-  t.wrong_epoch_rejects <- t.wrong_epoch_rejects + 1;
+  t.st.wrong_epoch_rejects <- t.st.wrong_epoch_rejects + 1;
   Some (Wrong_epoch { mepoch = t.mepoch }, small)
 
 let map_ok t ~mepoch ~root ~chunk =
@@ -968,7 +926,7 @@ let freeze_blocks t ~root ~chunk =
     && chunk_moving t p ~root ~chunk
 
 let reject_frozen t =
-  t.freeze_rejects <- t.freeze_rejects + 1;
+  t.st.freeze_rejects <- t.st.freeze_rejects + 1;
   Some (Wrong_epoch { mepoch = t.mepoch }, small)
 
 (* Peer pushes are accepted only by a member that owns the chunk
@@ -1216,14 +1174,17 @@ let create ~host ~rpc ~peers ~index ~disks ~stable ?active () =
         mepoch = 0;
         pending = None;
         pending_since = 0;
-        stale_applied = 0;
-        wrong_epoch_rejects = 0;
-        freeze_rejects = 0;
-        max_cutover = 0;
-        xfer_pushes = 0;
-        xfer_bytes = 0;
-        gc_chunks = 0;
-        snap_gc_chunks = 0;
+        st =
+          {
+            stale_applied = 0;
+            wrong_epoch_rejects = 0;
+            freeze_rejects = 0;
+            max_cutover = 0;
+            xfer_pushes = 0;
+            xfer_bytes = 0;
+            gc_chunks = 0;
+            snap_gc_chunks = 0;
+          };
       }
   in
   let t = Lazy.force t in

@@ -83,38 +83,37 @@ val nonowned_chunk_count : t -> int
     frees them, and the reconfiguration sweep asserts they reach 0 —
     the "no data served from a decommissioned owner" teeth. *)
 
-val stale_applied_count : t -> int
-(** Writes that reached the raw disk with a lapsed stamp anyway (the
-    copy-on-write base read can block past the stamp). This is the §6
-    invariant the lease margin is sized to protect; the partition
-    sweep asserts it stays 0. *)
+type stats = private {
+  mutable stale_applied : int;
+      (** writes that reached the raw disk with a lapsed stamp anyway
+          (the copy-on-write base read can block past the stamp). This
+          is the §6 invariant the lease margin is sized to protect; the
+          partition sweep asserts it stays 0. *)
+  mutable wrong_epoch_rejects : int;
+      (** data requests refused by the ownership-map guard (stale
+          client epoch, or this server not an owner of the addressed
+          chunk) *)
+  mutable freeze_rejects : int;
+      (** client mutations refused by the drain-time write freeze: once
+          a transfer has been pending past a grace period, writes and
+          decommits to chunks whose owner set actually changes get
+          [Wrong_epoch] (the client waits and retries), so the push
+          backlog can only shrink and a hot-chunk writer cannot defer
+          the cutover forever *)
+  mutable max_cutover : Simkit.Sim.time;
+      (** worst pending-to-commit latency of a completed transfer, as
+          observed by this server's apply — the quantity the soak
+          bounds under a sustained hot-chunk writer *)
+  mutable xfer_pushes : int;  (** resync/handoff push RPCs acknowledged *)
+  mutable xfer_bytes : int;
+      (** bytes carried by those pushes (the migration traffic the
+          bench reports) *)
+  mutable gc_chunks : int;  (** chunks freed by the post-cutover ownership GC *)
+  mutable snap_gc_chunks : int;
+      (** chunk versions freed by [Delete_vdisk] because no remaining
+          snapshot pinned them *)
+}
 
-val wrong_epoch_count : t -> int
-(** Data requests refused by the ownership-map guard (stale client
-    epoch, or this server not an owner of the addressed chunk). *)
-
-val freeze_reject_count : t -> int
-(** Client mutations refused by the drain-time write freeze: once a
-    transfer has been pending past a grace period, writes/decommits to
-    chunks whose owner set actually changes get [Wrong_epoch] (the
-    client waits and retries), so the push backlog can only shrink and
-    a hot-chunk writer cannot defer the cutover forever. *)
-
-val max_cutover_time : t -> Simkit.Sim.time
-(** Worst pending-to-commit latency of a completed transfer, as
-    observed by this server's apply, since it started — the quantity the
-    soak bounds under a sustained hot-chunk writer. *)
-
-val xfer_push_count : t -> int
-(** Resync/handoff push RPCs this server has had acknowledged. *)
-
-val xfer_bytes_pushed : t -> int
-(** Bytes carried by those pushes (the migration traffic the bench
-    reports). *)
-
-val gc_chunk_count : t -> int
-(** Chunks freed by the post-cutover ownership GC. *)
-
-val snap_gc_chunk_count : t -> int
-(** Chunk versions freed by [Delete_vdisk] because no remaining
-    snapshot pinned them. *)
+val stats : t -> stats
+(** A copy of this server's counters since it started; later work does
+    not change it. *)

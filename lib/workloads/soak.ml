@@ -1284,7 +1284,7 @@ let start_checkpoints w sched =
               (Printf.sprintf "checkpoint %d: %d chunks left on non-owning members"
                  ci leftover);
             check
-              (Invariants.sum Petal.Server.stale_applied_count w.psrv = 0)
+              (Invariants.sum (fun p -> (Petal.Server.stats p).stale_applied) w.psrv = 0)
               (Printf.sprintf "checkpoint %d: an expired-stamp write was applied" ci);
             (match List.find_opt healthy (Array.to_list w.servers) with
             | None -> ev w "checkpoint %d: no healthy server to verify through" ci
@@ -1365,7 +1365,8 @@ let verdict w (sh : shape) sched ~profile ~label ~pc ~nf =
   if unclean then Invariants.await_replay c;
   let lost = List.concat_map (fun l -> Invariants.verify l c) (all_ledgers w) in
   let fsck_findings = Invariants.fsck c in
-  let sum f = Invariants.sum f w.psrv in
+  let pstats = Array.map Petal.Server.stats w.psrv in
+  let sum f = Array.fold_left (fun acc (p : Petal.Server.stats) -> acc + f p) 0 pstats in
   {
     label;
     sim_hours = Sim.to_sec (Sim.now ()) /. 3600.0;
@@ -1380,7 +1381,7 @@ let verdict w (sh : shape) sched ~profile ~label ~pc ~nf =
     snapshots_ok = w.snap_ok;
     snapshots_deleted = w.snap_del;
     snap_rejected = w.snap_rej;
-    freeze_rejects = sum Petal.Server.freeze_reject_count;
+    freeze_rejects = sum (fun p -> p.freeze_rejects);
     freeze_waits =
       sum_fs
         (fun fs ->
@@ -1388,9 +1389,7 @@ let verdict w (sh : shape) sched ~profile ~label ~pc ~nf =
         w.servers
       + w.raw_waits;
     max_cutover_ns =
-      Array.fold_left
-        (fun acc srv -> max acc (Petal.Server.max_cutover_time srv))
-        0 w.psrv;
+      Array.fold_left (fun acc (p : Petal.Server.stats) -> max acc p.max_cutover) 0 pstats;
     cutover_bound_ns = sched.cutover_bound;
     raw_errors = w.raw_errors;
     raw_ok = w.raw_ok;
@@ -1400,21 +1399,21 @@ let verdict w (sh : shape) sched ~profile ~label ~pc ~nf =
       sum_fs (fun fs -> (Fs.wal_stats fs).Frangipani.Wal.log_pressure_stalls) w.servers;
     wal_reclaims =
       sum_fs (fun fs -> (Fs.wal_stats fs).Frangipani.Wal.reclaim_rounds) w.servers;
-    replays = total_replays w;
+    replays = total_replays w + (Fs.recovery_stats c).Fs.replays;
     ambient_ops = w.amb_ops;
     ambient_failed = !(w.amb_failed);
     renew_misses;
     rpc_retries;
     map_refreshes;
-    xfer_pushes = sum Petal.Server.xfer_push_count;
-    wrong_epoch_rejects = sum Petal.Server.wrong_epoch_count;
-    gc_chunks = sum Petal.Server.gc_chunk_count;
+    xfer_pushes = sum (fun p -> p.xfer_pushes);
+    wrong_epoch_rejects = sum (fun p -> p.wrong_epoch_rejects);
+    gc_chunks = sum (fun p -> p.gc_chunks);
     checks_run = Invariants.checks_run w.eng;
     violations = Invariants.violations w.eng;
     timeline = List.rev w.timeline;
     lost;
     fsck_findings;
-    stale_applied = sum Petal.Server.stale_applied_count;
+    stale_applied = sum (fun p -> p.stale_applied);
     degraded_left;
     pending_left;
     leftover_chunks;

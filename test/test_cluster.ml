@@ -276,6 +276,24 @@ let test_dedup_eviction_reexecutes () =
       Alcotest.(check bool) "later copies still suppressed" true
         (sb.Rpc.dups_suppressed >= 1))
 
+(* [stats] hands out copies: one taken before some traffic keeps its
+   values while the live counters move on. *)
+let test_stats_are_copies () =
+  Sim.run (fun () ->
+      let net, _, _, pa, pb = mkpair () in
+      let nf = Netfault.create net in
+      let ca = Rpc.create pa and cb = Rpc.create pb in
+      Rpc.add_handler cb (fun ~src:_ _ -> Some (Pong 0, 8));
+      let rpc0 = Rpc.stats ca and nf0 = Netfault.stats nf in
+      Netfault.cut nf (Net.addr pa) (Net.addr pb);
+      ignore (Rpc.call ca ~dst:(Rpc.addr cb) ~timeout:(Sim.ms 200) ~size:8 (Ping 1));
+      let rpc1 = Rpc.stats ca and nf1 = Netfault.stats nf in
+      let calls_timeouts (s : Rpc.stats) = (s.calls, s.timeouts) in
+      Alcotest.(check (pair int int)) "rpc copy kept" (0, 0) (calls_timeouts rpc0);
+      Alcotest.(check (pair int int)) "rpc counters moved" (1, 1) (calls_timeouts rpc1);
+      Alcotest.(check int) "netfault copy kept" 0 nf0.Netfault.cut_drops;
+      Alcotest.(check int) "netfault counter moved" 1 nf1.Netfault.cut_drops)
+
 let test_host_incarnation_guard () =
   Sim.run (fun () ->
       let h = Host.create "x" in
@@ -335,6 +353,7 @@ let () =
           Alcotest.test_case "timeout on crash" `Quick test_rpc_timeout_on_crash;
           Alcotest.test_case "concurrent handlers" `Quick test_rpc_concurrent_handlers;
           Alcotest.test_case "oneway subscribe" `Quick test_oneway_subscribe;
+          Alcotest.test_case "stats are copies" `Quick test_stats_are_copies;
         ] );
       ( "host",
         [

@@ -665,6 +665,38 @@ let test_crash_recovery_preserves_synced_metadata () =
       Alcotest.(check bool) "took at least a lease period" true
         (Sim.now () > Sim.sec 30.0))
 
+(* Every [*_stats] hands out a copy: the ones taken before a crash,
+   a recovery and more metadata work keep their values. *)
+let test_stats_are_copies () =
+  Sim.run (fun () ->
+      let _, servers = setup ~nservers:2 () in
+      let a, b = (List.nth servers 0, List.nth servers 1) in
+      ignore (Fs.create a ~dir:Fs.root "before");
+      Fs.sync a;
+      let net0 = Fs.net_stats b and petal0 = Fs.petal_stats b and wal0 = Fs.wal_stats b
+      and lease0 = Fs.lease_stats b and recov0 = Fs.recovery_stats b in
+      let counts () =
+        [
+          ("rpc calls", net0.Cluster.Rpc.calls, (Fs.net_stats b).Cluster.Rpc.calls);
+          ("petal writes", petal0.Petal.Client.writes, (Fs.petal_stats b).Petal.Client.writes);
+          ("wal flush groups", wal0.Wal.flush_groups, (Fs.wal_stats b).Wal.flush_groups);
+          ( "lock requests",
+            lease0.Locksvc.Clerk.requests,
+            (Fs.lease_stats b).Locksvc.Clerk.requests );
+          ("replays", recov0.Fs.replays, (Fs.recovery_stats b).Fs.replays);
+        ]
+      in
+      let before = List.map (fun (what, copy, _) -> (what, copy)) (counts ()) in
+      Fs.crash a;
+      (* B waits out A's lease on the root's lock and replays A's log. *)
+      ignore (Fs.create b ~dir:Fs.root "after");
+      Fs.sync b;
+      List.iter
+        (fun (what, copy, live) ->
+          Alcotest.(check int) (what ^ ": copy kept") (List.assoc what before) copy;
+          Alcotest.(check bool) (what ^ ": counter moved") true (live > copy))
+        (counts ()))
+
 let test_crash_loses_unsynced_data_but_stays_consistent () =
   Sim.run (fun () ->
       let _, servers = setup ~nservers:2 () in
@@ -851,6 +883,7 @@ let () =
             test_crash_recovery_preserves_synced_metadata;
           Alcotest.test_case "crash loses unsynced only" `Quick
             test_crash_loses_unsynced_data_but_stays_consistent;
+          Alcotest.test_case "stats are copies" `Quick test_stats_are_copies;
           Alcotest.test_case "restarted server rejoins" `Quick
             test_restarted_server_rejoins;
           Alcotest.test_case "log wrap" `Quick test_log_wrap_consistency;

@@ -200,6 +200,30 @@ let test_resync_after_degraded_writes () =
         Cluster.Host.restart tb.hosts.(i)
       done)
 
+(* [op_stats] and [Server.stats] hand out copies: the ones taken
+   before degraded writes and their resync keep their values. *)
+let test_stats_are_copies () =
+  Sim.run (fun () ->
+      let _, tb, _, vd = setup () in
+      let open Petal.Testbed in
+      let pushes stats =
+        Array.fold_left (fun acc (s : Petal.Server.stats) -> acc + s.xfer_pushes) 0 stats
+      in
+      let client0 = Petal.Client.op_stats vd in
+      let servers0 = Array.map Petal.Server.stats tb.servers in
+      for i = 0 to Array.length tb.hosts - 1 do
+        Cluster.Host.crash tb.hosts.(i);
+        Petal.Client.write vd ~off:0 (bytes_pat 512 i);
+        Cluster.Host.restart tb.hosts.(i)
+      done;
+      Sim.sleep (Sim.sec 30.0);
+      Alcotest.(check int) "client copy kept" 0 client0.Petal.Client.writes;
+      Alcotest.(check int) "client counter moved" (Array.length tb.hosts)
+        (Petal.Client.op_stats vd).Petal.Client.writes;
+      Alcotest.(check int) "server copies kept" 0 (pushes servers0);
+      Alcotest.(check bool) "server counters moved" true
+        (pushes (Array.map Petal.Server.stats tb.servers) > 0))
+
 let test_write_guard () =
   Sim.run (fun () ->
       let _, _, _, vd = setup () in
@@ -240,6 +264,36 @@ let test_crc_damage_repaired_from_replica () =
       Cluster.Host.crash tb.hosts.(secondary);
       let again = Petal.Client.read vd ~off:0 ~len:65536 in
       Alcotest.(check bool) "primary medium repaired" true (Bytes.equal again data))
+
+(* The media-error path for a partial read away from chunk 0: the
+   primary's disk read raises [Bad_sector], the server fetches the
+   whole chunk from the replica, serves the requested slice and
+   rewrites its own medium. *)
+let test_media_error_partial_read () =
+  Sim.run (fun () ->
+      let _, tb, c, vd = setup () in
+      let chunk = 65536 in
+      let data = bytes_pat chunk 5 in
+      Petal.Client.write vd ~off:chunk data;
+      (* A live disk's root is its id. Chunk 1 is the only chunk
+         written, so on each owner it is the first extent allocated:
+         offset 0 of disk 0. *)
+      let primary, _ = Petal.Client.route c ~root:(Petal.Client.id vd) ~chunk:1 in
+      let disk = tb.Petal.Testbed.disks.(primary).(0) in
+      Blockdev.Disk.damage_sector disk 100;
+      let raw_ok () =
+        match Blockdev.Disk.read disk ~off:0 ~len:chunk with
+        | _ -> true
+        | exception Blockdev.Disk.Bad_sector _ -> false
+      in
+      Alcotest.(check bool) "primary's copy is damaged" false (raw_ok ());
+      let within = 99 * 512 in
+      let got = Petal.Client.read vd ~off:(chunk + within) ~len:4096 in
+      Alcotest.(check bool) "slice read through the replica" true
+        (Bytes.equal got (Bytes.sub data within 4096));
+      Alcotest.(check int) "served by the primary, no failover" 0
+        (Petal.Client.op_stats vd).Petal.Client.failovers;
+      Alcotest.(check bool) "medium rewritten" true (raw_ok ()))
 
 let test_trusted_addresses () =
   (* §2.2: "accept requests only from a list of network addresses
@@ -731,12 +785,12 @@ let test_freeze_bounds_hot_writer () =
         Array.fold_left (fun a s -> a + f s) 0 tb.Petal.Testbed.servers
       in
       Alcotest.(check bool) "freeze engaged" true
-        (sum Petal.Server.freeze_reject_count > 0);
+        (sum (fun s -> (Petal.Server.stats s).freeze_rejects) > 0);
       Alcotest.(check bool) "client waited through the freeze" true
         ((Petal.Client.op_stats vd).Petal.Client.freeze_waits > 0);
       let worst =
         Array.fold_left
-          (fun a s -> max a (Petal.Server.max_cutover_time s))
+          (fun a s -> max a (Petal.Server.stats s).max_cutover)
           0 tb.Petal.Testbed.servers
       in
       Alcotest.(check bool)
@@ -772,7 +826,7 @@ let test_delete_vdisk_gc () =
       | exception Failure _ -> ());
       Petal.Client.delete_vdisk c ~id:sid;
       Alcotest.(check bool) "pinned versions GCed" true
-        (sum Petal.Server.snap_gc_chunk_count > 0);
+        (sum (fun s -> (Petal.Server.stats s).snap_gc_chunks) > 0);
       Alcotest.(check bool) "space reclaimed" true
         (sum Petal.Server.disk_bytes_allocated < before);
       (* idempotent: the snapshot is already gone *)
@@ -854,8 +908,11 @@ let () =
           Alcotest.test_case "suspected primary re-probed after heal" `Quick
             test_suspect_reprobe_heals;
           Alcotest.test_case "trusted address list" `Quick test_trusted_addresses;
+          Alcotest.test_case "stats are copies" `Quick test_stats_are_copies;
           Alcotest.test_case "CRC damage repaired from replica" `Quick
             test_crc_damage_repaired_from_replica;
+          Alcotest.test_case "media error on a partial read" `Quick
+            test_media_error_partial_read;
         ] );
       ( "space management",
         [

@@ -65,6 +65,14 @@ let test_partition_replay () =
 
 let test_partition_seeds () = check_seeds Soak.Partition [ 1; 2; 3 ]
 
+(* Seed 26 unmounts a worker whose lease died; the verdict's fresh
+   server replays that log before it judges, and the replay counts. *)
+let test_partition_fresh_replay () =
+  let spec = Soak.Random (Soak.Partition, 26) in
+  let o = Soak.run spec in
+  check_clean (Soak.label_of spec) o;
+  check_positive "the verdict server's replay is counted" o.Soak.replays
+
 (* --- reconfig ------------------------------------------------------------ *)
 
 (* A plain join (did anything move at all? did clients actually
@@ -251,6 +259,7 @@ let () =
           case "lossy network, retries" test_partition_lossy;
           case "deterministic replay" test_partition_replay;
           case "seeded schedules" test_partition_seeds;
+          case "verdict replay counted" test_partition_fresh_replay;
         ] );
       ( "reconfig",
         [
