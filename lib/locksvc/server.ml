@@ -56,10 +56,7 @@ let paxos t = match t.paxos with Some p -> p | None -> assert false
 
 let group t ~table ~lock = group_of ~ngroups:t.ngroups ~table ~lock
 
-let is_owner t g =
-  match t.servers with
-  | [] -> false
-  | servers -> List.nth servers (g mod List.length servers) = my_addr t
+let is_owner t g = group_owner t.servers g = Some (my_addr t)
 
 let lease_alive t lease =
   match Hashtbl.find_opt t.leases lease with
@@ -192,13 +189,8 @@ let recover_group t g =
 
 let recompute_ownership t old_servers =
   for g = 0 to t.ngroups - 1 do
-    let owner srv =
-      match srv with
-      | [] -> None
-      | l -> Some (List.nth l (g mod List.length l))
-    in
-    let before = owner old_servers = Some (my_addr t) in
-    let after = owner t.servers = Some (my_addr t) in
+    let before = group_owner old_servers g = Some (my_addr t) in
+    let after = is_owner t g in
     if before && not after then begin
       (* Phase 1: discard state for groups we lost. *)
       Hashtbl.remove t.ready g;
