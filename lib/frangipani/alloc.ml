@@ -1,18 +1,19 @@
 (** Bitmap allocator (§3, §5).
 
-    Each server allocates from a bitmap segment it holds the
-    exclusive segment lock for; when that segment fills it locks
-    another (picked by a lease-salted rotor, so servers spread out).
-    Freeing a bit may touch a segment currently owned by another
-    server — the lock service revokes it transparently.
+    Each server allocates from a 512 B bitmap sector it holds the
+    exclusive sector lock for; when that sector fills it locks
+    another (picked by a lease-salted rotor, {!rotor}, so servers
+    spread out). Freeing a bit may touch a sector currently owned by
+    another server — the lock service revokes it transparently.
 
     Allocation is two steps. A scan ({!reserve_bits}) takes the
-    segment lock, picks clear bits no local operation has reserved,
+    sector lock, reads the sector once, picks clear bits no local
+    operation has reserved,
     records them in the server's in-memory reserved set and drops its
     local hold (the lock stays cached). {!claim} re-takes the lock and
     re-reads the bitmap sector: a bit still clear is set within the
     transaction; one another server took meanwhile (it held the
-    segment between the two steps, unaware of the reservation) makes
+    sector between the two steps, unaware of the reservation) makes
     [claim] return false and the caller takes another bit. Block pools
     reserve one bit and claim it at once ({!alloc}); the reservation
     is dropped when the transaction commits or aborts.
@@ -26,7 +27,7 @@
     the server; a taken inode's passes to the create's transaction. A
     create then locks the fresh inode (normally still cached), reads
     it (a cache hit unless a revoke invalidated it) and claims its
-    bit, so the segment lock covers only the scan and the bit flip.
+    bit, so the sector lock covers only the scan and the bit flip.
     The batch is topped up behind the creates ({!top_up}): a take
     that leaves fewer than [batch / 2] starts one background refill
     unless one is in flight, so a create refills under its directory
@@ -34,12 +35,12 @@
     without waiting for the top-up.
 
     Locking discipline: a create holds its directory lock, then the
-    fresh inode's, then the segment lock; segment locks are acquired
-    after all inode locks of the operation, in (pool, segment)-sorted
+    fresh inode's, then the sector lock; sector locks are acquired
+    after all inode locks of the operation, in (pool, sector)-sorted
     order for multi-free transactions, and from [claim] on held until
     the transaction commits (via {!Cache.on_commit}), so the logged
     bitmap change can never reach Petal before its record. A refill
-    holds no segment lock while it gathers inode locks; it registers
+    holds no sector lock while it gathers inode locks; it registers
     them as discretionary holds, so a contended revoke sheds one
     instead of deadlocking two servers whose batches overlap. *)
 
@@ -47,64 +48,68 @@ open Simkit
 open Locksvc
 open Errors
 
-let seg_lock pool seg = Lockns.bitmap_lock (Layout.global_segment pool seg)
+(** The sector of a pool of [sectors] that a server holding [lease]
+    tries after [tries] full ones. 7919 is prime, so two leases less
+    than [sectors] apart start on distinct sectors unless [sectors]
+    is a multiple of 7919. *)
+let rotor ~sectors ~lease ~tries = ((lease * 7919) + tries) mod sectors
 
-(* Up to [n] clear, unreserved bits of [seg] in rotor order, as
-   absolute bit numbers; the caller holds the segment lock. *)
-let scan_segment ctx (ps : Alloc_state.pool_state) pool seg ~hint n =
-  let lock = seg_lock pool seg in
-  let first = Layout.segment_first_bit seg in
-  let limit = min Layout.bits_per_segment (Layout.pool_size pool - first) in
+(* Up to [n] clear, unreserved bits of the sector starting at bit
+   [first] in rotor order, as absolute bit numbers; the caller holds
+   the sector lock. *)
+let scan_sector ctx (ps : Alloc_state.pool_state) pool first ~hint n =
+  let limit = min Layout.bits_per_sector (Layout.pool_size pool - first) in
+  let sector =
+    Cache.read ctx.Ctx.cache ~lock:(Lockns.bitmap_lock pool first)
+      ~addr:(Layout.bit_sector pool first) ~len:Layout.sector
+  in
   let rec probe i found acc =
     if found = n || i >= limit then List.rev acc
     else begin
-      let abs_bit = first + ((i + hint) mod limit) in
-      let sector =
-        Cache.read ctx.Ctx.cache ~lock ~addr:(Layout.bit_sector pool abs_bit)
-          ~len:Layout.sector
-      in
+      let within = (i + hint) mod limit in
       if
-        (not (Ondisk.test_bit sector (Layout.bit_in_sector abs_bit)))
-        && not (Hashtbl.mem ps.reserved abs_bit)
-      then probe (i + 1) (found + 1) (abs_bit :: acc)
+        (not (Ondisk.test_bit sector within))
+        && not (Hashtbl.mem ps.reserved (first + within))
+      then probe (i + 1) (found + 1) ((first + within) :: acc)
       else probe (i + 1) found acc
     end
   in
   probe 0 0 []
 
 (** Reserve up to [n] clear bits of [pool] (at least one) under one
-    segment-lock hold; the lock is not held on return. The
+    sector-lock hold; the lock is not held on return. The
     reservations are the caller's to hand on or drop. *)
 let reserve_bits ctx pool n =
   let ps = Alloc_state.pool ctx.Ctx.alloc pool in
-  let nsegs = Layout.pool_segments pool in
-  let salt = Clerk.lease ctx.Ctx.clerk * 7919 in
+  let sectors = Layout.pool_sectors pool in
+  let lease = Clerk.lease ctx.Ctx.clerk in
   let rec attempt tries =
-    if tries > nsegs then fail Enospc
+    if tries > sectors then fail Enospc
     else begin
-      let seg =
-        match ps.seg with
+      let s =
+        match ps.sector with
         | Some s -> s
         | None ->
-          let s = (salt + tries) mod nsegs in
-          ps.seg <- Some s;
+          let s = rotor ~sectors ~lease ~tries in
+          ps.sector <- Some s;
           ps.hint <- 0;
           s
       in
-      let lock = seg_lock pool seg in
+      let first = s * Layout.bits_per_sector in
+      let lock = Lockns.bitmap_lock pool first in
       Clerk.acquire ctx.Ctx.clerk ~lock Types.W;
       match
         Fun.protect
           ~finally:(fun () -> Clerk.release ctx.Ctx.clerk ~lock Types.W)
-          (fun () -> scan_segment ctx ps pool seg ~hint:ps.hint n)
+          (fun () -> scan_sector ctx ps pool first ~hint:ps.hint n)
       with
       | [] ->
-        ps.seg <- None;
+        ps.sector <- None;
         attempt (tries + 1)
       | bits ->
         List.iter (fun bit -> Hashtbl.replace ps.reserved bit ()) bits;
         let last = List.nth bits (List.length bits - 1) in
-        ps.hint <- last - Layout.segment_first_bit seg + 1;
+        ps.hint <- last - first + 1;
         bits
     end
   in
@@ -208,10 +213,10 @@ let drop_fresh ctx =
   Queue.clear st.fresh
 
 (** Set the reserved [bit] within [txn] if it is still clear, holding
-    its segment lock until [txn] commits; false if another server
+    its sector lock until [txn] commits; false if another server
     took it since it was reserved. *)
 let claim ctx txn pool bit =
-  let lock = seg_lock pool (Layout.segment_of_bit bit) in
+  let lock = Lockns.bitmap_lock pool bit in
   let addr = Layout.bit_sector pool bit in
   let within = Layout.bit_in_sector bit in
   Clerk.acquire ctx.Ctx.clerk ~lock Types.W;
@@ -229,24 +234,23 @@ let claim ctx txn pool bit =
     raise e
 
 (** Allocate one object from [pool]; the bit is set within [txn] and
-    the segment lock is released when [txn] commits. *)
+    the sector lock is released when [txn] commits. *)
 let rec alloc ctx txn pool =
   let bit = List.hd (reserve_bits ctx pool 1) in
   hand_over ctx txn pool bit;
   if claim ctx txn pool bit then bit else alloc ctx txn pool
 
-(** Free a set of bits; segment locks are taken in (pool, segment)
-    order and held to commit (deadlock-avoidance discipline). *)
+(** Free a set of bits; sector locks are taken in lock-id, hence
+    (pool, sector), order and held to commit (deadlock-avoidance
+    discipline). *)
 let free_many ctx txn bits =
   let keyed =
-    List.map (fun (pool, bit) -> ((Layout.pool_index pool, Layout.segment_of_bit bit), (pool, bit))) bits
+    List.map (fun (pool, bit) -> (Lockns.bitmap_lock pool bit, pool, bit)) bits
     |> List.sort compare
   in
   let locked = Hashtbl.create 4 in
   List.iter
-    (fun ((_, _), (pool, bit)) ->
-      let seg = Layout.segment_of_bit bit in
-      let lock = seg_lock pool seg in
+    (fun (lock, pool, bit) ->
       if not (Hashtbl.mem locked lock) then begin
         Clerk.acquire ctx.Ctx.clerk ~lock Types.W;
         Hashtbl.replace locked lock ();

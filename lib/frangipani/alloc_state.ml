@@ -1,10 +1,10 @@
-(** Per-server allocator state: which bitmap segment of each pool the
+(** Per-server allocator state: which bitmap sector of each pool the
     server currently allocates from, a rotor within it, the bits
     reserved but not yet claimed, and the batch of fresh inodes
     fetched ahead of the creates that will take them. *)
 
 type pool_state = {
-  mutable seg : int option;
+  mutable sector : int option;  (** index of the sector within the pool *)
   mutable hint : int;
   reserved : (int, unit) Hashtbl.t;  (** absolute bit numbers *)
 }
@@ -20,7 +20,7 @@ type t = {
 
 let create () =
   {
-    pools = Array.init 5 (fun _ -> { seg = None; hint = 0; reserved = Hashtbl.create 8 });
+    pools = Array.init 5 (fun _ -> { sector = None; hint = 0; reserved = Hashtbl.create 8 });
     fresh = Queue.create ();
     topping_up = false;
   }

@@ -30,7 +30,7 @@ val with_txn : t -> (txn -> 'a) -> 'a
     single log record on normal return. *)
 
 val on_commit : txn -> (unit -> unit) -> unit
-(** Register work (typically bitmap-segment lock releases) to run
+(** Register work (typically bitmap-sector lock releases) to run
     right after the transaction's record is appended. *)
 
 val read : t -> lock:int -> addr:int -> len:int -> bytes

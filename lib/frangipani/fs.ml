@@ -110,7 +110,7 @@ let drop_link ctx txn inum (ino : Ondisk.inode) =
   end
 
 (* Take a fresh inode from the server's batch (Alloc), lock it and
-   read it with no segment lock held — both normally hit, the batch
+   read it with no sector lock held — both normally hit, the batch
    refill having fetched the sector and left the lock cached — then
    claim the bit; a bit another server claimed in between sends the
    create to the next. The fresh inode's lock is uncontended except

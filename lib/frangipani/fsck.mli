@@ -12,7 +12,7 @@
     - no data block or inode is referenced twice;
     - link counts match the directory structure;
     - every block pointer's allocation bit is set;
-    - allocated bits in the scanned bitmap segments correspond to
+    - allocated bits in the scanned bitmap sectors correspond to
       reachable objects (leak detection).
 
     With [repair] (on a writable mount) it clears leaked bits,

@@ -87,11 +87,9 @@ let large_addr pool l =
 
 (* --- allocation bitmaps ------------------------------------------------ *)
 
-(* Each 512 B bitmap sector = 8 B version + 504 B of bits. A segment
-   (the unit a server locks exclusively) is 8 sectors = 32256 bits. *)
+(* Each 512 B bitmap sector = 8 B version + 504 B of bits. The sector
+   is also the unit a server locks exclusively and allocates from. *)
 let bits_per_sector = 504 * 8
-let sectors_per_segment = 8
-let bits_per_segment = bits_per_sector * sectors_per_segment
 
 let pool_index = function
   | Inode_pool -> 0
@@ -107,7 +105,7 @@ let pool_size = function
   | Large_meta -> large_meta_count
   | Large_data -> large_data_count
 
-let pool_segments p = (pool_size p + bits_per_segment - 1) / bits_per_segment
+let pool_sectors p = (pool_size p + bits_per_sector - 1) / bits_per_sector
 
 (* Bitmap sub-regions, 0.5 TB apart within [2T, 5T). *)
 let pool_bitmap_base p = bitmap_base + (pool_index p * (tb / 2))
@@ -115,11 +113,6 @@ let pool_bitmap_base p = bitmap_base + (pool_index p * (tb / 2))
 (* Address of the bitmap sector holding bit [n] of pool [p]. *)
 let bit_sector p n = pool_bitmap_base p + (n / bits_per_sector * sector)
 let bit_in_sector n = n mod bits_per_sector
-let segment_of_bit n = n / bits_per_segment
-let segment_first_bit seg = seg * bits_per_segment
-
-(* Global segment ids (for lock naming): pool index in the top bits. *)
-let global_segment p seg = (pool_index p * (1 lsl 32)) + seg
 
 (* --- directory format --------------------------------------------------- *)
 

@@ -1,6 +1,6 @@
 (** Lock-id namespace over the file system's lockable segments (§5):
     one lock per file/directory/symlink (covering the inode and all
-    data it points to), one per allocation-bitmap segment, one per
+    data it points to), one per allocation-bitmap sector, one per
     private log, one global barrier lock for backup (§8), and — in
     the finer-granularity ablation mode — one per 4 KB data block. *)
 
@@ -14,7 +14,11 @@ let inode_of_lock lock =
   let inum = lock - inode_lock 0 in
   if inum >= 0 && inum < Layout.max_inodes then Some inum else None
 
-let bitmap_lock gseg = 0x8_0000_0000 + gseg
+(** The lock on the bitmap sector holding bit [bit] of [pool]: the
+    pool index above bit 32, the sector's index within the pool
+    below. *)
+let bitmap_lock pool bit =
+  0x8_0000_0000 + (Layout.pool_index pool * (1 lsl 32)) + (bit / Layout.bits_per_sector)
 let log_lock slot = 0x1_0_0000_0000 + slot
 let block_lock addr = (1 lsl 53) + (addr / Layout.block)
 
@@ -22,7 +26,7 @@ let block_lock addr = (1 lsl 53) + (addr / Layout.block)
    order. Inode locks sort before bitmap locks by construction of the
    id space, which matches the acquisition discipline of the
    operations (inodes first, then at most pool-ordered bitmap
-   segments). *)
+   sectors). *)
 let with_locks clerk locks f =
   let locks = List.sort_uniq compare locks in
   List.iter (fun (l, m) -> Clerk.acquire clerk ~lock:l m) locks;

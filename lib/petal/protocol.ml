@@ -22,8 +22,8 @@ let sector_bytes = 512
    of [group_chunks] (16 MB), so a sequential stream stripes
    round-robin over the servers; each group is rotated by a hash of
    its index, so strides that cross groups — Frangipani's 4 GB log
-   spacing, 1 TB large blocks, 0.5 TB bitmap regions, 126 MB bitmap
-   segments — do not alias onto a few servers when they share a
+   spacing, 1 TB large blocks, 0.5 TB bitmap regions, the 252-chunk
+   data span of a small-data bitmap sector — do not alias onto a few servers when they share a
    factor with [n]. Each term is reduced mod [n] before the sum so
    the sum cannot overflow. *)
 let group_chunks = 256

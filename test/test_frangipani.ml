@@ -329,7 +329,7 @@ let distinct l = List.length (List.sort_uniq compare l) = List.length l
 
 (* Sixteen concurrent creates on one server, eight in each of two
    directories. Creates in one directory queue on its lock, but the
-   inode-bitmap segment lock covers only each create's bit flip, and
+   inode-bitmap sector lock covers only each create's bit flip, and
    fresh inodes come eight to a batch fetch, so the sixteen cost less
    than four creates that each find the batch empty — the first create
    after mount is the reference. *)
@@ -430,7 +430,7 @@ let test_unaligned_inode_batch () =
       Alcotest.(check int) "fsck clean" 0 (List.length (Fsck.check fs)))
 
 (* The contested inode sits in A's batch. Server B, its next scan
-   pointed at A's inode-bitmap segment, drains its own batch; the
+   pointed at A's inode-bitmap sector, drains its own batch; the
    top-up that starts reserves and fetches the same bits — B cannot
    see A's reservations — and B claims the contested one. A's next
    create takes the contested inode first: its claim finds the bit set
@@ -445,8 +445,8 @@ let test_lost_reservation () =
       let pa = Alloc_state.pool a.Ctx.alloc Layout.Inode_pool in
       let pb = Alloc_state.pool b.Ctx.alloc Layout.Inode_pool in
       let contested = Queue.peek a.Ctx.alloc.fresh in
-      pb.seg <- pa.seg;
-      pb.hint <- contested - Layout.segment_first_bit (Option.get pa.seg);
+      pb.sector <- pa.sector;
+      pb.hint <- contested mod Layout.bits_per_sector;
       let pads =
         List.init (Queue.length b.Ctx.alloc.fresh) (fun k ->
             Fs.create b ~dir:db (Printf.sprintf "pad%d" k))
@@ -483,7 +483,7 @@ let test_lost_reservation () =
    from the rotor on is clear), the lock and the drained inodes. *)
 let stall_top_up a ~dir ~holder =
   let pa = Alloc_state.pool a.Ctx.alloc Layout.Inode_pool in
-  let first = Layout.segment_first_bit (Option.get pa.seg) + pa.hint in
+  let first = (Option.get pa.sector * Layout.bits_per_sector) + pa.hint in
   let held = Lockns.inode_lock (first + Alloc.batch - 1) in
   Locksvc.Clerk.acquire holder.Ctx.clerk ~lock:held Locksvc.Types.W;
   let pads =
@@ -629,8 +629,8 @@ let test_top_up_stopped how () =
          bits the stopped top-up had reserved. *)
       let c = T.add_server t () in
       let pc = Alloc_state.pool c.Ctx.alloc Layout.Inode_pool in
-      pc.seg <- pa.seg;
-      pc.hint <- first - Layout.segment_first_bit (Option.get pa.seg);
+      pc.sector <- pa.sector;
+      pc.hint <- first mod Layout.bits_per_sector;
       let later = List.init 10 (fun k -> Fs.create c ~dir:da (Printf.sprintf "c%d" k)) in
       Alcotest.(check int) "C reuses the first reserved bit" first (List.hd later);
       Alcotest.(check bool) "distinct inode numbers" true (distinct ((da :: pads) @ later));

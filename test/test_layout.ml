@@ -89,7 +89,7 @@ let prop_pools_disjoint =
       <> Layout.small_addr Layout.Small_data d)
 
 let prop_bitmap_math =
-  QCheck.Test.make ~name:"bitmap sector/segment math is consistent" ~count:500
+  QCheck.Test.make ~name:"bitmap sector math is consistent" ~count:500
     QCheck.(pair (int_bound 4) (int_bound 10_000_000))
     (fun (pidx, n) ->
       let pool =
@@ -100,12 +100,13 @@ let prop_bitmap_math =
       let n = n mod Layout.pool_size pool in
       let sector = Layout.bit_sector pool n in
       let within = Layout.bit_in_sector n in
-      let seg = Layout.segment_of_bit n in
+      let first = n - within in
       sector mod Layout.sector = 0
       && within >= 0
       && within < Layout.bits_per_sector
-      && seg * Layout.bits_per_segment <= n
-      && n < (seg + 1) * Layout.bits_per_segment
+      && Layout.bit_sector pool first = sector
+      && Lockns.bitmap_lock pool first = Lockns.bitmap_lock pool n
+      && (first = 0 || Lockns.bitmap_lock pool (first - 1) <> Lockns.bitmap_lock pool n)
       && sector >= Layout.pool_bitmap_base pool
       && sector < Layout.pool_bitmap_base pool + (tb / 2))
 
@@ -115,18 +116,18 @@ let prop_lock_ids_unique =
   QCheck.Test.make ~name:"lock-id namespaces are disjoint" ~count:500
     QCheck.(quad (int_bound (Layout.max_inodes - 1)) (int_bound 255)
               (int_bound 4) (int_bound 100_000))
-    (fun (inum, slot, pidx, seg) ->
+    (fun (inum, slot, pidx, bit) ->
       let pool =
         List.nth
           [ Layout.Inode_pool; Small_meta; Small_data; Large_meta; Large_data ]
           pidx
       in
-      let seg = seg mod max 1 (Layout.pool_segments pool) in
+      let bit = bit mod Layout.pool_size pool in
       let ids =
         [
           Lockns.barrier_lock;
           Lockns.inode_lock inum;
-          Lockns.bitmap_lock (Layout.global_segment pool seg);
+          Lockns.bitmap_lock pool bit;
           Lockns.log_lock slot;
           Lockns.block_lock (Layout.small_addr Layout.Small_data 12345);
         ]
@@ -134,6 +135,27 @@ let prop_lock_ids_unique =
       List.length (List.sort_uniq compare ids) = 5
       && List.map Lockns.inode_of_lock ids
          = [ None; Some inum; None; None; None ])
+
+(* §3 has each server allocate from a bitmap piece no other server
+   uses, which holds only while distinct servers start on distinct
+   pieces. Leases 1..max_servers start each pool's rotor on distinct
+   sectors. Under the eight-sector segments Small_meta had 33 pieces,
+   and 7919 = -1 (mod 33) sent 64 to 128 servers onto those same 33.
+   Large_meta is exempt: its 1,024 bits fit in one sector. *)
+let test_rotor_starts_distinct () =
+  let starts sectors =
+    List.init Layout.max_servers (fun l -> Alloc.rotor ~sectors ~lease:(l + 1) ~tries:0)
+  in
+  let distinct l = List.length (List.sort_uniq compare l) = List.length l in
+  List.iter
+    (fun pool ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pool %d: %d sectors" (Layout.pool_index pool) (Layout.pool_sectors pool))
+        true
+        (distinct (starts (Layout.pool_sectors pool))))
+    Layout.[ Inode_pool; Small_meta; Small_data; Large_data ];
+  Alcotest.(check int) "Large_meta is one sector" 1 (Layout.pool_sectors Layout.Large_meta);
+  Alcotest.(check bool) "33 eight-sector segments collide" false (distinct (starts 33))
 
 let prop_inode_codec_roundtrip =
   QCheck.Test.make ~name:"inode encode/decode round-trips" ~count:300
@@ -178,6 +200,7 @@ let () =
           Alcotest.test_case "meta/data pools disjoint" `Quick test_pools_disjoint;
           QCheck_alcotest.to_alcotest prop_pools_disjoint;
           QCheck_alcotest.to_alcotest prop_bitmap_math;
+          Alcotest.test_case "rotor starts distinct" `Quick test_rotor_starts_distinct;
         ] );
       ("lockns", [ QCheck_alcotest.to_alcotest prop_lock_ids_unique ]);
       ( "ondisk",

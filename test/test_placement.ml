@@ -44,12 +44,12 @@ let group_stripes =
    stride (§3, Figure 4). *)
 let log_starts = List.init Layout.max_servers (fun slot -> Layout.log_addr ~slot)
 
-let inode_segment_starts =
-  List.init 1024 (fun s -> Layout.inode_addr (s * Layout.bits_per_segment))
+let inode_sector_starts =
+  List.init 1024 (fun s -> Layout.inode_addr (s * Layout.bits_per_sector))
 
-let small_data_segment_starts =
+let small_data_sector_starts =
   List.init 1024 (fun s ->
-      Layout.small_addr Layout.Small_data (s * Layout.bits_per_segment))
+      Layout.small_addr Layout.Small_data (s * Layout.bits_per_sector))
 
 let large_starts = List.init 1024 (fun l -> Layout.large_addr Layout.Large_data l)
 
@@ -82,8 +82,8 @@ let test_layout_strides_spread () =
           let sets =
             [
               ("log slots", log_starts);
-              ("inode segments", inode_segment_starts);
-              ("small-data segments", small_data_segment_starts);
+              ("inode sectors", inode_sector_starts);
+              ("small-data sectors", small_data_sector_starts);
               ("large blocks", large_starts);
             ]
           in
