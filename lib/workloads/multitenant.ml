@@ -20,6 +20,7 @@ type result = {
   bytes : int;  (** payload bytes moved (reads + writes) *)
   distinct_files : int;  (** files actually materialised *)
   seconds : float;  (** simulated elapsed time *)
+  work_seconds : float;  (** simulated time before the final sync *)
   ops_per_sec : float;  (** aggregate, in simulated time *)
   mb_per_s : float;  (** aggregate payload throughput *)
 }
@@ -127,6 +128,7 @@ let run vfss ?(users_per_server = 16) ?(ops_per_user = 24) ?(namespace = 16384)
         incr ops
       done)
     users;
+  let work_seconds = Sim.to_sec (Sim.now () - t0) in
   List.iter (fun (v : Vfs.t) -> v.Vfs.sync ()) vfss;
   let seconds = Sim.to_sec (Sim.now () - t0) in
   {
@@ -134,6 +136,7 @@ let run vfss ?(users_per_server = 16) ?(ops_per_user = 24) ?(namespace = 16384)
     bytes = !bytes;
     distinct_files = !created;
     seconds;
+    work_seconds;
     ops_per_sec = (if seconds > 0.0 then float_of_int !ops /. seconds else 0.0);
     mb_per_s =
       (if seconds > 0.0 then float_of_int !bytes /. 1e6 /. seconds else 0.0);
