@@ -5,12 +5,17 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table1  -- one experiment
      (targets: table1 table2 table3 fig5 fig6 fig7 fig8 fig9 ww
-               ablation simbench scale soak idle json)
+               ablation workloads simbench scale idle)
 
    Absolute numbers come from the simulator's calibrated constants
    (see EXPERIMENTS.md); what must match the paper is the SHAPE —
    who wins, by what factor, where it saturates. Paper reference
-   values are printed alongside. *)
+   values are printed alongside.
+
+   Stdout carries only deterministic values (simulated time, counts,
+   allocated words), so bench/dune diffs it exactly against
+   sim_golden.txt and scale_golden.txt on every `dune runtest`.
+   Host-time figures go to stderr. *)
 
 open Simkit
 module T = Workloads.Testbed
@@ -379,13 +384,12 @@ let ablation () =
     (local_t *. 1000.) (remote_t *. 1000.)
     ((remote_t /. local_t -. 1.0) *. 100.)
 
-(* --- BENCH_2.json: machine-readable perf trajectory -------------------------------- *)
+(* --- workloads: per-op latency percentiles ------------------------------------------ *)
 
-(* Every PR appends a BENCH_<n>.json so later PRs can diff throughput
-   and latency percentiles against this one (bench/check_regress.exe
-   does exactly that and fails on a >20% throughput drop). Latencies
-   are simulated milliseconds; throughput is MB/s of simulated
-   time. *)
+(* Throughput and per-op latency percentiles of the Frangipani large-file
+   path, the paper's small-read aside and raw Petal writes, plus the
+   cost of a Petal membership change. Latencies are simulated
+   milliseconds; throughput is MB/s of simulated time. *)
 
 let percentile_ms samples p =
   match samples with
@@ -398,47 +402,18 @@ let percentile_ms samples p =
 
 let ms_of t = Sim.to_sec t *. 1000.0
 
-(* The machine-readable snapshot this PR emits. The "pr" field is
-   derived from the filename (BENCH_5.json shipped with a hand-typed
-   "pr": 4 — wrong, and silently so); keeping one constant makes the
-   two impossible to disagree. *)
-let bench_out = "BENCH_25.json"
-let bench_pr = Scanf.sscanf bench_out "BENCH_%d.json" (fun n -> n)
-
-(* The json's sections, in file order, each a store of rows
-   [(name, [(key, formatted value)])] that the producers below append
-   to as they measure; [write_json] only emits them. Values arrive
-   formatted, so each producer keeps its own number formats. *)
-let sections =
-  List.map (fun name -> (name, ref []))
-    [ "workloads"; "reconf"; "soak"; "sim"; "scale"; "idle" ]
-let rows section = !(List.assoc section sections)
-
-let add_row section row =
-  let r = List.assoc section sections in
-  r := !r @ [ row ]
-
-let dec = string_of_int
-let fix prec x = Printf.sprintf "%.*f" prec x
-
-let json_bench () =
+let workloads () =
   print_endline hrule;
-  Printf.printf "%s: throughput + latency percentiles per workload\n" bench_out;
+  print_endline "workloads: throughput + latency percentiles per workload";
   (* Printed after the reconf lines, as one table. *)
   let table = ref [] in
   let record name ~bytes ~elapsed lats =
     let thr =
       if elapsed > 0 then float_of_int bytes /. 1e6 /. Sim.to_sec elapsed else 0.0
     in
-    let ops = List.length lats in
-    let p50 = percentile_ms lats 0.5 and p99 = percentile_ms lats 0.99 in
-    add_row "workloads"
-      ( name,
-        [ ("throughput_mb_per_s", fix 3 thr); ("ops", dec ops);
-          ("p50_ms", fix 3 p50); ("p99_ms", fix 3 p99) ] );
     table :=
-      Printf.sprintf "%-28s %8.1f MB/s %5d ops  p50 %8.3f ms  p99 %8.3f ms\n" name
-        thr ops p50 p99
+      Printf.sprintf "%-28s %8.3f MB/s %5d ops  p50 %8.3f ms  p99 %8.3f ms\n" name
+        thr (List.length lats) (percentile_ms lats 0.5) (percentile_ms lats 0.99)
       :: !table
   in
   (* Frangipani large-file sequential write + read, per-64KB-op latency. *)
@@ -522,8 +497,7 @@ let json_bench () =
   petal_write "petal_write_192kb_3chunks" ~reps:20 ~len:(3 * Petal.Protocol.chunk_bytes);
   (* Reconfiguration drain cost: how long the Paxos-agreed ownership
      handoff takes to stream a settled 8 MB store to a joining (then
-     from a leaving) member, and how much data moves. Collected into
-     the json's "reconf" section (counter-only observability). *)
+     from a leaving) member, and how much data moves. *)
   Sim.run (fun () ->
       let net = Cluster.Net.create () in
       let tb = Petal.Testbed.build ~net ~nservers:5 ~nactive:4 ~ndisks:3 () in
@@ -556,11 +530,7 @@ let json_bench () =
         let secs = Sim.to_sec (Sim.now () - t0) in
         let pushes = pushed (fun s -> s.xfer_pushes) - p0 in
         let bytes = pushed (fun s -> s.xfer_bytes) - b0 in
-        add_row "reconf"
-          ( name,
-            [ ("drain_seconds", fix 3 secs); ("chunks_pushed", dec pushes);
-              ("bytes_migrated", dec bytes) ] );
-        Printf.printf "  reconf[%-13s] drain %6.2f s  pushes %5d  bytes %9d\n"
+        Printf.printf "  reconf[%-13s] drain %7.3f s  pushes %5d  bytes %9d\n"
           name secs pushes bytes
       in
       measure "join_standby" (fun () ->
@@ -573,31 +543,31 @@ let json_bench () =
 
 (* --- simbench: simulation-kernel microbenchmarks ----------------------------------- *)
 
-(* Events/sec of the simkit kernel itself, isolated from the file
-   system: the scale experiments live or die on this number, so it is
-   measured (host wall clock) and regression-gated like any I/O path.
-   Each workload stresses one kernel hot path with a known op count;
-   ns/op = host seconds / ops. Rows are collected for the json's
-   "sim" section. *)
+(* The simkit kernel itself, isolated from the file system: the scale
+   experiments live or die on its cost per event. Each workload
+   stresses one kernel hot path with a known op count. Stdout gets the
+   deterministic cost of an op: minor-heap words allocated, and the
+   engine's events and spawns. The host time per op goes to stderr. *)
 
 let sim_row name ops f =
-  (* Start each measurement from a compacted heap: these rows are
-     regression-gated, so they must not depend on how much garbage the
-     experiments that happened to run earlier in the process left
-     behind. *)
+  (* Start each measurement from a compacted heap, so the host time
+     does not depend on the garbage earlier experiments left behind. *)
   Gc.compact ();
   let t0 = Sys.time () in
+  let w0 = Gc.minor_words () in
   f ();
+  let words = Gc.minor_words () -. w0 in
   let dt = Sys.time () -. t0 in
-  let ns = dt *. 1e9 /. float_of_int ops in
-  add_row "sim" (name, [ ("ops", dec ops); ("ns_per_op", fix 1 ns) ]);
-  Printf.printf "  %-24s %9d ops %10.1f ns/op %10.2f Mops/s\n" name ops ns
-    (float_of_int ops /. dt /. 1e6)
+  let st = Sim.stats () in
+  Printf.printf "  %-24s %9d ops %10.3f minor words/op  events %8d  spawns %7d\n%!"
+    name ops (words /. float_of_int ops) st.Sim.events st.Sim.spawns;
+  Printf.eprintf "  %-24s %10.1f ns/op %10.2f Mops/s\n%!" name
+    (dt *. 1e9 /. float_of_int ops) (float_of_int ops /. dt /. 1e6)
 
 let simbench () =
   print_endline hrule;
   print_endline
-    "simbench: simulation-kernel hot paths (host wall clock, ns per op)";
+    "simbench: simulation-kernel hot paths (allocation and engine work per op)";
   (* Timer churn: the RPC-timeout pattern — armed, then almost always
      cancelled before firing. *)
   sim_row "timer_churn" 300_000 (fun () ->
@@ -662,9 +632,10 @@ let simbench () =
 (* The paper's scaling curves (Figures 6-7) stop at 7 machines; these
    runs push a multi-tenant Zipf workload across 64/96/128 Frangipani
    servers over a proportionally grown Petal. Alongside the
-   file-system numbers, the simulator's own capacity — events/sec of
-   host time and host wall-clock per simulated second — is recorded
-   as a first-class, regression-gated metric. *)
+   file-system numbers, stdout records the simulator's own cost as
+   deterministic counts: events, spawns and minor-heap words allocated
+   per event. Host seconds, events per host second and host seconds
+   per simulated second go to stderr. *)
 
 (* Disk reads that joined an identical in-flight read, over every disk
    of a Petal testbed. *)
@@ -688,8 +659,10 @@ let lock_reqs fss =
    layout stride onto a few servers shows up as a max near 1 over a
    low mean. *)
 let scale_one n =
-  Gc.compact () (* same rationale as [sim_row]: gated metric *);
+  (* Start from a compacted heap, as [sim_row] does. *)
+  Gc.compact ();
   let host0 = Sys.time () in
+  let w0 = Gc.minor_words () in
   let r, st, (du_max, du_mean, du_merged), (reqs, msgs) =
     Sim.run (fun () ->
         let t =
@@ -714,39 +687,26 @@ let scale_one n =
             merged_reads t.T.petal - m0 ),
           (reqs1 - reqs0, msgs1 - msgs0) ))
   in
+  let words = Gc.minor_words () -. w0 in
   let host_secs = Sys.time () -. host0 in
-  Printf.printf "    [sim] events %d spawns %d skipped %d heap_len %d\n%!"
-    st.Sim.events st.Sim.spawns st.Sim.skipped st.Sim.heap_len;
-  let per_msg = float_of_int reqs /. float_of_int (max 1 msgs) in
-  let events_per_sec = float_of_int st.Sim.events /. host_secs in
   let open Workloads.Multitenant in
-  (* The same ops over the workload phase alone, without the final
-     sync. *)
-  let work_ops_per_sec = float_of_int r.ops /. r.work_seconds in
-  add_row "scale"
-    ( Printf.sprintf "servers_%d" n,
-      [ ("ops", dec r.ops); ("distinct_files", dec r.distinct_files);
-        ("fs_ops_per_sec", fix 1 r.ops_per_sec);
-        ("work_ops_per_sec", fix 1 work_ops_per_sec);
-        ("mb_per_s", fix 3 r.mb_per_s);
-        ("petal_disk_util_max", fix 4 du_max);
-        ("petal_disk_util_mean", fix 4 du_mean);
-        ("petal_disk_reads_merged", dec du_merged);
-        ("lock_requests", dec reqs);
-        ("lock_request_msgs", dec msgs);
-        ("lock_requests_per_msg", fix 3 per_msg);
-        ("sim_seconds", fix 3 r.seconds); ("host_seconds", fix 3 host_secs);
-        ("sim_events", dec st.Sim.events);
-        ("events_per_sec", fix 0 events_per_sec);
-        ("host_sec_per_sim_sec", fix 4 (host_secs /. r.seconds)) ] );
   Printf.printf
-    "  %3d servers: %6d ops %5d files %8.0f ops/s (work %8.0f ops/s) %7.2f MB/s | \
-     petal disk util max %.2f mean %.2f merged %d | lock reqs %d in %d msgs \
-     (%.2f/msg) | sim %6.2f s (work %6.2f s)  host %6.2f s  %9.0f ev/s  %6.3f \
-     host-s/sim-s\n%!"
-    n r.ops r.distinct_files r.ops_per_sec work_ops_per_sec r.mb_per_s du_max
-    du_mean du_merged reqs msgs per_msg r.seconds r.work_seconds host_secs
-    events_per_sec
+    "  %3d servers: %6d ops %5d files %10.1f ops/s (work %10.1f ops/s) %8.3f MB/s\n\
+    \      petal disk util max %.4f mean %.4f merged %d | lock reqs %d in %d msgs \
+     (%.3f/msg) | sim %7.3f s (work %7.3f s)\n\
+    \      [sim] events %d spawns %d skipped %d heap_len %d minor words %.0f \
+     (%.3f/event)\n%!"
+    n r.ops r.distinct_files r.ops_per_sec
+    (* the same ops over the workload phase alone, without the final sync *)
+    (float_of_int r.ops /. r.work_seconds)
+    r.mb_per_s du_max du_mean du_merged reqs msgs
+    (float_of_int reqs /. float_of_int (max 1 msgs))
+    r.seconds r.work_seconds st.Sim.events st.Sim.spawns st.Sim.skipped
+    st.Sim.heap_len words
+    (words /. float_of_int st.Sim.events);
+  Printf.eprintf "  %3d servers: host %6.2f s  %9.0f ev/s  %6.3f host-s/sim-s\n%!" n
+    host_secs
+    (float_of_int st.Sim.events /. host_secs)
     (host_secs /. r.seconds)
 
 let scale () =
@@ -779,10 +739,6 @@ let idle_one (n, p) =
         float_of_int ((Sim.stats ()).Sim.events - e0) /. 60.0)
   in
   let per_host = per_sec /. float_of_int (n + p) in
-  add_row "idle"
-    ( Printf.sprintf "servers_%d_over_%d" n p,
-      [ ("events_per_sim_s", fix 0 per_sec);
-        ("events_per_host_per_sim_s", fix 1 per_host) ] );
   Printf.printf "  %3d servers over %2d: %8.0f events/sim-s  %6.1f per host\n%!" n p
     per_sec per_host
 
@@ -790,84 +746,6 @@ let idle () =
   print_endline hrule;
   print_endline "idle: events per simulated second of a mounted, idle cluster";
   List.iter idle_one [ (8, 7); (32, 8); (128, 32) ]
-
-(* --- soak: composed-nemesis invariant scenarios ------------------------------------- *)
-
-(* A bench-sized slice of the soak harness (the 20-seed x 1-hour run
-   is test_soak_full.exe): the everything-composed scripted round plus
-   one short seeded round. Counters only — the numbers that matter
-   for the trajectory are how much invariant checking ran and how
-   long the worst hot-chunk cutover took. *)
-let soak_bench () =
-  print_endline hrule;
-  print_endline
-    "soak: composed-nemesis rounds with continuous invariants (counters; the\n\
-    \ 20-seed x 1-simulated-hour soak is test/test_soak_full.exe)";
-  let module Soak = Workloads.Soak in
-  let one name ?duration ?fs_servers spec =
-    let t0 = Sys.time () in
-    let o = Soak.run ?duration ?fs_servers spec in
-    let host = Sys.time () -. t0 in
-    (match Soak.failures o with
-    | [] -> ()
-    | f :: _ -> Printf.printf "  %s: FAILED: %s\n" name f);
-    Printf.printf
-      "  %-16s %4.2f sim-h in %5.1f host-s  acked %5d  freeze rej %4d  \
-       cutover %5.1f s  checks %3d  violations %d\n"
-      name o.Soak.sim_hours host o.Soak.acked o.Soak.freeze_rejects
-      (Sim.to_sec o.Soak.max_cutover_ns)
-      o.Soak.checks_run
-      (List.length o.Soak.violations);
-    add_row "soak"
-      ( name,
-        [ ("sim_hours", fix 2 o.Soak.sim_hours); ("host_seconds", fix 1 host);
-          ("acked", dec o.Soak.acked); ("failed_ops", dec o.Soak.failed_ops);
-          ("freeze_rejects", dec o.Soak.freeze_rejects);
-          ("freeze_waits", dec o.Soak.freeze_waits);
-          ("max_cutover_s", fix 3 (Sim.to_sec o.Soak.max_cutover_ns));
-          ("invariant_checks", dec o.Soak.checks_run);
-          ("violations", dec (List.length o.Soak.violations));
-          ("wal_reclaims", dec o.Soak.wal_reclaims); ("log_replays", dec o.Soak.replays) ] )
-  in
-  one "composed_quick" (Soak.Scripted "composed_quick");
-  one "seeded_600s" ~duration:(Sim.sec 600.0) ~fs_servers:16
-    (Soak.Random (Soak.Composed, 0))
-
-(* --- machine-readable snapshot ------------------------------------------------------ *)
-
-(* One json section: a row per line, [name: { key: value, ... }], in
-   the line-oriented layout bench/check_regress.exe parses. *)
-let emit_section oc ~last (section, rows) =
-  Printf.fprintf oc "  %S: {\n" section;
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, kvs) ->
-      Printf.fprintf oc "    %S: { %s }%s\n" name
-        (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) kvs))
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  }%s\n" (if last then "" else ",")
-
-(* Writes [bench_out] from the sections the other experiments filled,
-   running any producer that has not run yet (so `bench json` alone
-   still emits a complete file). Sections: "workloads" and "reconf"
-   from json_bench, "soak" from the composed-nemesis rounds, "sim"
-   from simbench, "scale" from the cluster-scaling runs, "idle" from
-   the idle clusters. check_regress gates "workloads", "sim",
-   "scale", "soak" and "idle"; "reconf" is counter-only. *)
-let write_json () =
-  if rows "workloads" = [] then json_bench ();
-  if rows "sim" = [] then simbench ();
-  if rows "scale" = [] then scale ();
-  if rows "soak" = [] then soak_bench ();
-  if rows "idle" = [] then idle ();
-  let oc = open_out bench_out in
-  Printf.fprintf oc "{\n  \"pr\": %d,\n" bench_pr;
-  let n = List.length sections in
-  List.iteri (fun i (name, r) -> emit_section oc ~last:(i = n - 1) (name, !r)) sections;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" bench_out
 
 (* --- driver -------------------------------------------------------------------------- *)
 
@@ -883,11 +761,10 @@ let experiments =
     ("fig9", fig9);
     ("ww", ww);
     ("ablation", ablation);
+    ("workloads", workloads);
     ("simbench", simbench);
     ("scale", scale);
-    ("soak", soak_bench);
     ("idle", idle);
-    ("json", write_json);
   ]
 
 let () =

@@ -263,6 +263,16 @@ let free_extent t (d, off) =
   t.free.(d) := off :: !(t.free.(d));
   t.allocated <- t.allocated - chunk_bytes
 
+(* Forget a stored chunk this server must not serve: free every
+   version's extent and count it in [gc_chunks]. [why] tags the trace
+   line. *)
+let drop_chunk t ~why key vl =
+  trace "t=%d %s %s root=%d chunk=%d" (Sim.now ()) why (Host.name t.host)
+    (fst key) (snd key);
+  List.iter (fun v -> match v.loc with Some ext -> free_extent t ext | None -> ()) !vl;
+  Hashtbl.remove t.chunks key;
+  t.st.gc_chunks <- t.st.gc_chunks + 1
+
 (* A member outside the active set serves no traffic, so every chunk
    it still holds is a stale leftover from a previous tenure —
    possibly decommitted cluster-wide since it left. Purge them when a
@@ -276,18 +286,8 @@ let purge_stale_store t =
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.chunks [] in
   List.iter
     (fun key ->
-      if not (Hashtbl.mem referenced key) then begin
-        trace "t=%d PURGE %s root=%d chunk=%d" (Sim.now ()) (Host.name t.host)
-          (fst key) (snd key);
-        (match Hashtbl.find_opt t.chunks key with
-        | None -> ()
-        | Some vl ->
-          List.iter
-            (fun v -> match v.loc with Some ext -> free_extent t ext | None -> ())
-            !vl);
-        Hashtbl.remove t.chunks key;
-        t.st.gc_chunks <- t.st.gc_chunks + 1
-      end)
+      if not (Hashtbl.mem referenced key) then
+        drop_chunk t ~why:"PURGE" key (Hashtbl.find t.chunks key))
     (List.sort compare keys)
 
 (* Enumerate the transfer obligations this server holds: every stored
@@ -753,16 +753,7 @@ let gc_nonowned t =
         let root, chunk = key in
         if t.pending = None && not (is_owner t ~root ~chunk ~nrep:(nrep_of_root t root))
         then
-          match Hashtbl.find_opt t.chunks key with
-          | None -> ()
-          | Some vl ->
-            trace "t=%d GC %s root=%d chunk=%d" (Sim.now ()) (Host.name t.host)
-              root chunk;
-            List.iter
-              (fun v -> match v.loc with Some ext -> free_extent t ext | None -> ())
-              !vl;
-            Hashtbl.remove t.chunks key;
-            t.st.gc_chunks <- t.st.gc_chunks + 1)
+          Option.iter (drop_chunk t ~why:"GC" key) (Hashtbl.find_opt t.chunks key))
       (List.sort compare victims)
   end
 
