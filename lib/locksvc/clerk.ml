@@ -177,23 +177,12 @@ and pump t st =
       when st.revoke_to = None && (not st.revoking)
            && not (match st.global with Some g -> mode_geq g mode | None -> false)
       -> (
-      (* The cached lock is insufficient. *)
-      match st.global with
-      | Some R when mode = W && st.readers = 0 && not st.writer ->
-        (* No upgrades in the protocol: voluntarily release the read
-           lock (invalidating cache) and request the write lock. *)
-        st.revoking <- true;
-        Sim.spawn (fun () ->
-            (try t.on_revoke ~lock:st.lid ~to_read:false with Host.Crashed _ -> ());
-            send_release t st None;
-            st.global <- None;
-            st.revoking <- false;
-            send_request t st W ~for_recovery:false)
-      | Some _ -> ()
-      | None -> (
-        match st.wanted with
-        | Some w when mode_geq w mode -> () (* request already outstanding *)
-        | Some _ | None -> send_request t st mode ~for_recovery:false))
+      (* The cached lock is insufficient. A held R is an upgrade: it
+         stays held, and its cache valid, until the server grants W
+         or a revoke takes it. *)
+      match st.wanted with
+      | Some w when mode_geq w mode -> () (* request already outstanding *)
+      | Some _ | None -> send_request t st mode ~for_recovery:false)
     | Some _ | None -> ()
   in
   admit ();

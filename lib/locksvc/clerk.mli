@@ -47,7 +47,10 @@ val set_callbacks :
 val acquire : t -> lock:int -> Types.mode -> unit
 (** Block until the lock is held in (at least) the given mode for
     this caller. Local users queue FIFO; the global lock is fetched
-    from the lock service when the cached one is insufficient. *)
+    from the lock service when the cached one is insufficient. A
+    cached R is upgraded to W in place: it stays held, with its
+    cache, while the request waits. The caller must not itself hold
+    the lock in R while it waits for W. *)
 
 val release : t -> lock:int -> Types.mode -> unit
 (** End a local use. The global lock stays cached (sticky) until

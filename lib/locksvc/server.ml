@@ -137,7 +137,8 @@ let pump t ~table ~lock =
       | Some _ | None -> ()
     in
     grant_prefix ();
-    (* Conflict remains: ask the offending holders to give way. *)
+    (* Conflict remains: ask the offending holders to give way. The
+       requester's own R is no conflict: its W is an upgrade. *)
     match Queue.peek_opt l.queue with
     | None -> ()
     | Some p ->
@@ -146,7 +147,8 @@ let pump t ~table ~lock =
         let to_mode = if p.pmode = R then Some R else None in
         List.iter
           (fun (lease, m) ->
-            if lease_alive t lease && (p.pmode = W || m = W) then
+            if lease <> p.please && lease_alive t lease && (p.pmode = W || m = W)
+            then
               match Hashtbl.find_opt t.leases lease with
               | Some lr -> send_clerk t lr.laddr (L_revoke { table; lock; to_mode })
               | None -> ())

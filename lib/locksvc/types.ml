@@ -25,7 +25,6 @@ open Cluster
 type mode = R | W
 
 let mode_geq a b = match (a, b) with W, _ -> true | R, R -> true | R, W -> false
-let compatible a b = a = R && b = R
 
 let default_ngroups = 100
 

@@ -2,9 +2,10 @@
     write/write sharing experiment).
 
     One or more readers stream a shared file while a writer keeps
-    rewriting some amount of it; every rewrite forces a write-lock
-    upgrade at the writer and a cache invalidation at the readers, so
-    the whole-file lock ping-pongs. Read-ahead makes it worse: data
+    rewriting some amount of it; every rewrite upgrades the writer's
+    lock in place, from the R that the readers' requests downgraded
+    it to, and invalidates the readers' caches, so the whole-file
+    lock ping-pongs. Read-ahead makes it worse: data
     prefetched but not yet delivered is discarded on revoke, and the
     wasted disk work slows the readers' lock re-requests —
     reproducing Figure 8's flattening. *)

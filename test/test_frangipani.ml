@@ -289,6 +289,31 @@ let test_write_write_coherence () =
       let final = Fs.read a f ~off:0 ~len:8 in
       Alcotest.(check int) "10 increments" 10 (Stdext.Codec.get_int final 0))
 
+(* §9.4's read/write sharing: a reader's request downgrades the
+   writer's lock to R, and the writer's next rewrite upgrades it in
+   place, so the writer keeps its cached inode and blocks. Only the
+   first cycle may read from Petal at the writer's server. *)
+let test_upgrade_keeps_writer_cache () =
+  Sim.run (fun () ->
+      let _, servers = setup ~nservers:2 () in
+      let w, r = (List.nth servers 0, List.nth servers 1) in
+      let f = Fs.create w ~dir:Fs.root "shared" in
+      let head = 16 * 1024 in
+      Fs.write w f ~off:0 (bytes_pat (4 * head) 0);
+      Fs.sync w;
+      let reads () = (Fs.petal_stats w).Petal.Client.reads in
+      let after_first = ref 0 in
+      for cycle = 1 to 5 do
+        Alcotest.(check int)
+          (Printf.sprintf "reader sees rewrite %d" (cycle - 1))
+          (cycle - 1)
+          (Char.code (Bytes.get (Fs.read r f ~off:0 ~len:head) 0));
+        Fs.write w f ~off:0 (Bytes.make head (Char.chr cycle));
+        if cycle = 1 then after_first := reads ()
+      done;
+      Alcotest.(check int) "no Petal read at the writer after cycle 1" !after_first
+        (reads ()))
+
 (* A's background write-behind snapshots its dirty set (including a
    block of [f]) and then blocks in the log flush, held there by a
    delay at the ["wal.group"] site. Meanwhile B takes [f]'s lock: the
@@ -861,6 +886,8 @@ let () =
           Alcotest.test_case "concurrent creates" `Quick
             test_concurrent_creates_distinct_servers;
           Alcotest.test_case "write/write" `Quick test_write_write_coherence;
+          Alcotest.test_case "upgrade keeps the writer's cache" `Quick
+            test_upgrade_keeps_writer_cache;
           Alcotest.test_case "create storm" `Quick test_create_storm;
           Alcotest.test_case "lost reservation" `Quick test_lost_reservation;
           Alcotest.test_case "batched inode fetch" `Quick test_batched_inode_fetch;

@@ -116,16 +116,132 @@ let test_local_mrsw () =
       Sim.sleep (Sim.ms 1);
       Alcotest.(check bool) "second writer ran" true (!second_done >= 0))
 
-let test_upgrade_via_release () =
+let test_sole_reader_upgrades () =
   Sim.run (fun () ->
       let bed = mkservice () in
       let _, c = mkclerk bed "f" in
+      let revoked = ref false in
+      Clerk.set_callbacks c
+        ~on_revoke:(fun ~lock:_ ~to_read:_ -> revoked := true)
+        ~on_do_recovery:(fun ~dead_lease:_ -> ())
+        ~on_expired:(fun () -> ());
       Clerk.acquire c ~lock:2 Types.R;
       Clerk.release c ~lock:2 Types.R;
-      (* W after cached R: clerk must release and re-request. *)
+      (* W after cached R: one request, and the R is kept meanwhile. *)
       Clerk.acquire c ~lock:2 Types.W;
       Alcotest.(check (option mode)) "upgraded" (Some Types.W) (Clerk.holds c ~lock:2);
+      Alcotest.(check bool) "cache kept" false !revoked;
       Clerk.release c ~lock:2 Types.W)
+
+(* --- upgrade in place ------------------------------------------------------ *)
+
+(* A clerk that records every revoke its machine receives (lock,
+   to_mode) and every [on_revoke] it runs (lock, to_read, time). *)
+let watched_clerk bed name =
+  let _, rpc, c = mkclerk_rpc bed name in
+  let revokes = ref [] and ran = ref [] in
+  Rpc.on_oneway rpc (fun ~src:_ -> function
+    | Types.L_revoke { lock; to_mode; _ } -> revokes := (lock, to_mode) :: !revokes
+    | _ -> ());
+  Clerk.set_callbacks c
+    ~on_revoke:(fun ~lock ~to_read -> ran := (lock, to_read, Sim.now ()) :: !ran)
+    ~on_do_recovery:(fun ~dead_lease:_ -> ())
+    ~on_expired:(fun () -> ());
+  (c, revokes, ran)
+
+let test_upgrade_revokes_only_others () =
+  Sim.run (fun () ->
+      let bed = mkservice () in
+      let a, a_revokes, a_ran = watched_clerk bed "a" in
+      let b, b_revokes, _ = watched_clerk bed "b" in
+      let x = 6 in
+      List.iter
+        (fun c ->
+          Clerk.acquire c ~lock:x Types.R;
+          Clerk.release c ~lock:x Types.R)
+        [ a; b ];
+      Clerk.acquire a ~lock:x Types.W;
+      Alcotest.(check (list (pair int (option mode)))) "B revoked to None"
+        [ (x, None) ] !b_revokes;
+      Alcotest.(check int) "A got no revoke" 0 (List.length !a_revokes);
+      Alcotest.(check int) "A's on_revoke never ran" 0 (List.length !a_ran);
+      Alcotest.(check (option mode)) "A holds W" (Some Types.W) (Clerk.holds a ~lock:x);
+      Alcotest.(check (option mode)) "B dropped" None (Clerk.holds b ~lock:x);
+      Clerk.release a ~lock:x Types.W)
+
+(* Two readers upgrade at the same instant. The server grants its
+   queue's head once the other holder gives way, and a clerk complies
+   with a revoke while its own upgrade waits, so both get W in turn
+   without the retransmit timer. *)
+let test_simultaneous_upgrades () =
+  Sim.run (fun () ->
+      let bed = mkservice () in
+      let a, _, _ = watched_clerk bed "a" in
+      let b, _, _ = watched_clerk bed "b" in
+      let x = 6 in
+      List.iter
+        (fun c ->
+          Clerk.acquire c ~lock:x Types.R;
+          Clerk.release c ~lock:x Types.R)
+        [ a; b ];
+      let t0 = Sim.now () in
+      let got = ref [] in
+      Sim.fork_join
+        (fun (name, c) ->
+          Clerk.acquire c ~lock:x Types.W;
+          got := (name, Sim.now ()) :: !got;
+          Sim.sleep (Sim.ms 10);
+          Clerk.release c ~lock:x Types.W)
+        [ ("a", a); ("b", b) ];
+      Alcotest.(check int) "both got W" 2 (List.length !got);
+      List.iter
+        (fun (name, at) ->
+          Alcotest.(check bool) (name ^ " well under 2 s") true (at - t0 < Sim.ms 200))
+        !got;
+      let holders =
+        List.filter (fun c -> Clerk.holds c ~lock:x = Some Types.W) [ a; b ]
+      in
+      Alcotest.(check int) "one W holder at the end" 1 (List.length holders))
+
+(* C asks for W first; A, holding R with a local reader, asks for W
+   just after (before C's revoke reaches it), so A's upgrade queues
+   behind C's request. A must still give up R and invalidate before C
+   is granted, and get W after C. *)
+let test_upgrade_behind_writer () =
+  Sim.run (fun () ->
+      let bed = mkservice () in
+      let a, a_revokes, a_ran = watched_clerk bed "a" in
+      let c, _, _ = watched_clerk bed "c" in
+      let x = 6 in
+      Clerk.acquire a ~lock:x Types.R;
+      let c_at = ref None and a_at = ref None in
+      Sim.spawn (fun () ->
+          Clerk.acquire c ~lock:x Types.W;
+          c_at := Some (Sim.now ());
+          Sim.sleep (Sim.ms 10);
+          Clerk.release c ~lock:x Types.W);
+      Sim.sleep (Sim.us 10);
+      Sim.spawn (fun () ->
+          Clerk.acquire a ~lock:x Types.W;
+          a_at := Some (Sim.now ());
+          Clerk.release a ~lock:x Types.W);
+      Sim.sleep (Sim.ms 50);
+      Alcotest.(check (list (pair int (option mode)))) "A revoked to None"
+        [ (x, None) ] !a_revokes;
+      Alcotest.(check (option int)) "C waits for A's reader" None !c_at;
+      Clerk.release a ~lock:x Types.R;
+      Sim.sleep (Sim.ms 500);
+      let invalidated_at =
+        match !a_ran with
+        | [ (l, false, at) ] when l = x -> at
+        | _ -> Alcotest.fail "A ran no single invalidating revoke"
+      in
+      (match (!c_at, !a_at) with
+      | Some c_at, Some a_at ->
+        Alcotest.(check bool) "A invalidated before C got W" true (invalidated_at <= c_at);
+        Alcotest.(check bool) "A got W after C" true (a_at > c_at)
+      | _ -> Alcotest.fail "a writer never got the lock");
+      Alcotest.(check (option mode)) "A holds W" (Some Types.W) (Clerk.holds a ~lock:x))
 
 let test_lease_expiry_triggers_recovery () =
   Sim.run (fun () ->
@@ -544,8 +660,17 @@ let () =
           Alcotest.test_case "read sharing" `Quick test_read_sharing;
           Alcotest.test_case "downgrade" `Quick test_downgrade;
           Alcotest.test_case "local MRSW" `Quick test_local_mrsw;
-          Alcotest.test_case "upgrade via release" `Quick test_upgrade_via_release;
+          Alcotest.test_case "sole reader upgrades in place" `Quick
+            test_sole_reader_upgrades;
           Alcotest.test_case "fair batched readers" `Quick test_fairness_batched_readers;
+        ] );
+      ( "upgrade",
+        [
+          Alcotest.test_case "revokes only the other readers" `Quick
+            test_upgrade_revokes_only_others;
+          Alcotest.test_case "simultaneous upgrades" `Quick test_simultaneous_upgrades;
+          Alcotest.test_case "upgrade queued behind a writer" `Quick
+            test_upgrade_behind_writer;
         ] );
       ( "coalescing",
         [
