@@ -506,29 +506,6 @@ let write_runs v runs =
 
 let write v ~off data = write_runs v [ (off, data) ]
 
-let decommit v ~off ~len =
-  if is_snapshot v then raise Read_only;
-  check_aligned ~off ~len;
-  if off mod chunk_bytes <> 0 || len mod chunk_bytes <> 0 then
-    invalid_arg "petal: decommit must be chunk-aligned";
-  scatter
-    (fun g (chunk, _, _) ->
-      Faultpoint.hit "petal.decommit_piece";
-      submit_piece v.c g ~root:v.root ~chunk ~nrep:v.nrep ~size:small
-        ~req_of:(fun ~solo ->
-          (* Per-attempt stamp, as on the write path. *)
-          let expires = v.c.write_guard () in
-          Decommit_req
-            { root = v.root; chunk; forward = not solo;
-              mepoch = v.c.mepoch; expires })
-        ~on_reply:(function
-          | Decommit_ok -> ()
-          | Perr "expired lease timestamp" ->
-            raise (Stale_write "expired lease timestamp")
-          | Perr e -> failwith ("petal: " ^ e)
-          | _ -> failwith "petal: bad decommit reply"))
-    (pieces ~off ~len)
-
 let snapshot v =
   if is_snapshot v then raise Read_only;
   mgmt v.c (Snapshot { src = v.vid })

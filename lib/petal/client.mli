@@ -103,9 +103,6 @@ val read : vdisk -> off:int -> len:int -> bytes
 val write : vdisk -> off:int -> bytes -> unit
 (** [write_runs] of the one extent [(off, data)]. *)
 
-val decommit : vdisk -> off:int -> len:int -> unit
-(** Free the physical space backing a chunk-aligned range. *)
-
 val snapshot : vdisk -> int
 (** Create a crash-consistent copy-on-write snapshot; returns the
     read-only snapshot disk's id. *)
@@ -118,7 +115,7 @@ val set_write_guard : vdisk -> (unit -> int option) -> unit
     sets it to [lease_valid_until - margin] at mount. *)
 
 type stats = private {
-  mutable writes : int;  (** {!write}/{!write_runs} calls; decommits are not counted *)
+  mutable writes : int;  (** {!write}/{!write_runs} calls *)
   write_seconds : float;  (** simulated time inside writes *)
   mutable reads : int;  (** {!read}/{!read_runs} calls *)
   read_seconds : float;  (** simulated time inside reads *)

@@ -8,7 +8,7 @@
 open Cluster
 
 let chunk_bytes = 65536
-(** Physical space is committed and decommitted in 64 KB chunks. *)
+(** Physical space is committed in 64 KB chunks. *)
 
 let sector_bytes = 512
 
@@ -137,18 +137,6 @@ type Net.payload +=
               FS lock holder — so write time totally orders copies). *)
     }
   | Write_ok
-  | Decommit_req of {
-      root : int;
-      chunk : int;
-      forward : bool;
-      mepoch : int;  (** Routing map epoch, as in {!Read_req}. [-1] on
-          peer-to-peer propagation (forwards and resync pushes), which
-          bypasses the ownership check. *)
-      expires : int option;
-          (* same §6 stamp as writes: freeing chunks after lease
-             expiry is just as hazardous as writing them *)
-    }
-  | Decommit_ok
   | Mgmt_req of mgmt_cmd
   | Mgmt_ok of int  (** The id assigned to the new (or snapshot) virtual disk. *)
   | Vdisk_info_req of int
@@ -181,7 +169,7 @@ exception Unavailable of string
 (** No replica of the addressed data is reachable. *)
 
 exception Read_only
-(** Write or decommit attempted on a snapshot. *)
+(** Write attempted on a snapshot. *)
 
 exception Stale_write of string
 (** A Petal server refused a write whose lease-derived expiration

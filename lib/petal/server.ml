@@ -10,9 +10,8 @@ type vinfo = {
   nrep : int;
 }
 
-(* One stored version of a chunk: the extent written during [epoch],
-   or a tombstone ([loc = None]) recording a decommit. *)
-type version = { epoch : int; loc : (int * int) option (* disk index, offset *) }
+(* One stored version of a chunk: the extent written during [epoch]. *)
+type version = { epoch : int; loc : int * int (* disk index, offset *) }
 
 (* A reconfiguration in flight: the Paxos log has agreed on a new
    active set, the old map is still authoritative for data traffic,
@@ -206,11 +205,7 @@ let trace fmt =
   if tracing then Printf.eprintf (fmt ^^ "\n%!")
   else Printf.ifprintf stderr (fmt ^^ "\n%!")
 
-let chunk_count t =
-  Hashtbl.fold
-    (fun _ vl acc ->
-      acc + List.length (List.filter (fun v -> v.loc <> None) !vl))
-    t.chunks 0
+let chunk_count t = Hashtbl.fold (fun _ vl acc -> acc + List.length !vl) t.chunks 0
 
 let disk_bytes_allocated t = t.allocated
 
@@ -269,13 +264,14 @@ let free_extent t (d, off) =
 let drop_chunk t ~why key vl =
   trace "t=%d %s %s root=%d chunk=%d" (Sim.now ()) why (Host.name t.host)
     (fst key) (snd key);
-  List.iter (fun v -> match v.loc with Some ext -> free_extent t ext | None -> ()) !vl;
+  List.iter (fun v -> free_extent t v.loc) !vl;
   Hashtbl.remove t.chunks key;
   t.st.gc_chunks <- t.st.gc_chunks + 1
 
 (* A member outside the active set serves no traffic, so every chunk
-   it still holds is a stale leftover from a previous tenure —
-   possibly decommitted cluster-wide since it left. Purge them when a
+   it still holds is a stale leftover from a previous tenure: its
+   owners may have overwritten it since this member left, and a copy
+   overwritten elsewhere is as stale as a freed one. Purge them when a
    transfer begins, before any push can arrive: once the new map
    makes this member an owner again, a leftover the GC had not freed
    yet would otherwise be served as live data. Skips chunks its own
@@ -290,34 +286,42 @@ let purge_stale_store t =
         drop_chunk t ~why:"PURGE" key (Hashtbl.find t.chunks key))
     (List.sort compare keys)
 
-(* Enumerate the transfer obligations this server holds: every stored
-   chunk it owns under the old map is marked (whole) degraded toward
-   each of its future owners. Both old owners enumerate — duplicate
-   pushes are idempotent and the redundancy keeps the transfer moving
-   when one source crashes mid-stream. Pure table marking (no I/O),
-   so it runs inline in the Paxos apply and a crash cannot leave the
-   obligation half-recorded and forgotten. *)
-let begin_transfer t (p : pending) =
+(* Open a transfer toward [target] and enumerate the obligations this
+   server holds: every stored chunk it owns under the old map is
+   marked (whole) degraded toward each of its future owners. Both old
+   owners enumerate — duplicate pushes are idempotent and the
+   redundancy keeps the transfer moving when one source crashes
+   mid-stream. Pure table marking (no I/O), so it runs inline in the
+   Paxos apply and a crash cannot leave the obligation half-recorded
+   and forgotten. *)
+let begin_transfer t target =
+  t.pending <- Some { target; target_epoch = t.mepoch + 1 };
+  t.pending_since <- Sim.now ();
   if not (Array.exists (( = ) t.index) t.active) then purge_stale_store t;
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.chunks [] in
   List.iter
     (fun (root, chunk) ->
-      let nrep = nrep_of_root t root in
-      let old_owners = owners t.active ~nrep ~root ~chunk in
-      if List.mem t.index old_owners then
-        List.iter
-          (fun o ->
-            if (not (List.mem o old_owners)) && o <> t.index then
-              (* Stamp 0: the write times of a stored chunk's bytes
-                 are unknown, so the base copy must claim the lowest
-                 freshness — overstating would let it clobber a newer
-                 solo write at the receiver. Any real delta beats it;
-                 a stale base at the receiver is later corrected by
-                 the repair chain re-marking with true stamps. *)
-              mark_degraded t ~peer:t.members.(o) ~root ~chunk ~within:0
-                ~len:chunk_bytes ~stamp:0)
-          (owners p.target ~nrep ~root ~chunk))
+      (* Stamp 0: the write times of a stored chunk's bytes are
+         unknown, so the base copy must claim the lowest freshness —
+         overstating would let it clobber a newer solo write at the
+         receiver. Any real delta beats it; a stale base at the
+         receiver is later corrected by the repair chain re-marking
+         with true stamps. *)
+      mark_transfer_delta t ~root ~chunk ~within:0 ~len:chunk_bytes ~stamp:0)
     (List.sort compare keys)
+
+(* Apply a membership change toward [target]. [reached]: the map
+   already is the goal state, so a duplicate proposal after a proposer
+   crash must read as success. A retry of the pending reconfiguration
+   succeeds, any other is refused while one is pending, and a new one
+   opens a transfer only when [allowed]. *)
+let reconfigure t ~target ~reached ~allowed =
+  match t.pending with
+  | None when reached -> true
+  | Some p -> p.target = target
+  | None ->
+    if allowed then begin_transfer t target;
+    allowed
 
 (* A backlog entry can outlive its purpose: a failed forward recorded
    toward a member a later reconfiguration removed, or a handoff delta
@@ -382,14 +386,10 @@ let gc_unpinned_versions t ~root =
                pins
         in
         let kept, dead = List.partition keep !vl in
-        List.iter
-          (fun v -> match v.loc with Some ext -> free_extent t ext | None -> ())
-          dead;
+        List.iter (fun v -> free_extent t v.loc) dead;
         t.st.snap_gc_chunks <- t.st.snap_gc_chunks + List.length dead;
-        (* With nothing pinned beneath it, a tombstone head reads the
-           same as an absent chunk: drop the entry. *)
         match kept with
-        | [] | [ { loc = None; _ } ] -> Hashtbl.remove t.chunks key
+        | [] -> Hashtbl.remove t.chunks key
         | kept -> vl := kept)
     (List.sort compare keys)
 
@@ -429,48 +429,24 @@ let apply t slot cmd =
       gc_unpinned_versions t ~root:v.root;
       Hashtbl.replace t.slot_ids slot 0)
   | Add_server { idx } ->
-    let target = sorted_add t.active idx in
     let ok =
-      if Array.exists (( = ) idx) t.active && t.pending = None then true
-        (* already active: the goal state — a duplicate proposal after
-           a proposer crash must read as success *)
-      else
-        match t.pending with
-        | Some p -> p.target = target (* same reconfig already pending *)
-        | None ->
-          if
-            idx >= 0
-            && idx < Array.length t.members
-            && not (any_frozen t)
-            (* snapshots pin old chunk versions the range-based
-               transfer stream does not carry; reconfiguration is
-               refused while any exist (see DESIGN.md) *)
-          then begin
-            let p = { target; target_epoch = t.mepoch + 1 } in
-            t.pending <- Some p;
-            t.pending_since <- Sim.now ();
-            begin_transfer t p;
-            true
-          end
-          else false
+      reconfigure t ~target:(sorted_add t.active idx)
+        ~reached:(Array.exists (( = ) idx) t.active)
+        ~allowed:
+          (idx >= 0
+          && idx < Array.length t.members
+          && not (any_frozen t)
+          (* snapshots pin old chunk versions the range-based transfer
+             stream does not carry; reconfiguration is refused while
+             any exist (see DESIGN.md) *))
     in
     Hashtbl.replace t.slot_ids slot (if ok then 0 else -1)
   | Remove_server { idx } ->
     let target = sorted_remove t.active idx in
     let ok =
-      if (not (Array.exists (( = ) idx) t.active)) && t.pending = None then true
-      else
-        match t.pending with
-        | Some p -> p.target = target
-        | None ->
-          if Array.length target >= 2 && not (any_frozen t) then begin
-            let p = { target; target_epoch = t.mepoch + 1 } in
-            t.pending <- Some p;
-            t.pending_since <- Sim.now ();
-            begin_transfer t p;
-            true
-          end
-          else false
+      reconfigure t ~target
+        ~reached:(not (Array.exists (( = ) idx) t.active))
+        ~allowed:(Array.length target >= 2 && not (any_frozen t))
     in
     Hashtbl.replace t.slot_ids slot (if ok then 0 else -1)
   | Complete_transfer { target } ->
@@ -535,11 +511,13 @@ exception Damaged
    replica and triggers repair (§4: "Petal's built-in replication can
    ordinarily recover it"). *)
 
+(* A read never inserts into the chunk table: an empty entry would be
+   enumerated as a transfer obligation by [begin_transfer]. *)
 let read_chunk t ~root ~chunk ~within ~len ~sel =
-  let vl = versions t (root, chunk) in
-  match select_version !vl sel with
-  | None | Some { loc = None; _ } -> Bytes.make len '\000'
-  | Some { loc = Some (d, off); _ } -> (
+  let vl = match Hashtbl.find_opt t.chunks (root, chunk) with Some vl -> !vl | None -> [] in
+  match select_version vl sel with
+  | None -> Bytes.make len '\000'
+  | Some { loc = d, off; _ } -> (
     try t.disks.(d).Blockdev.Storage.read ~off:(off + within) ~len
     with Blockdev.Disk.Bad_sector _ -> raise Damaged)
 
@@ -547,9 +525,8 @@ let read_chunk t ~root ~chunk ~within ~len ~sel =
    in our disk model, as a real remap-and-rewrite would). *)
 let repair_chunk t ~root ~chunk ~data =
   with_chunk_lock t (root, chunk) @@ fun () ->
-  let vl = versions t (root, chunk) in
-  match !vl with
-  | { loc = Some (d, off); _ } :: _ when Bytes.length data = chunk_bytes ->
+  match Hashtbl.find_opt t.chunks (root, chunk) with
+  | Some { contents = { loc = d, off; _ } :: _ } when Bytes.length data = chunk_bytes ->
     t.disks.(d).Blockdev.Storage.write ~off data
   | _ -> ()
 
@@ -562,17 +539,17 @@ exception Expired_stamp
    chunk lock; the handler turns it into the same rejection as an
    arrival-time check. *)
 
-(* Record a freshly written extent: replace a same-epoch entry
-   (tombstone, or a stale copy being repaired by resync); otherwise
-   insert keeping the list sorted newest-first — a resync push may
-   arrive with an older epoch than our head if a snapshot happened
-   while the peer was down. *)
+(* Record a freshly written extent: replace a same-epoch entry (a
+   stale copy being repaired by resync); otherwise insert keeping the
+   list sorted newest-first — a resync push may arrive with an older
+   epoch than our head if a snapshot happened while the peer was
+   down. *)
 let place_version t vl ~epoch ~ext =
-  let fresh = { epoch; loc = Some ext } in
+  let fresh = { epoch; loc = ext } in
   let rec place = function
     | v :: rest when v.epoch > epoch -> v :: place rest
     | v :: rest when v.epoch = epoch ->
-      (match v.loc with Some e -> free_extent t e | None -> ());
+      free_extent t v.loc;
       fresh :: rest
     | rest -> fresh :: rest
   in
@@ -602,13 +579,12 @@ let write_chunk t ~root ~chunk ~within ~data ~doff ~dlen ~epoch ~expires =
   let vl = versions t (root, chunk) in
   let whole = dlen = chunk_bytes && within = 0 in
   match !vl with
-  | { epoch = e; loc = Some (d, off) } :: _ when e = epoch ->
+  | { epoch = e; loc = d, off } :: _ when e = epoch ->
     audit_stamp ();
     t.disks.(d).Blockdev.Storage.write_sub ~off:(off + within) data ~boff:doff
       ~len:dlen
   | current ->
-    (* Fresh extent needed: tombstone at this epoch, older epoch, or
-       nothing stored yet. *)
+    (* Fresh extent needed: older epoch, or nothing stored yet. *)
     if whole then begin
       let d, off = allocate t in
       audit_stamp ();
@@ -620,9 +596,8 @@ let write_chunk t ~root ~chunk ~within ~data ~doff ~dlen ~epoch ~expires =
     else begin
       let base =
         match select_version current Current with
-        | Some { loc = Some (d, off); _ } ->
-          t.disks.(d).Blockdev.Storage.read ~off ~len:chunk_bytes
-        | Some { loc = None; _ } | None -> Bytes.make chunk_bytes '\000'
+        | Some { loc = d, off; _ } -> t.disks.(d).Blockdev.Storage.read ~off ~len:chunk_bytes
+        | None -> Bytes.make chunk_bytes '\000'
       in
       Bytes.blit data doff base within dlen;
       let d, off = allocate t in
@@ -632,25 +607,6 @@ let write_chunk t ~root ~chunk ~within ~data ~doff ~dlen ~epoch ~expires =
       t.disks.(d).Blockdev.Storage.write_own ~off base;
       place_version t vl ~epoch ~ext:(d, off)
     end
-
-let decommit_chunk t ~root ~chunk ~epoch ~expires =
-  Faultpoint.hit "petal.chunk_decommit";
-  with_chunk_lock t (root, chunk) @@ fun () ->
-  trace "t=%d D %s root=%d chunk=%d" (Sim.now ()) (Host.name t.host) root chunk;
-  if expired expires then raise Expired_stamp;
-  let vl = versions t (root, chunk) in
-  match !vl with
-  | [] -> ()
-  | { epoch = e; loc } :: rest when e = epoch ->
-    (match loc with Some ext -> free_extent t ext | None -> ());
-    (* If snapshot-pinned versions remain, the live disk must still
-       read as zeros: leave a tombstone. *)
-    if rest = [] then begin
-      vl := [];
-      Hashtbl.remove t.chunks (root, chunk)
-    end
-    else vl := { epoch; loc = None } :: rest
-  | current -> vl := { epoch; loc = None } :: current
 
 (* --- replication ------------------------------------------------------ *)
 
@@ -675,55 +631,32 @@ let forward_write t ~root ~chunk ~within ~data ~doff ~dlen ~epoch ~expires
       mark_degraded t ~peer ~root ~chunk ~within ~len:dlen ~stamp)
 
 (* Push the byte ranges of a degraded chunk the lagging replica
-   missed; returns true when every range is acknowledged. A chunk
-   that vanished or whose head is a tombstone was decommitted since
-   the ranges were marked: propagate the decommit instead, so the
-   peer does not keep serving (or later resurface) the freed bytes. *)
+   missed; returns true when every range is acknowledged. A chunk with
+   nothing stored here pushes nothing and its entry just clears: every
+   mutation that marked it failed before writing, so the peer's copy is
+   no older than ours. *)
 let push_chunk t ~peer ~root ~chunk ~ranges =
   Faultpoint.hit "petal.resync_push";
-  let push_decommit () =
-    match
-      Rpc.call t.rpc ~dst:peer ~timeout:(Sim.ms 500) ~size:small
-        (Decommit_req { root; chunk; forward = false; mepoch = -1; expires = None })
-    with
-    | Ok Decommit_ok ->
-      t.st.xfer_pushes <- t.st.xfer_pushes + 1;
-      true
-    | Ok _ | Error `Timeout -> false
-  in
   match Hashtbl.find_opt t.chunks (root, chunk) with
-  | None ->
-    trace "t=%d PUSHDECOMMIT %s->%d root=%d chunk=%d (absent)" (Sim.now ())
-      (Host.name t.host) peer root chunk;
-    push_decommit ()
-  | Some vl -> (
-    match !vl with
-    | { epoch; loc = Some (d, off) } :: _ ->
-      List.for_all
-        (fun (a, b, s) ->
-          let data = t.disks.(d).Blockdev.Storage.read ~off:(off + a) ~len:(b - a) in
-          trace "t=%d P %s->%d root=%d chunk=%d [%d,%d) s=%d hit=%b" (Sim.now ())
-            (Host.name t.host) peer root chunk a b s (data_has_needle data);
-          match
-            Rpc.call t.rpc ~dst:peer ~timeout:(Sim.ms 500)
-              ~size:(write_req_size (b - a))
-              (Repl_req { root; chunk; within = a; data; doff = 0;
-                          dlen = b - a; epoch; expires = None; stamp = s })
-          with
-          | Ok Write_ok ->
-            t.st.xfer_pushes <- t.st.xfer_pushes + 1;
-            t.st.xfer_bytes <- t.st.xfer_bytes + (b - a);
-            true
-          | Ok _ | Error `Timeout -> false)
-        ranges
-    | { loc = None; _ } :: _ ->
-      trace "t=%d PUSHDECOMMIT %s->%d root=%d chunk=%d (tombstone)" (Sim.now ())
-        (Host.name t.host) peer root chunk;
-      push_decommit ()
-    | [] ->
-      trace "t=%d PUSHDECOMMIT %s->%d root=%d chunk=%d (empty)" (Sim.now ())
-        (Host.name t.host) peer root chunk;
-      push_decommit ())
+  | None | Some { contents = [] } -> true
+  | Some { contents = { epoch; loc = d, off } :: _ } ->
+    List.for_all
+      (fun (a, b, s) ->
+        let data = t.disks.(d).Blockdev.Storage.read ~off:(off + a) ~len:(b - a) in
+        trace "t=%d P %s->%d root=%d chunk=%d [%d,%d) s=%d hit=%b" (Sim.now ())
+          (Host.name t.host) peer root chunk a b s (data_has_needle data);
+        match
+          Rpc.call t.rpc ~dst:peer ~timeout:(Sim.ms 500)
+            ~size:(write_req_size (b - a))
+            (Repl_req { root; chunk; within = a; data; doff = 0;
+                        dlen = b - a; epoch; expires = None; stamp = s })
+        with
+        | Ok Write_ok ->
+          t.st.xfer_pushes <- t.st.xfer_pushes + 1;
+          t.st.xfer_bytes <- t.st.xfer_bytes + (b - a);
+          true
+        | Ok _ | Error `Timeout -> false)
+      ranges
 
 (* Free the extents of chunks this server no longer owns under the
    committed map (the data migrated through the handoff stream), so a
@@ -938,7 +871,7 @@ let peer_push_ok t ~root ~chunk =
 
 let handler t ~src body =
   match body with
-  | (Read_req _ | Write_req _ | Repl_req _ | Decommit_req _ | Mgmt_req _)
+  | (Read_req _ | Write_req _ | Repl_req _ | Mgmt_req _)
     when not (authorized t src) ->
     Some (Perr "unauthorized", small)
   | Read_req { root; chunk; mepoch; _ } when not (map_ok t ~mepoch ~root ~chunk) ->
@@ -1071,41 +1004,6 @@ let handler t ~src body =
         applies
     with
     | () -> Some (Write_ok, small)
-    | exception Expired_stamp -> reject_stale)
-  | Decommit_req { root; chunk; mepoch; _ }
-    when mepoch >= 0 && not (map_ok t ~mepoch ~root ~chunk) ->
-    reject_wrong_epoch t
-  | Decommit_req { root; chunk; mepoch; _ }
-    when mepoch >= 0 && freeze_blocks t ~root ~chunk ->
-    reject_frozen t
-  | Decommit_req { expires; _ } when expired expires -> reject_stale
-  | Decommit_req { root; chunk; forward; expires; mepoch = _ } -> (
-    let v = vdisk t root in
-    let dstamp = Sim.now () in
-    mark_transfer_delta t ~root ~chunk ~within:0 ~len:chunk_bytes ~stamp:dstamp;
-    match decommit_chunk t ~root ~chunk ~epoch:v.epoch ~expires with
-    | () ->
-      (if forward && v.nrep > 1 then
-         match replica_of t ~root ~chunk ~nrep:v.nrep with
-         | None -> ()
-         | Some ri -> (
-           let peer = t.members.(ri) in
-           match
-             Rpc.call t.rpc ~dst:peer ~timeout:(Sim.ms 500) ~size:small
-               (Decommit_req
-                  { root; chunk; forward = false; mepoch = -1; expires })
-           with
-           | Ok Decommit_ok -> ()
-           | Ok _ | Error `Timeout ->
-             (* The replica missed the decommit: mark the chunk so the
-                resync daemon propagates it (push_chunk turns a
-                tombstoned or vanished chunk into a decommit push) —
-                otherwise the replicas diverge for good and a later
-                failover serves the freed bytes back. *)
-             mark_degraded t ~peer ~root ~chunk ~within:0 ~len:chunk_bytes
-               ~stamp:dstamp));
-      mark_transfer_delta t ~root ~chunk ~within:0 ~len:chunk_bytes ~stamp:dstamp;
-      Some (Decommit_ok, small)
     | exception Expired_stamp -> reject_stale)
   | Mgmt_req cmd ->
     Faultpoint.hit "petal.mgmt_propose";

@@ -1,7 +1,7 @@
 (** A Petal storage server.
 
     Each server owns a set of local disks, stores 64 KB chunk
-    extents on them, answers chunk read/write/decommit requests, and
+    extents on them, answers chunk read/write requests, and
     participates in the Paxos group that maintains the virtual-disk
     table (creation, snapshots) and — since PR 5 — the cluster's
     chunk-ownership map.
@@ -95,8 +95,8 @@ type stats = private {
           chunk) *)
   mutable freeze_rejects : int;
       (** client mutations refused by the drain-time write freeze: once
-          a transfer has been pending past a grace period, writes and
-          decommits to chunks whose owner set actually changes get
+          a transfer has been pending past a grace period, writes to
+          chunks whose owner set actually changes get
           [Wrong_epoch] (the client waits and retries), so the push
           backlog can only shrink and a hot-chunk writer cannot defer
           the cutover forever *)

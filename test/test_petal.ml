@@ -81,26 +81,6 @@ let test_unreplicated_unavailable () =
         Alcotest.fail "expected Unavailable"
       with Petal.Protocol.Unavailable _ -> ())
 
-let test_decommit () =
-  Sim.run (fun () ->
-      let _, tb, _, vd = setup () in
-      Petal.Client.write vd ~off:0 (bytes_pat 65536 5);
-      let allocated () =
-        Array.fold_left
-          (fun acc s -> acc + Petal.Server.disk_bytes_allocated s)
-          0 tb.Petal.Testbed.servers
-      in
-      let before = allocated () in
-      Alcotest.(check int) "committed" (2 * 65536) before;
-      Petal.Client.decommit vd ~off:0 ~len:65536;
-      Alcotest.(check int) "freed" 0 (allocated ());
-      let got = Petal.Client.read vd ~off:0 ~len:512 in
-      Alcotest.(check string) "decommitted reads zero" (String.make 512 '\000')
-        (Bytes.to_string got);
-      (* Space recommits on rewrite. *)
-      Petal.Client.write vd ~off:0 (bytes_pat 512 6);
-      Alcotest.(check int) "recommitted" (2 * 65536) (allocated ()))
-
 let test_snapshot_cow () =
   Sim.run (fun () ->
       let _, _, c, vd = setup () in
@@ -124,19 +104,6 @@ let test_snapshot_cow () =
       let unseen = Petal.Client.read snap ~off:4096 ~len:512 in
       Alcotest.(check string) "post-snapshot write invisible"
         (String.make 512 '\000') (Bytes.to_string unseen))
-
-let test_snapshot_survives_decommit () =
-  Sim.run (fun () ->
-      let _, _, c, vd = setup () in
-      Petal.Client.write vd ~off:0 (bytes_pat 65536 1);
-      let snap = Petal.Client.open_vdisk c (Petal.Client.snapshot vd) in
-      Petal.Client.decommit vd ~off:0 ~len:65536;
-      let live = Petal.Client.read vd ~off:0 ~len:512 in
-      Alcotest.(check string) "live zeroed" (String.make 512 '\000')
-        (Bytes.to_string live);
-      let old = Petal.Client.read snap ~off:0 ~len:65536 in
-      Alcotest.(check bool) "snapshot retains data" true
-        (Bytes.equal old (bytes_pat 65536 1)))
 
 let test_two_snapshots () =
   Sim.run (fun () ->
@@ -696,6 +663,30 @@ let test_add_server_migrates () =
       Alcotest.(check bool) "wrong-epoch retries recorded" true
         (st.wrong_epoch_retries >= 1))
 
+(* A read of a never-written chunk stores nothing, so a transfer that
+   begins after such reads has no obligation for those chunks: the
+   handoff drains without a single push. *)
+let test_unwritten_reads_push_nothing () =
+  Sim.run (fun () ->
+      let _, tb, c, vd = setup ~nservers:4 ~nactive:3 () in
+      let cb = Petal.Protocol.chunk_bytes in
+      for i = 0 to 11 do
+        let got = Petal.Client.read vd ~off:(i * cb) ~len:512 in
+        Alcotest.(check string) "unwritten reads zero" (String.make 512 '\000')
+          (Bytes.to_string got)
+      done;
+      Petal.Client.add_server c ~idx:3;
+      Sim.sleep (Sim.ms 100);
+      Array.iter
+        (fun s -> Alcotest.(check int) "no obligation" 0 (Petal.Server.degraded_count s))
+        tb.Petal.Testbed.servers;
+      wait_reconfigured tb 1;
+      Array.iter
+        (fun s ->
+          Alcotest.(check int) "no chunk stored" 0 (Petal.Server.chunk_count s);
+          Alcotest.(check int) "no push" 0 (Petal.Server.stats s).xfer_pushes)
+        tb.Petal.Testbed.servers)
+
 let test_remove_server_drains_owner () =
   Sim.run (fun () ->
       let _, tb, c, vd = setup ~nservers:4 () in
@@ -916,13 +907,14 @@ let () =
         ] );
       ( "space management",
         [
-          Alcotest.test_case "decommit" `Quick test_decommit;
           Alcotest.test_case "two vdisks isolated" `Quick test_two_vdisks_isolated;
         ] );
       ( "reconfiguration",
         [
           Alcotest.test_case "add server migrates ownership" `Quick
             test_add_server_migrates;
+          Alcotest.test_case "unwritten reads push nothing" `Quick
+            test_unwritten_reads_push_nothing;
           Alcotest.test_case "remove server drains old owner" `Quick
             test_remove_server_drains_owner;
           Alcotest.test_case "reconfigs serialized, retries idempotent" `Quick
@@ -935,7 +927,6 @@ let () =
       ( "snapshots",
         [
           Alcotest.test_case "copy-on-write" `Quick test_snapshot_cow;
-          Alcotest.test_case "survives decommit" `Quick test_snapshot_survives_decommit;
           Alcotest.test_case "two snapshots" `Quick test_two_snapshots;
           Alcotest.test_case "delete GCs pinned versions" `Quick
             test_delete_vdisk_gc;
