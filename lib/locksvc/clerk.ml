@@ -354,7 +354,7 @@ let sync_once t =
   | servers -> (
     let dst = List.nth servers (Sim.random_int (List.length servers)) in
     match Rpc.call t.rpc ~dst ~timeout:(Sim.ms 300) ~size:16 L_sync with
-    | Ok (L_synced { servers; ngroups = _ }) -> t.servers <- servers
+    | Ok (L_synced { servers }) -> t.servers <- servers
     | Ok _ | Error `Timeout -> ())
 
 let housekeeping t () =

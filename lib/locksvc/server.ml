@@ -423,7 +423,7 @@ let rpc_handler t ~src body =
       t.renewed <- (lease, Sim.now ()) :: t.renewed;
       Some (L_renewed, 16)
     | Some _ | None -> Some (L_err "unknown lease", msg))
-  | L_sync -> Some (L_synced { servers = t.servers; ngroups = t.ngroups }, msg)
+  | L_sync -> Some (L_synced { servers = t.servers }, msg)
   | _ -> None
 
 let oneway_handler t ~src body =

@@ -51,7 +51,7 @@ type Net.payload +=
   | L_renew of { lease : int }
   | L_renewed
   | L_sync
-  | L_synced of { servers : Net.addr list; ngroups : int }
+  | L_synced of { servers : Net.addr list }
   (* asynchronous lock traffic *)
   | L_requests of {
       table : string;
