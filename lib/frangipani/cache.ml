@@ -71,6 +71,14 @@ let lock_index t lock =
     Hashtbl.replace t.by_lock lock s;
     s
 
+(* Create a clean entry for [addr] holding [data] and index it under
+   [lock]. *)
+let add_clean t ~lock ~addr data =
+  let e = { addr; data; dirty = false; gen = 0; rid = 0; pins = 0; flushing = false; lock } in
+  Hashtbl.replace t.tbl addr e;
+  Hashtbl.replace (lock_index t lock) addr ();
+  e
+
 let rec entry t ~lock ~addr ~len =
   match Hashtbl.find_opt t.tbl addr with
   | Some e ->
@@ -96,9 +104,7 @@ let rec entry t ~lock ~addr ~len =
           finish ();
           raise ex
       in
-      let e = { addr; data; dirty = false; gen = 0; rid = 0; pins = 0; flushing = false; lock } in
-      Hashtbl.replace t.tbl addr e;
-      Hashtbl.replace (lock_index t lock) addr ();
+      let e = add_clean t ~lock ~addr data in
       finish ();
       e)
 
@@ -178,10 +184,7 @@ let write_data t ~lock ~addr ~bytes:data =
        entry-creation path: count the miss so {!stats} agrees across
        paths. *)
     t.misses <- t.misses + 1;
-    let e = { addr; data = Bytes.copy data; dirty = false; gen = 0; rid = 0; pins = 0; flushing = false; lock } in
-    mark_dirty t e;
-    Hashtbl.replace t.tbl addr e;
-    Hashtbl.replace (lock_index t lock) addr ()
+    mark_dirty t (add_clean t ~lock ~addr (Bytes.copy data))
 
 let mem t addr = Hashtbl.mem t.tbl addr
 let present t addr = Hashtbl.mem t.tbl addr || Hashtbl.mem t.inflight addr
@@ -244,13 +247,8 @@ let fill_runs ?(still_wanted = fun () -> true) t runs
         List.iter
           (fun a ->
             if insert && not (Hashtbl.mem t.tbl a) then begin
-              let e =
-                { addr = a; data = Bytes.sub data (a - addr) granule; dirty = false;
-                  gen = 0; rid = 0; pins = 0; flushing = false; lock }
-              in
               t.misses <- t.misses + 1;
-              Hashtbl.replace t.tbl a e;
-              Hashtbl.replace (lock_index t lock) a ()
+              ignore (add_clean t ~lock ~addr:a (Bytes.sub data (a - addr) granule))
             end)
           wanted)
       prepared datas;
