@@ -5,24 +5,20 @@ type diff = { addr : int; doff : int; data : bytes; version : int }
 
 let payload_cap = 496 (* 512 - 8 lsn - 2 first_rec - 2 len - 4 crc *)
 
-(* The flush pipeline has two stages. The *format* stage packs pending
-   records into 512-byte sector images (grouped into bounded "groups"
-   of sectors); the *submit* stage stamps LSNs and CRCs, reclaims log
-   space ahead of the write cursor, and writes each group to Petal in
-   strict order. Formatting a new group overlaps the in-flight
-   submission of an earlier one; at most [max_queued_groups] formatted
-   groups wait behind the submitter.
+(* One flusher at a time takes every pending record, packs the batch
+   into 512-byte sector images (bounded "groups" of sectors), and
+   writes the groups to Petal in LSN order, reclaiming log space ahead
+   of the write cursor between groups. Callers that need records
+   durable while a flush is writing wait for it; the next batch
+   carries their records (group commit).
 
-   LSNs are assigned at submission, not at formatting: a failed
-   submission puts its records back and the retry reuses the same LSN
+   LSNs are stamped at write time, not at formatting: a failed flush
+   puts its unwritten records back and the retry reuses the same LSN
    range, so the on-disk LSN sequence never develops a gap — recovery
    replays the maximal run of consecutive LSNs ending at the highest
    one, and a gap would silently cut durable records out of the
    replay window. *)
 type group = {
-  g_records : (int * bytes) list;
-      (* the (rid, record) pairs whose last byte lands in this group —
-         what must be requeued if the group's submission fails *)
   g_sectors : bytes list;
       (* formatted sector images, LSN and CRC fields still zero *)
   g_rids : int list;
@@ -51,21 +47,18 @@ type t = {
   mutable rid_at_lsn : (int * int) list; (* (lsn, last rid fully contained) newest first *)
   mutable pending : (int * bytes) list; (* (rid, serialized record) newest first *)
   mutable pending_bytes : int;
-  mutable queued : group list; (* formatted groups awaiting submission, oldest first *)
-  mutable submitting : bool; (* the single submitter is draining [queued] *)
+  mutable flushing : bool; (* the single flusher is writing a batch *)
+  mutable batch : (int * bytes) list;
+      (* the records that flush took, oldest first; emptied by
+         [discard_volatile] so a crash during the write requeues none *)
   flush_done : Sim.Condition.t;
   st : wal_stats;
 }
 
-(* Sectors per group: the pipeline's stage unit, and the granularity
-   at which the submitter reclaims ahead of the write cursor. Must
-   stay well below the log's sector count. *)
+(* Sectors per group: the granularity at which the flusher reclaims
+   ahead of the write cursor and wakes waiters. Must stay well below
+   the log's sector count. *)
 let group_sector_cap = 64
-
-(* Bounded pipeline depth: with a submitter active and this many
-   groups already formatted, further formatting waits for a group to
-   land (or, on the asynchronous append path, simply stays pending). *)
-let max_queued_groups = 4
 
 let create ~vd ~slot ~synchronous ~lease_ok () =
   {
@@ -81,8 +74,8 @@ let create ~vd ~slot ~synchronous ~lease_ok () =
     rid_at_lsn = [];
     pending = [];
     pending_bytes = 0;
-    queued = [];
-    submitting = false;
+    flushing = false;
+    batch = [];
     flush_done = Sim.Condition.create ();
     st =
       {
@@ -121,11 +114,11 @@ let serialize_record diffs =
 let sector_addr t lsn =
   Layout.log_addr ~slot:t.slot + ((lsn - 1) mod Layout.log_sectors * Layout.sector)
 
-(* --- format stage -------------------------------------------------------- *)
+(* --- formatting ---------------------------------------------------------- *)
 
-(* Pack [records] (oldest first) into groups of formatted sector
+(* Pack [records] (oldest first) into one group of formatted sector
    images. Pure computation: no Petal I/O, no LSN consumption. *)
-let make_groups records =
+let format_group records =
   let total = List.fold_left (fun acc (_, b) -> acc + Bytes.length b) 0 records in
   let stream = Bytes.create total in
   let starts = ref [] (* stream offset of each record start *)
@@ -161,42 +154,29 @@ let make_groups records =
       (fun acc (e, r) -> if e <= off + len then max acc r else acc)
       0 ends
   in
-  let recs_with_ends = List.combine records ends in
-  let rec chop s acc =
-    if s >= nsectors then List.rev acc
-    else begin
-      let n = min group_sector_cap (nsectors - s) in
-      let lo = s * payload_cap and hi = (s + n) * payload_cap in
-      let g =
-        {
-          g_records =
-            List.filter_map
-              (fun (rec_, (e, _)) -> if e > lo && e <= hi then Some rec_ else None)
-              recs_with_ends;
-          g_sectors = List.init n (fun i -> build (s + i));
-          g_rids = List.init n (fun i -> durable (s + i));
-        }
-      in
-      chop (s + n) (g :: acc)
-    end
+  { g_sectors = List.init nsectors build; g_rids = List.init nsectors durable }
+
+(* Split [records] (oldest first) into groups of at most
+   [group_sector_cap] sectors, cut only between records: a record
+   longer than the cap gets a group to itself. A group that lands
+   therefore ends on a whole record, and the records a failed flush
+   puts back all start in groups that never landed — a retry that
+   re-formatted a record whose head had already landed would leave
+   that head in the log ahead of a full copy, and replay would stop
+   at it. *)
+let make_groups records =
+  let sectors bytes = (bytes + payload_cap - 1) / payload_cap in
+  let rec split acc cur cur_bytes = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | ((_, b) as r) :: rest ->
+      let n = cur_bytes + Bytes.length b in
+      if cur <> [] && sectors n > group_sector_cap then
+        split (List.rev cur :: acc) [ r ] (Bytes.length b) rest
+      else split acc (r :: cur) n rest
   in
-  chop 0 []
+  List.map format_group (split [] [] 0 records)
 
-(* Move everything pending into formatted groups on the queue.
-   Assumes the caller already handled the lease check and any
-   pipeline-depth wait. *)
-let format_now t =
-  if t.pending <> [] then begin
-    let records = List.rev t.pending in
-    t.pending <- [];
-    t.pending_bytes <- 0;
-    let groups = make_groups records in
-    if t.submitting && groups <> [] then
-      t.st.pipeline_overlaps <- t.st.pipeline_overlaps + List.length groups;
-    t.queued <- t.queued @ groups
-  end
-
-(* --- submit stage -------------------------------------------------------- *)
+(* --- writing ------------------------------------------------------------- *)
 
 (* Apply (via the reclaim hook) every record wholly contained in
    sectors with lsn <= [upto], then advance the applied barrier. *)
@@ -284,76 +264,91 @@ let write_group t g =
     g.g_rids;
   t.next_lsn <- base + n
 
-(* Drain the group queue as the single submitter. On failure, the
-   failed group (still at the head) and everything queued behind it
-   are put back as records — merged with any since-appended pending
-   records and re-sorted by rid, so the retry's groups preserve
-   per-record order — and the other flushers are woken so they retry
-   or observe the failure instead of parking on [flush_done]
-   forever. *)
-let submit_queued t =
-  t.submitting <- true;
-  match
-    while t.queued <> [] do
-      let g = List.hd t.queued in
-      write_group t g;
-      (* A crash during the write runs [discard_volatile] (clearing
-         the queue) under our feet; only pop if the head is still our
-         group. *)
-      (match t.queued with
-      | g' :: rest when g' == g -> t.queued <- rest
-      | _ -> ());
-      t.st.flush_groups <- t.st.flush_groups + 1;
-      Faultpoint.hit "wal.group";
-      Sim.Condition.broadcast t.flush_done;
-      maybe_reclaim_ahead t
-    done
-  with
-  | () ->
-    t.submitting <- false;
-    Sim.Condition.broadcast t.flush_done
-  | exception ex ->
-    let requeued = List.concat_map (fun g -> g.g_records) t.queued in
-    t.queued <- [];
-    t.pending <-
-      List.sort (fun (a, _) (b, _) -> compare b a) (requeued @ t.pending);
-    t.pending_bytes <-
-      List.fold_left (fun acc (_, b) -> acc + Bytes.length b) 0 t.pending;
-    t.submitting <- false;
+(* --- the flusher --------------------------------------------------------- *)
+
+(* Put a failed flush's unwritten records back at the front of the
+   pending list (their rids precede every record appended since) and
+   wake the waiters, so they retry or observe the failure instead of
+   parking on [flush_done] forever. *)
+let requeue t =
+  let unwritten = List.filter (fun (rid, _) -> rid > t.flushed_rid) t.batch in
+  t.batch <- [];
+  t.pending <- t.pending @ List.rev unwritten;
+  t.pending_bytes <-
+    List.fold_left (fun acc (_, b) -> acc + Bytes.length b) 0 t.pending;
+  t.flushing <- false;
+  Sim.Condition.broadcast t.flush_done
+
+(* An asynchronous append starts a flush once a quarter of the log is
+   pending. *)
+let kick_due t = t.pending_bytes >= Layout.log_bytes / 4
+
+(* As the single flusher, write [groups] in order, waking waiters as
+   each lands. Once records up to [target] are durable, the rest of
+   the batch is left to a background fiber, so a caller that needs
+   one record is not held for the appends that piled up behind it.
+   A crash or lease loss ([discard_volatile] empties [t.batch]) ends
+   the batch after the group in flight. A batch that leaves a quarter
+   of the log pending behind it (appended while it was writing)
+   starts the next flush. *)
+let rec write_groups t ~target = function
+  | g :: rest when t.batch <> [] ->
+    (try
+       write_group t g;
+       t.st.flush_groups <- t.st.flush_groups + 1;
+       Faultpoint.hit "wal.group";
+       Sim.Condition.broadcast t.flush_done;
+       maybe_reclaim_ahead t
+     with ex ->
+       requeue t;
+       raise ex);
+    if rest <> [] && t.flushed_rid >= target then
+      Sim.spawn (fun () -> try write_groups t ~target:max_int rest with _ -> ())
+    else write_groups t ~target rest
+  | _ ->
+    t.batch <- [];
+    t.flushing <- false;
     Sim.Condition.broadcast t.flush_done;
-    raise ex
+    if kick_due t then kick t
 
-(* --- the caller-facing pipeline ------------------------------------------ *)
+(* Take every pending record as one batch and write it. *)
+and write_pending t ~target =
+  t.flushing <- true;
+  t.batch <- List.rev t.pending;
+  t.pending <- [];
+  t.pending_bytes <- 0;
+  write_groups t ~target (make_groups t.batch)
 
-(* Format whatever is pending and drive the pipeline until records up
-   to [target] are durable. If another fiber is submitting, wait on
-   its progress; if the wait ends with the records neither durable nor
-   anywhere in the pipeline (a crash discarded the volatile tail),
-   return rather than spin — the caller runs into the dead host's
-   failure on its next I/O. Submission failures propagate to every
-   caller that attempts the (re-queued) work itself. *)
+(* Asynchronous flush (the non-synchronous append path): start a
+   flusher without blocking the appender. A failure inside it already
+   put the records back as pending; it resurfaces at the next
+   synchronous flush/fsync. While a flush is writing, the kick is left
+   to the end of its batch. *)
+and kick t =
+  if not t.flushing then
+    Sim.spawn (fun () ->
+        if (not t.flushing) && kick_due t && t.lease_ok () then
+          try write_pending t ~target:max_int with _ -> ())
+
+(* Make records up to [target] durable. If a flush is writing, wait
+   for its progress; otherwise write everything pending. If the wait
+   ends with the records neither durable nor pending nor being written
+   (a crash discarded the volatile tail), return rather than spin —
+   the caller runs into the dead host's failure on its next I/O.
+   Write failures propagate to every caller that attempts the
+   (re-queued) work itself. *)
 let rec flush_to t ~target ~on_stall =
-  if t.pending <> [] then begin
-    if not (t.lease_ok ()) then Errors.fail Errors.Eio;
-    while List.length t.queued >= max_queued_groups && t.submitting do
-      on_stall ();
-      Sim.Condition.wait t.flush_done
-    done;
-    format_now t
-  end;
   if t.flushed_rid < target then
-    if t.submitting then begin
+    if t.flushing then begin
       on_stall ();
       Sim.Condition.wait t.flush_done;
-      if
-        t.flushed_rid < target
-        && (t.submitting || t.queued <> [] || t.pending <> [])
-      then flush_to t ~target ~on_stall
-    end
-    else if t.queued <> [] then begin
-      submit_queued t;
-      if t.flushed_rid < target && (t.queued <> [] || t.pending <> []) then
+      if t.flushed_rid < target && (t.flushing || t.pending <> []) then
         flush_to t ~target ~on_stall
+    end
+    else if t.pending <> [] then begin
+      if not (t.lease_ok ()) then Errors.fail Errors.Eio;
+      write_pending t ~target;
+      flush_to t ~target ~on_stall
     end
 
 let flush t = flush_to t ~target:t.next_rid ~on_stall:ignore
@@ -363,27 +358,9 @@ let ensure_flushed t rid =
     flush_to t ~target:(min rid t.next_rid) ~on_stall:(fun () ->
         t.st.ensure_stalls <- t.st.ensure_stalls + 1)
 
-(* Asynchronous flush kick (the non-synchronous append path): format
-   and enqueue without blocking the appender, and start a submitter if
-   none is running. A failure inside the spawned submitter already put
-   the records back as pending; it resurfaces at the next synchronous
-   flush/fsync. With the pipeline full the records simply stay
-   pending — the appender never blocks. *)
-let kick t =
-  if
-    t.pending <> []
-    && t.lease_ok ()
-    && not (t.submitting && List.length t.queued >= max_queued_groups)
-  then begin
-    format_now t;
-    if (not t.submitting) && t.queued <> [] then
-      Sim.spawn (fun () ->
-          if (not t.submitting) && t.queued <> [] then
-            try submit_queued t with _ -> ())
-  end
-
 let append t diffs =
   Faultpoint.hit "wal.append";
+  if t.flushing then t.st.pipeline_overlaps <- t.st.pipeline_overlaps + 1;
   t.next_rid <- t.next_rid + 1;
   let rid = t.next_rid in
   let b = serialize_record diffs in
@@ -391,13 +368,13 @@ let append t diffs =
   t.pending_bytes <- t.pending_bytes + Bytes.length b;
   if t.synchronous then
     flush_to t ~target:rid ~on_stall:ignore
-  else if t.pending_bytes >= Layout.log_bytes / 4 then kick t;
+  else if kick_due t then kick t;
   rid
 
 let discard_volatile t =
   t.pending <- [];
   t.pending_bytes <- 0;
-  t.queued <- []
+  t.batch <- []
 
 (* --- recovery-side scan -------------------------------------------------- *)
 
