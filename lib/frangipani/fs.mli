@@ -117,8 +117,8 @@ val log_slot : t -> int
 val cache_stats : t -> int * int
 
 val wal_stats : t -> Wal.wal_stats
-(** This server's log-flush pipeline counters (groups, overlaps,
-    log-pressure stalls, reclaim rounds). *)
+(** This server's log-flush counters (groups, appends made during a
+    flush, log-pressure stalls, reclaim rounds, waits). *)
 
 val petal_stats : t -> Petal.Client.stats
 (** This server's Petal driver counters (op counts, simulated time,
