@@ -5,10 +5,8 @@ let put_u16 b off v = Bytes.set_uint16_le b off v
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
-let get_u64 b off = Bytes.get_int64_le b off
-let put_u64 b off v = Bytes.set_int64_le b off v
-let get_int b off = Int64.to_int (get_u64 b off)
-let put_int b off v = put_u64 b off (Int64.of_int v)
+let get_int b off = Int64.to_int (Bytes.get_int64_le b off)
+let put_int b off v = Bytes.set_int64_le b off (Int64.of_int v)
 
 module W = struct
   type t = { mutable buf : bytes; mutable len : int }
@@ -27,11 +25,6 @@ module W = struct
       t.buf <- buf
     end
 
-  let u8 t v =
-    ensure t 1;
-    put_u8 t.buf t.len v;
-    t.len <- t.len + 1
-
   let u16 t v =
     ensure t 2;
     put_u16 t.buf t.len v;
@@ -42,12 +35,10 @@ module W = struct
     put_u32 t.buf t.len v;
     t.len <- t.len + 4
 
-  let u64 t v =
+  let int t v =
     ensure t 8;
-    put_u64 t.buf t.len v;
+    put_int t.buf t.len v;
     t.len <- t.len + 8
-
-  let int t v = u64 t (Int64.of_int v)
 
   let bytes t b =
     let n = Bytes.length b in
@@ -55,11 +46,6 @@ module W = struct
     Bytes.blit b 0 t.buf t.len n;
     t.len <- t.len + n
 
-  let str t s =
-    u16 t (String.length s);
-    bytes t (Bytes.of_string s)
-
-  let len t = t.len
   let contents t = Bytes.sub t.buf 0 t.len
 end
 
@@ -71,12 +57,6 @@ module R = struct
   let of_bytes ?(pos = 0) buf = { buf; pos }
 
   let need t n = if t.pos + n > Bytes.length t.buf then raise Underflow
-
-  let u8 t =
-    need t 1;
-    let v = get_u8 t.buf t.pos in
-    t.pos <- t.pos + 1;
-    v
 
   let u16 t =
     need t 2;
@@ -90,13 +70,11 @@ module R = struct
     t.pos <- t.pos + 4;
     v
 
-  let u64 t =
+  let int t =
     need t 8;
-    let v = get_u64 t.buf t.pos in
+    let v = get_int t.buf t.pos in
     t.pos <- t.pos + 8;
     v
-
-  let int t = Int64.to_int (u64 t)
 
   let bytes t n =
     need t n;
@@ -104,10 +82,5 @@ module R = struct
     t.pos <- t.pos + n;
     b
 
-  let str t =
-    let n = u16 t in
-    Bytes.to_string (bytes t n)
-
   let pos t = t.pos
-  let remaining t = Bytes.length t.buf - t.pos
 end

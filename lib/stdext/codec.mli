@@ -12,9 +12,6 @@ val put_u16 : bytes -> int -> int -> unit
 val get_u32 : bytes -> int -> int
 val put_u32 : bytes -> int -> int -> unit
 
-val get_u64 : bytes -> int -> int64
-val put_u64 : bytes -> int -> int64 -> unit
-
 val get_int : bytes -> int -> int
 (** 63-bit OCaml int stored as a little-endian 64-bit word. *)
 
@@ -25,17 +22,10 @@ module W : sig
   type t
 
   val create : ?size:int -> unit -> t
-  val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit
-  val u64 : t -> int64 -> unit
   val int : t -> int -> unit
   val bytes : t -> bytes -> unit
-
-  val str : t -> string -> unit
-  (** Length-prefixed (u16) string. *)
-
-  val len : t -> int
 
   val contents : t -> bytes
   (** Copy of everything written so far. *)
@@ -48,16 +38,12 @@ module R : sig
   exception Underflow
 
   val of_bytes : ?pos:int -> bytes -> t
-  val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int
-  val u64 : t -> int64
   val int : t -> int
 
   val bytes : t -> int -> bytes
   (** Read exactly [n] bytes. *)
 
-  val str : t -> string
   val pos : t -> int
-  val remaining : t -> int
 end
