@@ -3,7 +3,7 @@ open Simkit
 type error = [ `Timeout ]
 
 type Net.payload +=
-  | Req of { id : int; dedup : bool; body : Net.payload }
+  | Req of { id : int; body : Net.payload }
   | Reply of { id : int; body : Net.payload }
   | Oneway of Net.payload
 
@@ -14,26 +14,13 @@ type stats = {
   mutable attempts : int;
   mutable timeouts : int;
   mutable retries : int;
-  mutable dups_suppressed : int;
-  mutable dedup_evictions : int;
 }
-
-(* Server-side duplicate-suppression cache for [dedup] requests
-   (those issued by [call_retry], which reuses one request id across
-   attempts). [In_progress] while the first copy's handler runs;
-   [Done] keeps the reply so a retransmitted request is answered
-   without re-executing a non-idempotent handler. *)
-type cached = In_progress | Done of (Net.payload * int)
-
-let dedup_cap = 1024
 
 type t = {
   port : Net.port;
   mutable handlers : handler list;
   mutable oneway_subs : (src:Net.addr -> Net.payload -> unit) list;
   pending : (int, (Net.payload, error) result Sim.Ivar.t * Sim.Timer.t) Hashtbl.t;
-  replies : (Net.addr * int, cached) Hashtbl.t;
-  reply_order : (Net.addr * int) Queue.t;
   mutable next_id : int;
   st : stats;
 }
@@ -63,47 +50,12 @@ let send_reply t ~dst id (reply, size) =
   try Net.send t.port ~dst ~size (Reply { id; body = reply })
   with Host.Crashed _ -> ()
 
-let handle_request t ~src id ~dedup body =
-  if not dedup then (
-    try
-      match run_handlers t ~src body with
-      | Some r -> send_reply t ~dst:src id r
-      | None -> ()
-    with Host.Crashed _ -> () (* host died mid-request: no reply, caller times out *))
-  else
-    let key = (src, id) in
-    match Hashtbl.find_opt t.replies key with
-    | Some (Done r) ->
-      (* Retransmission of a request we already executed: answer from
-         the cache, do not run the handler again. *)
-      t.st.dups_suppressed <- t.st.dups_suppressed + 1;
-      send_reply t ~dst:src id r
-    | Some In_progress ->
-      (* First copy's handler is still running; it will reply. *)
-      t.st.dups_suppressed <- t.st.dups_suppressed + 1
-    | None -> (
-      Hashtbl.replace t.replies key In_progress;
-      Queue.push key t.reply_order;
-      if Queue.length t.reply_order > dedup_cap then begin
-        (* Bounded reply cache: the oldest entry's reply is forgotten.
-           A retransmission of that request will re-execute its
-           handler — safe as long as callers only use [call_retry]
-           for operations that tolerate re-execution against a
-           restarted server (the crash path already forgets the whole
-           cache). *)
-        t.st.dedup_evictions <- t.st.dedup_evictions + 1;
-        Hashtbl.remove t.replies (Queue.pop t.reply_order)
-      end;
-      match run_handlers t ~src body with
-      | Some r ->
-        Hashtbl.replace t.replies key (Done r);
-        send_reply t ~dst:src id r
-      | None -> Hashtbl.remove t.replies key
-      | exception Host.Crashed _ ->
-        (* The handler's side effects died with the host's volatile
-           state; let a retry re-execute, as against a restarted
-           server. *)
-        Hashtbl.remove t.replies key)
+let handle_request t ~src id body =
+  try
+    match run_handlers t ~src body with
+    | Some r -> send_reply t ~dst:src id r
+    | None -> ()
+  with Host.Crashed _ -> () (* host died mid-request: no reply, caller times out *)
 
 let dispatcher t () =
   let h = host t in
@@ -114,8 +66,7 @@ let dispatcher t () =
        losing its socket buffers. *)
     if Host.is_alive h then
       (match m with
-      | Req { id; dedup; body } ->
-        Sim.spawn (fun () -> handle_request t ~src id ~dedup body)
+      | Req { id; body } -> Sim.spawn (fun () -> handle_request t ~src id body)
       | Reply { id; body } -> (
         match Hashtbl.find_opt t.pending id with
         | Some (iv, timer) ->
@@ -142,33 +93,17 @@ let create port =
       handlers = [];
       oneway_subs = [];
       pending = Hashtbl.create 64;
-      replies = Hashtbl.create 64;
-      reply_order = Queue.create ();
       next_id = 0;
-      st =
-        {
-          calls = 0;
-          attempts = 0;
-          timeouts = 0;
-          retries = 0;
-          dups_suppressed = 0;
-          dedup_evictions = 0;
-        };
+      st = { calls = 0; attempts = 0; timeouts = 0; retries = 0 };
     }
   in
-  (* The dedup cache is volatile server state: a crash loses it, so a
-     retry against the restarted incarnation re-executes — exactly
-     what a real server that lost its memory would do. *)
-  Host.on_crash (Net.host port) (fun () ->
-      Hashtbl.reset t.replies;
-      Queue.clear t.reply_order);
   Sim.spawn ~name:(Host.name (Net.host port) ^ ".rpc") (dispatcher t);
   t
 
 (* One network attempt: arm a timeout timer (cancelled by the
    dispatcher when the reply arrives — no dead timers accumulate over
    long sweeps) and transmit. *)
-let attempt t ~dst ~timeout ~dedup ~size ~id body =
+let attempt t ~dst ~timeout ~size ~id body =
   let iv = Sim.Ivar.create () in
   let timer =
     Sim.Timer.after timeout (fun () ->
@@ -180,14 +115,14 @@ let attempt t ~dst ~timeout ~dedup ~size ~id body =
   in
   Hashtbl.replace t.pending id (iv, timer);
   t.st.attempts <- t.st.attempts + 1;
-  Net.send t.port ~dst ~size (Req { id; dedup; body });
+  Net.send t.port ~dst ~size (Req { id; body });
   iv
 
 let call_async t ~dst ?(timeout = Sim.sec 1.0) ~size body =
   Host.check (host t);
   t.st.calls <- t.st.calls + 1;
   t.next_id <- t.next_id + 1;
-  attempt t ~dst ~timeout ~dedup:false ~size ~id:t.next_id body
+  attempt t ~dst ~timeout ~size ~id:t.next_id body
 
 let call t ~dst ?timeout ~size body =
   Sim.Ivar.read (call_async t ~dst ?timeout ~size body)
@@ -200,12 +135,11 @@ let call_retry t ~dst ?(timeout = Sim.sec 1.0) ?(attempts = 4)
   t.st.calls <- t.st.calls + 1;
   t.next_id <- t.next_id + 1;
   (* One id for all attempts: a late reply to an earlier copy
-     completes the current attempt, and the server can suppress
-     duplicate executions keyed on (src, id). *)
+     completes the current attempt. *)
   let id = t.next_id in
   let rec go n delay =
     if n > 1 then t.st.retries <- t.st.retries + 1;
-    match Sim.Ivar.read (attempt t ~dst ~timeout ~dedup:true ~size ~id body) with
+    match Sim.Ivar.read (attempt t ~dst ~timeout ~size ~id body) with
     | Ok r -> Ok r
     | Error `Timeout when n < attempts ->
       (* Exponential backoff with jitter from the engine's

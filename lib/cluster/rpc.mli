@@ -13,12 +13,6 @@ type handler = src:Net.addr -> Net.payload -> (Net.payload * int) option
 
 type t
 
-val dedup_cap : int
-(** 1024: the bound on the server-side reply cache backing
-    [call_retry]'s duplicate suppression. An evicted entry makes a
-    late retransmission re-execute its handler, which is counted in
-    {!stats} and exercised by a directed test. *)
-
 val create : Net.port -> t
 (** Create the endpoint and start its dispatcher. The dispatcher
     lives as long as the simulation; while the host is crashed no
@@ -74,23 +68,19 @@ val call_retry :
     copies, [timeout] (default 1 s) per copy, exponential backoff
     starting at [backoff] (default 100 ms, doubling, capped at 5 s)
     with deterministic jitter between copies. All copies carry the
-    {e same} request id and a [dedup] flag, so the receiving endpoint
-    executes the handler at most once per id and answers
-    retransmissions from a bounded reply cache — safe for
-    non-idempotent operations. A server crash clears that cache
-    (volatile state), in which case a retry re-executes against the
-    restarted incarnation, exactly as against a real rebooted server.
-    Returns [`Timeout] only after every attempt has timed out. *)
+    {e same} request id, so a late reply to an earlier copy completes
+    the call. The receiving endpoint keeps no reply cache: every copy
+    that arrives runs the handler, so [call_retry] is for idempotent
+    requests only. Its callers are the Petal client's map refresh (a
+    read) and the lock clerk's lease renewal (which only moves a lease
+    clock forward). Returns [`Timeout] only after every attempt has
+    timed out. *)
 
 type stats = private {
   mutable calls : int;  (** [call]/[call_async]/[call_retry] invocations *)
   mutable attempts : int;  (** request transmissions, retries included *)
   mutable timeouts : int;  (** attempts that timed out *)
   mutable retries : int;  (** retransmissions by [call_retry] *)
-  mutable dups_suppressed : int;  (** server-side duplicate requests absorbed *)
-  mutable dedup_evictions : int;
-      (** reply-cache entries dropped because the cache hit its cap —
-          each one licenses a (safe) re-execution on retransmission *)
 }
 
 val stats : t -> stats

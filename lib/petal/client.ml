@@ -125,11 +125,11 @@ let poll_order t =
       (List.init (Array.length t.servers) Fun.id)
 
 (* Refetch the ownership map after a [Wrong_epoch] reject. Uses
-   [call_retry] (retransmission + dedup) so a single lossy link does
-   not turn a map refresh into a spurious failure; tries every member
-   because during a reconfiguration some servers lag the Paxos
-   apply. Keeps the old map if nobody offers a newer one — the
-   caller's retry will then fail visibly rather than loop. *)
+   [call_retry] (retransmission; a map read is idempotent) so a single
+   lossy link does not turn a map refresh into a spurious failure;
+   tries every member because during a reconfiguration some servers
+   lag the Paxos apply. Keeps the old map if nobody offers a newer one
+   — the caller's retry will then fail visibly rather than loop. *)
 let refresh_map t =
   t.st.map_refreshes <- t.st.map_refreshes + 1;
   let rec go = function

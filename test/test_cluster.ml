@@ -199,9 +199,9 @@ let test_oneway_subscribe () =
       Alcotest.(check (list string)) "received" [ "hb" ] !got)
 
 let test_call_retry_through_fault () =
-  (* Replies are cut one-way for a while: the handler must run exactly
-     once, retransmissions are absorbed by the dedup cache, and the
-     call still succeeds once the cut heals. *)
+  (* Replies are cut one-way for a while: every retransmission that
+     arrives runs the (idempotent) handler again, and the call succeeds
+     once the cut heals. *)
   Sim.run (fun () ->
       let net, _, _, pa, pb = mkpair () in
       let nf = Netfault.create net in
@@ -225,56 +225,8 @@ let test_call_retry_through_fault () =
       | Ok (Pong 2) -> ()
       | Ok _ -> Alcotest.fail "wrong reply"
       | Error `Timeout -> Alcotest.fail "retry should recover after heal");
-      Alcotest.(check int) "handler ran once" 1 !executed;
-      let sa = Rpc.stats ca and sb = Rpc.stats cb in
-      Alcotest.(check bool) "retried" true (sa.Rpc.retries >= 2);
-      Alcotest.(check bool) "dups suppressed" true (sb.Rpc.dups_suppressed >= 1))
-
-let test_dedup_eviction_reexecutes () =
-  (* The reply cache is bounded: once enough newer dedup requests push
-     an entry out, a late retransmission of it re-executes the handler
-     instead of hanging or answering from thin air. Cut the replies so
-     the client keeps retransmitting, and squeeze the first request
-     out with [Rpc.dedup_cap] concurrent fillers. *)
-  Sim.run (fun () ->
-      let net, _, _, pa, pb = mkpair () in
-      let nf = Netfault.create net in
-      let ca = Rpc.create pa and cb = Rpc.create pb in
-      let executed = ref 0 in
-      Rpc.add_handler cb (fun ~src:_ body ->
-          match body with
-          | Ping n ->
-            if n = 1 then incr executed;
-            Some (Pong (n + 1), 8)
-          | _ -> None);
-      Netfault.cut ~oneway:true nf (Net.addr pb) (Net.addr pa);
-      Sim.spawn (fun () ->
-          (* Other dedup requests while the main one retries: their
-             cache entries evict it. Their replies are cut too; we
-             only care about the server-side cache churn. *)
-          Sim.sleep (Sim.ms 80);
-          for i = 1 to Rpc.dedup_cap do
-            Sim.spawn (fun () ->
-                ignore
-                  (Rpc.call_retry ca ~dst:(Rpc.addr cb) ~timeout:(Sim.ms 100)
-                     ~attempts:1 ~size:8 (Ping (100 + i))))
-          done);
-      Sim.spawn (fun () ->
-          Sim.sleep (Sim.ms 700);
-          Netfault.heal nf (Net.addr pb) (Net.addr pa));
-      (match
-         Rpc.call_retry ca ~dst:(Rpc.addr cb) ~timeout:(Sim.ms 200)
-           ~attempts:8 ~backoff:(Sim.ms 50) ~size:8 (Ping 1)
-       with
-      | Ok (Pong 2) -> ()
-      | Ok _ -> Alcotest.fail "wrong reply"
-      | Error `Timeout -> Alcotest.fail "evicted entry must not hang the call");
-      (* The eviction forced exactly one safe re-execution. *)
-      Alcotest.(check int) "handler re-ran once after eviction" 2 !executed;
-      let sb = Rpc.stats cb in
-      Alcotest.(check bool) "evictions counted" true (sb.Rpc.dedup_evictions >= 1);
-      Alcotest.(check bool) "later copies still suppressed" true
-        (sb.Rpc.dups_suppressed >= 1))
+      Alcotest.(check bool) "handler re-ran" true (!executed > 1);
+      Alcotest.(check bool) "retried" true ((Rpc.stats ca).Rpc.retries >= 2))
 
 (* [stats] hands out copies: one taken before some traffic keeps its
    values while the live counters move on. *)
@@ -344,8 +296,6 @@ let () =
           Alcotest.test_case "delay shaping" `Quick test_netfault_delay;
           Alcotest.test_case "call_retry through fault" `Quick
             test_call_retry_through_fault;
-          Alcotest.test_case "dedup eviction re-executes safely" `Quick
-            test_dedup_eviction_reexecutes;
         ] );
       ( "rpc",
         [
