@@ -7,10 +7,12 @@ type entry = {
   mutable dirty : bool;
   mutable gen : int; (* bumped on every modification (flush races) *)
   mutable rid : int; (* newest log record describing this entry *)
-  mutable pins : int;
-      (* > 0 while an uncommitted transaction has modified this
-         sector: regular flushes skip it so the metadata can never
-         reach Petal before its log record *)
+  mutable pre : bytes option;
+      (* the bytes from before the open transaction's first update:
+         [Some] exactly while a transaction that touched this sector is
+         open. A flush writes this committed image instead of [data],
+         so unlogged bytes never reach Petal, and an abort restores
+         it. *)
   mutable flushing : bool; (* a write-back for this entry is in flight *)
   lock : int;
 }
@@ -51,11 +53,6 @@ type txn = {
   mutable diffs : Wal.diff list;
   mutable touched : entry list;
   mutable post : (unit -> unit) list; (* run after commit (lock releases) *)
-  mutable undo : (entry * bytes) list;
-      (* pre-images (newest first): an aborted transaction must take
-         its bytes back out of the cache, or the orphaned mutation is
-         later flushed under an older — already durable — record and
-         reaches Petal without ever being logged *)
 }
 
 let create ~vd ~wal ~lease_ok =
@@ -74,7 +71,7 @@ let lock_index t lock =
 (* Create a clean entry for [addr] holding [data] and index it under
    [lock]. *)
 let add_clean t ~lock ~addr data =
-  let e = { addr; data; dirty = false; gen = 0; rid = 0; pins = 0; flushing = false; lock } in
+  let e = { addr; data; dirty = false; gen = 0; rid = 0; pre = None; flushing = false; lock } in
   Hashtbl.replace t.tbl addr e;
   Hashtbl.replace (lock_index t lock) addr ();
   e
@@ -111,20 +108,26 @@ let rec entry t ~lock ~addr ~len =
 let read t ~lock ~addr ~len = (entry t ~lock ~addr ~len).data
 
 let with_txn t f =
-  let txn = { diffs = []; touched = []; post = []; undo = [] } in
-  let finish () = List.iter (fun g -> g ()) (List.rev txn.post) in
-  let unpin () = List.iter (fun e -> e.pins <- e.pins - 1) txn.touched in
+  let txn = { diffs = []; touched = []; post = [] } in
+  (* Close the transaction, then run its commit hooks (lock
+     releases). An abort first restores the pre-transaction bytes: its
+     diffs are dropped unlogged, so the cache must not keep them
+     either, or they would later reach Petal under an older, already
+     durable record. *)
+  let close ~abort =
+    List.iter
+      (fun e ->
+        (match e.pre with
+        | Some img when abort -> Bytes.blit img 0 e.data 0 (Bytes.length img)
+        | _ -> ());
+        e.pre <- None)
+      txn.touched;
+    List.iter (fun g -> g ()) (List.rev txn.post)
+  in
   let r =
     try f txn
     with e ->
-      (* Abort: restore pre-images newest-first, so with repeated
-         updates to one sector the oldest (pre-transaction) image
-         wins. The diffs are dropped unlogged, so the cache must not
-         keep the bytes either. *)
-      List.iter (fun (en, img) -> Bytes.blit img 0 en.data 0 (Bytes.length img))
-        txn.undo;
-      unpin ();
-      finish ();
+      close ~abort:true;
       raise e
   in
   (match txn.diffs with
@@ -136,14 +139,12 @@ let with_txn t f =
       (* A synchronous flush failed (Petal unreachable): the record
          was still enqueued under the WAL's newest rid and will be
          retried, so stamp the touched entries conservatively — and
-         run the pin releases and commit hooks (lock releases!)
-         before re-raising, or the locks leak forever. *)
+         commit, running the commit hooks (lock releases!) before
+         re-raising, or the locks leak forever. *)
       List.iter (fun e -> e.rid <- max e.rid (Wal.last_rid t.wal)) txn.touched;
-      unpin ();
-      finish ();
+      close ~abort:false;
       raise ex));
-  unpin ();
-  finish ();
+  close ~abort:false;
   r
 
 let on_commit txn g = txn.post <- g :: txn.post
@@ -151,12 +152,11 @@ let on_commit txn g = txn.post <- g :: txn.post
 let update t txn ~lock ~addr ~off ~bytes:data =
   assert (addr mod Layout.sector = 0 && off + Bytes.length data <= Layout.sector);
   let e = entry t ~lock ~addr ~len:Layout.sector in
-  txn.undo <- (e, Bytes.copy e.data) :: txn.undo;
+  if e.pre = None then e.pre <- Some (Bytes.copy e.data);
   let version = Codec.get_int e.data 0 + 1 in
   Codec.put_int e.data 0 version;
   Bytes.blit data 0 e.data off (Bytes.length data);
   mark_dirty t e;
-  e.pins <- e.pins + 1;
   txn.diffs <- { Wal.addr; doff = off; data = Bytes.copy data; version } :: txn.diffs;
   txn.touched <- e :: txn.touched
 
@@ -277,90 +277,95 @@ let group_runs dirty =
     [] dirty
   |> List.rev_map List.rev
 
-(* Submit all runs as ONE scatter-gather Petal write, then wait for
-   it. No two runs need merging on the wire: [group_runs] makes each
-   run maximal inside its naturally aligned 64 KB window, and that
-   window is exactly one Petal chunk ([Petal.Protocol.chunk_bytes]),
-   so every run is one chunk piece and no two runs touch inside one
-   chunk. Once the batch lands, entries whose generation is
-   unchanged become clean. [on_run_done] runs per run even when the
-   write fails (e.g. the host died), so no entry is left marked
-   in-flight forever. *)
-let write_runs t runs ~on_run_done =
-  if runs <> [] then begin
+(* Submit the address-sorted [entries] as ONE scatter-gather Petal
+   write, then wait for it. No two runs need merging on the wire:
+   [group_runs] makes each run maximal inside its naturally aligned
+   64 KB window, and that window is exactly one Petal chunk
+   ([Petal.Protocol.chunk_bytes]), so every run is one chunk piece and
+   no two runs touch inside one chunk. Each entry goes out as its
+   committed image: its pre-transaction bytes while a transaction
+   that touched it is open, [data] otherwise. Once the batch lands, an
+   entry written from [data] whose generation is unchanged becomes
+   clean; one written from its old image stays dirty. The in-flight
+   flags drop even when the write fails (e.g. the host died), so no
+   entry is left marked in flight forever. *)
+let write_runs t entries =
+  let runs = group_runs entries in
+  let sent = List.map (fun e -> (e, e.gen, e.pre = None)) entries in
+  let image e = Option.value e.pre ~default:e.data in
+  let extents =
+    List.map
+      (fun run ->
+        ((List.hd run).addr, Bytes.concat Bytes.empty (List.map image run)))
+      runs
+  in
+  List.iter (fun e -> e.flushing <- true) entries;
+  let finish () =
+    List.iter (fun e -> e.flushing <- false) entries;
+    Sim.Condition.broadcast t.flush_done
+  in
+  match
     List.iter (fun _ -> Faultpoint.hit "cache.write_run") runs;
-    let gens =
-      List.map (fun run -> List.map (fun e -> (e, e.gen)) run) runs
-    in
-    let extents =
-      List.map
-        (fun run ->
-          ( (List.hd run).addr,
-            Bytes.concat Bytes.empty (List.map (fun e -> e.data) run) ))
-        runs
-    in
-    let finish () = List.iter on_run_done runs in
-    match Petal.Client.write_runs t.vd extents with
-    | () ->
-      List.iter
-        (List.iter (fun (e, g) -> if e.gen = g then mark_clean t e))
-        gens;
-      finish ()
-    | exception ex ->
-      finish ();
-      raise ex
-  end
+    Petal.Client.write_runs t.vd extents
+  with
+  | () ->
+    List.iter (fun (e, g, current) -> if current && e.gen = g then mark_clean t e) sent;
+    finish ()
+  | exception ex ->
+    finish ();
+    raise ex
 
-(* An entry this flush may still write: resident (not invalidated
-   and replaced, nor handed to another server), dirty, unpinned and
-   not already being written. *)
-let writable t e =
-  e.dirty && e.pins = 0 && (not e.flushing)
+(* An entry a flush may write: resident (not invalidated and replaced,
+   nor handed to another server), dirty, and described by no record
+   newer than [upto], which the flush made durable. *)
+let writable t ~upto e =
+  e.dirty && e.rid <= upto
   && match Hashtbl.find_opt t.tbl e.addr with Some e' -> e' == e | None -> false
 
-(* Block until the log holds every entry's newest record, and return
-   the entries still safe to write. While we block, a revoke can
-   flush and invalidate an entry and pass its lock to another server,
-   whose newer bytes the stale copy would then overwrite; or a
-   transaction can re-dirty an entry under a newer record, which must
-   reach the log first. Such an entry stays dirty for the next flush:
-   waiting again here would chase a writer that re-logs its inode on
-   every call. (A revoke's flush never sees one: the clerk admits no
-   local user of the lock while it runs.) *)
-let await_logged t entries =
-  let max_rid = List.fold_left (fun acc e -> max acc e.rid) 0 entries in
-  if max_rid = 0 then entries
-  else begin
-    Wal.ensure_flushed t.wal max_rid;
-    List.filter (fun e -> writable t e && e.rid <= max_rid) entries
-  end
+(* The one write-back path: sync, fsync, revoke, write-behind and the
+   WAL's reclaim. First block until the log holds every handed entry's
+   newest record (write-ahead). While we block, a revoke can flush and
+   invalidate an entry and pass its lock to another server, whose
+   newer bytes the stale copy would then overwrite; or a transaction
+   can re-dirty an entry under a newer record, which must reach the
+   log first. Such an entry stays dirty for the next flush: waiting
+   again here would chase a writer that re-logs its inode on every
+   call. (A revoke's flush never sees one: the clerk admits no local
+   user of the lock while it runs.) The reclaim hook hands only
+   entries whose records are durable, so its log wait returns at once.
 
+   Entries another flush is writing are not re-sent; we wait for
+   those writes instead. If one of them fails (or wrote an older
+   image), this flush writes what it left dirty at the generation we
+   saw. So a flush returns only once every handed entry is on Petal as
+   of the call, and raises otherwise. *)
 let flush_entries t entries =
-  let candidates =
-    List.filter (fun e -> e.dirty && e.pins = 0) entries
+  let handed =
+    List.filter (fun e -> e.dirty) entries
     |> List.sort_uniq (fun a b -> compare a.addr b.addr)
   in
-  (* Entries already being written by a concurrent flush are not
-     re-sent; we wait for those writes at the end instead. *)
-  let dirty =
-    await_logged t (List.filter (fun e -> not e.flushing) candidates)
+  let upto = List.fold_left (fun acc e -> max acc e.rid) 0 handed in
+  if upto > 0 then Wal.ensure_flushed t.wal upto;
+  let rec go entries =
+    let busy, mine =
+      List.partition (fun e -> e.flushing) (List.filter (writable t ~upto) entries)
+    in
+    let seen = List.map (fun e -> (e, e.gen)) busy in
+    if mine <> [] then begin
+      if not (t.lease_ok ()) then Errors.fail Errors.Eio;
+      write_runs t mine
+    end;
+    List.iter
+      (fun e ->
+        while e.flushing do
+          Sim.Condition.wait t.flush_done
+        done)
+      busy;
+    match List.filter_map (fun (e, g) -> if e.gen = g then Some e else None) seen with
+    | [] -> ()
+    | left -> go left
   in
-  if dirty <> [] then begin
-    if not (t.lease_ok ()) then Errors.fail Errors.Eio;
-    let runs = group_runs dirty in
-    List.iter (fun e -> e.flushing <- true) dirty;
-    write_runs t runs ~on_run_done:(fun run ->
-        List.iter (fun e -> e.flushing <- false) run;
-        Sim.Condition.broadcast t.flush_done)
-  end;
-  (* Durability barrier: also wait out writes another flush started,
-     before or while we waited for the log. *)
-  List.iter
-    (fun e ->
-      while e.flushing do
-        Sim.Condition.wait t.flush_done
-      done)
-    candidates
+  go handed
 
 let flush_lock t lock =
   match Hashtbl.find_opt t.by_lock lock with
@@ -391,21 +396,11 @@ let invalidate_lock t lock =
 let flush_all t =
   flush_entries t (Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl [])
 
-(* WAL-reclaim path: these records are already durable, so no
-   ensure_flushed (which would recurse into the in-progress log
-   flush). Clustered into runs and submitted together like the main
-   flush path, instead of one serial write per entry. *)
 let flush_upto_rid t bound =
-  let entries =
-    Hashtbl.fold
-      (fun _ e acc -> if e.dirty && e.rid > 0 && e.rid <= bound then e :: acc else acc)
-      t.tbl []
-    |> List.sort_uniq (fun a b -> compare a.addr b.addr)
-  in
-  if entries <> [] then begin
-    if not (t.lease_ok ()) then Errors.fail Errors.Eio;
-    write_runs t (group_runs entries) ~on_run_done:(fun _ -> ())
-  end
+  flush_entries t
+    (Hashtbl.fold
+       (fun _ e acc -> if e.dirty && e.rid > 0 && e.rid <= bound then e :: acc else acc)
+       t.tbl [])
 
 let drop_clean t =
   let doomed =
@@ -446,8 +441,9 @@ let maybe_writeback t =
               while !continue && t.ndirty >= writeback_threshold / 2 do
                 let before = t.ndirty in
                 flush_entries t (Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []);
-                (* No progress (everything left is pinned or being
-                   flushed elsewhere): stop rather than spin. *)
+                (* No progress (everything left belongs to an open
+                   transaction, or was re-dirtied under a record not
+                   yet logged): stop rather than spin. *)
                 if t.ndirty >= before then continue := false
               done
             with _ -> ()))

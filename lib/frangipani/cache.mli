@@ -10,9 +10,29 @@
     record is accumulated; committing the transaction appends one
     logical record to the {!Wal} and tags the touched entries with
     the record id, so a dirty metadata sector is never written to
-    Petal before its log record ({!flush_lock} enforces the
-    ordering). User data is written through the same cache but never
-    logged (§4). *)
+    Petal before its log record (every flush enforces the ordering).
+    While a transaction that touched a sector is open, the entry also
+    keeps the sector's bytes from before that transaction's first
+    update: an abort restores them, a commit drops them, and a flush
+    writes them instead of the transaction's unlogged bytes. User data
+    is written through the same cache but never logged (§4).
+
+    Every flush below ({!flush_lock}, {!flush_all}, {!flush_upto_rid}
+    and the write-behind of {!maybe_writeback}) goes through one
+    write-back routine. It waits until the log holds the newest
+    record of every entry it was handed, then writes the dirty ones
+    to Petal in address-sorted runs inside 64 KB windows. Each entry
+    goes out as its committed image: the pre-transaction bytes while
+    a transaction that touched it is open (the entry then stays
+    dirty), its current bytes otherwise. An entry another flush is
+    already writing is not re-sent; the flush waits for that write,
+    and if it fails, writes what it left dirty at the same generation
+    itself. A flush returns only once every entry it was handed is on
+    Petal as of the call; otherwise it raises (Petal unreachable,
+    lease expired: [Errors.Error Eio]). One exception: a metadata
+    entry that a transaction re-dirtied under a newer record while the
+    flush waited for the log stays dirty for the next flush — the
+    state it was handed in is described by a durable record. *)
 
 type t
 
@@ -80,18 +100,21 @@ val fill_runs :
     themselves. *)
 
 val flush_lock : t -> int -> unit
-(** Write back all dirty entries covered by a lock (logging first). *)
+(** Write back all dirty entries covered by a lock (logging first;
+    see the flush contract above). *)
 
 val invalidate_lock : t -> int -> unit
 (** Drop all entries covered by a lock (they must be clean — call
     {!flush_lock} first). *)
 
 val flush_all : t -> unit
+(** Write back every dirty entry (logging first). *)
 
 val flush_upto_rid : t -> int -> unit
-(** Write back dirty metadata recorded by records with id ≤ the
-    given bound — the WAL's reclaim hook. Never triggers a log
-    flush. *)
+(** The WAL's reclaim hook: flush the dirty entries whose newest
+    record id is between 1 and the bound. The log has already written
+    those records, so the flush's log wait returns at once and never
+    recurses into the log flush that called it. *)
 
 val drop_clean : t -> unit
 (** Evict all clean entries (lets experiments measure uncached

@@ -51,8 +51,16 @@ val create :
     is consulted before any Petal write — the §6 hazard check. *)
 
 val set_reclaim_hook : t -> (upto_rid:int -> unit) -> unit
-(** Install the cache's "write back all dirty metadata recorded by
-    records with id ≤ [upto_rid]" hook, used when the log wraps. *)
+(** Install the reclaim hook: before log sectors are reused, the
+    flusher calls it with the newest record id those sectors hold, and
+    it must return only once Petal holds the metadata every record up
+    to [upto_rid] describes (it raises otherwise, failing the flush).
+    The file system installs {!Cache.flush_upto_rid}, which writes
+    through the cache's one write-back path. The flusher calls it
+    between groups, once the live window passes 3/4 of the log (down
+    to half), and before a group would overwrite unapplied sectors (a
+    log-pressure stall); those records are already durable, so the
+    hook must not wait for the log. *)
 
 val append : t -> diff list -> int
 (** Append one logical record (one metadata operation); returns its

@@ -1,14 +1,19 @@
 open Simkit
 open Frangipani
 
-(* A private vdisk for log experiments. *)
-let mkvd () =
+(* A private vdisk for log experiments, with its network and the
+   client's address (for network faults). *)
+let mkvd_on_net () =
   let net = Cluster.Net.create () in
   let tb = Petal.Testbed.build ~net ~nservers:3 ~ndisks:2 () in
   let h = Cluster.Host.create "walclient" in
-  let rpc = Cluster.Rpc.create (Cluster.Net.attach net h) in
-  let c = Petal.Testbed.client tb ~rpc in
-  Petal.Client.open_vdisk c (Petal.Client.create_vdisk c ~nrep:2)
+  let port = Cluster.Net.attach net h in
+  let c = Petal.Testbed.client tb ~rpc:(Cluster.Rpc.create port) in
+  (net, Cluster.Net.addr port, Petal.Client.open_vdisk c (Petal.Client.create_vdisk c ~nrep:2))
+
+let mkvd () =
+  let _, _, vd = mkvd_on_net () in
+  vd
 
 let diff addr doff data version = { Wal.addr; doff; data; version }
 
@@ -314,6 +319,84 @@ let test_wrapped_log_window_fits_ring () =
       (* The log wrapped, so reclaim must have run. *)
       Alcotest.(check bool) "reclaim ran" true ((Wal.stats w).Wal.reclaim_rounds > 0))
 
+(* The WAL's reclaim writes back through the cache's one write-back
+   path, which sends a sector that an open transaction touched as its
+   pre-transaction image. A transaction dirties an already logged
+   sector, sleeps while another fiber's commits push the log past its
+   proactive-reclaim mark, and aborts: its bytes must never reach
+   Petal, and Petal and the cache must agree afterwards. *)
+let test_reclaim_never_writes_open_txn_bytes () =
+  Sim.run (fun () ->
+      let vd = mkvd () in
+      let w = Wal.create ~vd ~slot:2 ~synchronous:false ~lease_ok:(fun () -> true) () in
+      let c = Cache.create ~vd ~wal:w ~lease_ok:(fun () -> true) in
+      Wal.set_reclaim_hook w (fun ~upto_rid -> Cache.flush_upto_rid c upto_rid);
+      let addr = Layout.inode_addr 0 in
+      let put txn addr s =
+        Cache.update c txn ~lock:0 ~addr ~off:16 ~bytes:(Bytes.of_string s)
+      in
+      let at16 b = Bytes.sub_string b 16 9 in
+      let on_petal () = at16 (Petal.Client.read vd ~off:addr ~len:Layout.sector) in
+      Cache.with_txn c (fun txn -> put txn addr "committed");
+      Wal.flush w;
+      Cache.flush_all c;
+      let while_open = Sim.Ivar.create () in
+      Sim.spawn (fun () ->
+          Sim.sleep (Sim.ms 1);
+          for i = 0 to 2999 do
+            Cache.with_txn c (fun txn ->
+                put txn (Layout.inode_addr (1 + (i mod 500))) (Printf.sprintf "churn%04d" i))
+          done;
+          Wal.flush w;
+          Cache.flush_all c;
+          Sim.Ivar.fill while_open (on_petal ()));
+      (match
+         Cache.with_txn c (fun txn ->
+             put txn addr "ABORTED!!";
+             Sim.sleep (Sim.sec 5.0);
+             raise Exit)
+       with
+      | () -> Alcotest.fail "the transaction should abort"
+      | exception Exit -> ());
+      Alcotest.(check bool) "the churn ended while the transaction was open" true
+        (Sim.Ivar.is_filled while_open);
+      Alcotest.(check bool) "proactive reclaim ran" true
+        ((Wal.stats w).Wal.reclaim_rounds > 0);
+      Alcotest.(check string) "Petal while the transaction was open" "committed"
+        (Sim.Ivar.read while_open);
+      Alcotest.(check string) "Petal after the abort" "committed" (on_petal ());
+      Alcotest.(check string) "cache after the abort" "committed"
+        (at16 (Cache.read c ~lock:0 ~addr ~len:Layout.sector));
+      Cache.flush_all c;
+      Alcotest.(check string) "Petal after a final flush" "committed" (on_petal ()))
+
+(* A flush that waits on a write another flush started must not
+   return as if that write had landed. The client is cut off from
+   Petal: flush A fails after its replica timeouts, and flush B, which
+   started 10 ms later and waited on A's write, must then write the
+   block itself (and fail too) rather than return with Petal still
+   holding zeros. *)
+let test_flush_that_returns_wrote_what_it_waited_for () =
+  Sim.run (fun () ->
+      let net, client, vd = mkvd_on_net () in
+      let w = Wal.create ~vd ~slot:3 ~synchronous:false ~lease_ok:(fun () -> true) () in
+      let c = Cache.create ~vd ~wal:w ~lease_ok:(fun () -> true) in
+      let addr = Layout.small_base + (64 * Layout.block) in
+      let block = Bytes.make Layout.block 'D' in
+      Cache.write_data c ~lock:1 ~addr ~bytes:block;
+      let nf = Cluster.Netfault.create net in
+      Cluster.Netfault.isolate nf client;
+      let a_failed = ref false in
+      Sim.spawn (fun () -> try Cache.flush_all c with _ -> a_failed := true);
+      Sim.sleep (Sim.ms 10);
+      let b_raised = match Cache.flush_lock c 1 with () -> false | exception _ -> true in
+      Alcotest.(check bool) "flush A failed" true !a_failed;
+      Cluster.Netfault.heal_all nf;
+      Sim.sleep (Sim.sec 10.0);
+      let on_petal = Bytes.equal block (Petal.Client.read vd ~off:addr ~len:Layout.block) in
+      Alcotest.(check bool) "flush B raised or put the block on Petal" true
+        (b_raised || on_petal))
+
 let prop_scan_returns_complete_prefix_records =
   QCheck.Test.make ~name:"random record sizes survive the sector packer" ~count:25
     QCheck.(list_of_size Gen.(int_range 1 60) (int_range 1 400))
@@ -363,6 +446,10 @@ let () =
             test_failed_flush_retry_replays_whole_records;
           Alcotest.test_case "wrapped log window fits the ring" `Quick
             test_wrapped_log_window_fits_ring;
+          Alcotest.test_case "reclaim never writes an open transaction's bytes" `Quick
+            test_reclaim_never_writes_open_txn_bytes;
+          Alcotest.test_case "a flush that returns wrote what it waited for" `Quick
+            test_flush_that_returns_wrote_what_it_waited_for;
           QCheck_alcotest.to_alcotest prop_scan_returns_complete_prefix_records;
         ] );
     ]
