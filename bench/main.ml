@@ -347,7 +347,7 @@ let ablation () =
             (Workloads.Largefile.read_seq v ~name:"big").Workloads.Largefile.mb_per_s)
       in
       Printf.printf "   depth %3d blocks: %6.1f MB/s\n" depth r)
-    [ 0; 16; 32; 64; 128 ];
+    [ 0; 16; 32; 64; 128; 256 ];
   (* f) the §2.2 client/server configuration: what the extra protocol
      hop costs a remote client versus running on the server itself. *)
   let local_t, remote_t =

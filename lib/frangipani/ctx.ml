@@ -13,17 +13,21 @@ let cpu_per_op = Sim.us 40
 
 type config = {
   synchronous_log : bool;  (** flush the log on every metadata op (§4 option) *)
-  read_ahead : int;  (** prefetch depth in 4 KB blocks; 0 disables *)
+  read_ahead : int;
+      (** cap of the ramped read-ahead window, in 4 KB blocks; 0
+          disables read-ahead *)
   block_locks : bool;  (** finer-granularity locking ablation (§2.3) *)
 }
 
 let default_config =
   {
     synchronous_log = false;
-    (* A 512 KB window of sequential prefetch, submitted as one
-       batched scatter-gather fetch that overlaps the foreground
-       read — deep enough to hide Petal latency at full link rate. *)
-    read_ahead = 128;
+    (* Up to 1 MB of sequential prefetch, submitted as one batched
+       scatter-gather fetch that overlaps the foreground read. The
+       window ramps up to this cap along a sequential run
+       ({!read_ahead_window}); at the cap it covers the
+       bandwidth-delay product of a client link to a loaded Petal. *)
+    read_ahead = 256;
     block_locks = false;
   }
 
@@ -52,9 +56,9 @@ type t = {
           unmount (§6) *)
   mutable unmounted : bool;
   recovery : recovery_stats;
-  read_ahead_next : (int, int) Hashtbl.t;
-      (** inum -> predicted next offset; -1 after an invalidating
-          revoke *)
+  read_ahead_next : (int, int * int) Hashtbl.t;
+      (** inum -> (predicted next offset, bytes read sequentially up
+          to it); the offset is -1 after an invalidating revoke *)
   shed_holds : (int, (bool ref * Locksvc.Types.mode) list) Hashtbl.t;
       (** lock -> discretionary holds on it (in-flight prefetches in R,
           fresh-inode batch refills in W) with their shed flags — what
@@ -78,14 +82,34 @@ let charge_bytes t n =
    (losing an entry only costs one missed prefetch window). *)
 let read_ahead_table_cap = 512
 
-let predicted_next t inum = Hashtbl.find_opt t.read_ahead_next inum
-
-let note_read_ahead t ~inum ~next =
+(* Record a read of [len] bytes at [off] and return the prefetch depth
+   past it, in blocks. Only a sequential read prefetches: one that
+   starts where the previous one ended, or at the head of a file not
+   read here before (the UFS heuristic); a read after an invalidating
+   revoke never counts. The depth ramps with the run, the bytes read
+   sequentially before this read: a quarter of the cap plus the run, up
+   to the cap. A cold reader's first window is small, so its next read
+   does not queue behind a full-depth fetch; a long stream keeps the
+   whole cap in flight. A read that is not sequential, or starts at
+   offset 0, restarts the run. *)
+let read_ahead_window t ~inum ~off ~len =
+  let run =
+    match Hashtbl.find_opt t.read_ahead_next inum with
+    | Some (next, run) when off = next -> Some run
+    | Some _ -> None
+    | None -> if off = 0 then Some 0 else None
+  in
   if
     Hashtbl.length t.read_ahead_next >= read_ahead_table_cap
     && not (Hashtbl.mem t.read_ahead_next inum)
   then Hashtbl.reset t.read_ahead_next;
-  Hashtbl.replace t.read_ahead_next inum next
+  Hashtbl.replace t.read_ahead_next inum
+    (off + len, match run with Some run when off > 0 -> run + len | _ -> 0);
+  match run with
+  | Some run ->
+    let cap = t.config.read_ahead in
+    min cap ((cap / 4) + (run / Layout.block))
+  | None -> 0
 
 let forget_read_ahead t inum = Hashtbl.remove t.read_ahead_next inum
 
@@ -96,7 +120,7 @@ let forget_read_ahead t inum = Hashtbl.remove t.read_ahead_next inum
    never read here and keeps the offset-0 rule. *)
 let disarm_read_ahead t inum =
   if Hashtbl.mem t.read_ahead_next inum then
-    Hashtbl.replace t.read_ahead_next inum (-1)
+    Hashtbl.replace t.read_ahead_next inum (-1, 0)
 
 (* Registry of discretionary holds, keyed by lock: an in-flight
    prefetch's inherited R hold, a fresh-inode batch refill's W holds.

@@ -70,16 +70,21 @@ let pieces ~off ~len =
   in
   go off len []
 
-(* The blocks among [boffs] that are mapped but neither cached nor
-   already being fetched — what a fetch would actually transfer.
-   Holes are skipped (they read as zeros without I/O). *)
-let missing_blocks ctx (ino : Ondisk.inode) boffs =
-  List.filter
-    (fun boff ->
-      match block_addr ino ~boff with
-      | Some addr -> not (Cache.present ctx.Ctx.cache addr)
-      | None -> false)
-    boffs
+(* The blocks starting in [[from, upto)] ([from] block-aligned) that
+   are mapped but neither cached nor already being fetched — what a
+   fetch would actually transfer. Holes are skipped (they read as
+   zeros without I/O). *)
+let missing_blocks ctx (ino : Ondisk.inode) ~from ~upto =
+  let rec go boff acc =
+    if boff < from then acc
+    else
+      go (boff - Layout.block)
+        (match block_addr ino ~boff with
+        | Some addr when not (Cache.present ctx.Ctx.cache addr) -> boff :: acc
+        | _ -> acc)
+  in
+  if upto <= from then []
+  else go ((upto - 1) / Layout.block * Layout.block) []
 
 (* Fetch the uncached blocks among [boffs]: cluster their Petal
    addresses into contiguous runs of up to 64 KB (holes and the

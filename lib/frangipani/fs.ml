@@ -407,6 +407,10 @@ let read_ahead_holding_lock ctx inum ino boffs =
           | Petal.Protocol.Unavailable _
           -> ()))
 
+(* A sequential read prefetches past its end a window that ramps with
+   the file's sequential run ({!Ctx.read_ahead_window}): a quarter of
+   the cap after a cold start or a restart, the whole cap once the run
+   is three quarters of it long. *)
 let read ctx inum ~off ~len =
   prologue ctx;
   if off < 0 then fail Einval;
@@ -419,29 +423,16 @@ let read ctx inum ~off ~len =
     (data, ino, off + len)
   with
   | data, ino, next ->
-    (* Read-ahead fires only on sequential access (this read started
-       where the previous one ended, or at the head of a file not read
-       here before) — the UFS heuristic. A read after an invalidating
-       revoke never counts. *)
-    let sequential =
-      match Ctx.predicted_next ctx inum with
-      | Some predicted -> off = predicted
-      | None -> off = 0
-    in
-    Ctx.note_read_ahead ctx ~inum ~next;
-    let n = ctx.Ctx.config.read_ahead in
+    let n = Ctx.read_ahead_window ctx ~inum ~off ~len:(next - off) in
     let window =
-      if n > 0 && sequential && next < ino.Ondisk.size then begin
-        let boff0 = (next + Layout.block - 1) / Layout.block * Layout.block in
-        let boffs =
-          List.init n (fun i -> boff0 + (i * Layout.block))
-          |> List.filter (fun boff -> boff < ino.Ondisk.size)
-        in
+      if n > 0 && next < ino.Ondisk.size then begin
+        let from = (next + Layout.block - 1) / Layout.block * Layout.block in
         (* Blocks already cached or in flight are not fetched again:
            a sequential reader has waited for every block below
            [next], so one file never has more than one window in
            flight ahead of it, however slow Petal is. *)
-        File.missing_blocks ctx ino boffs
+        File.missing_blocks ctx ino ~from
+          ~upto:(min ino.Ondisk.size (from + (n * Layout.block)))
       end
       else []
     in

@@ -92,9 +92,11 @@ val read : t -> int -> off:int -> len:int -> bytes
 (** Read up to [len] bytes at [off] (clamped at end-of-file). Moves
     the approximate atime only when this server holds the file's lock
     exclusively (a cached write lock); under a shared hold the inode is
-    left clean. A sequential read triggers read-ahead if configured;
-    the first read after a revoke that invalidated the file's cache
-    does not. A negative [off] fails with [Einval]. *)
+    left clean. A sequential read triggers read-ahead if configured,
+    with a window that ramps from a quarter of [read_ahead] to all of
+    it along the sequential run; the first read after a revoke that
+    invalidated the file's cache does not. A negative [off] fails with
+    [Einval]. *)
 
 val write : t -> int -> off:int -> bytes -> unit
 (** Write [data] at [off], extending the file as needed. A negative

@@ -235,6 +235,24 @@ let test_revoke_disarms_read_ahead () =
 
 (* --- a slow Petal does not pile up speculation -------------------------------- *)
 
+(* Every message to a Petal server waits 50 ms, so prefetches stay in
+   flight across many reads. *)
+let slow_petal t =
+  let nf = Cluster.Netfault.create t.T.net in
+  Array.iter
+    (fun dst -> Cluster.Netfault.shape nf ~dst ~delay:(Sim.ms 50))
+    t.T.petal.Petal.Testbed.addrs
+
+(* The blocks of [ino] from offset [from] to [size] that are cached or
+   in flight on [fs]. *)
+let blocks_ahead fs ino ~from ~size =
+  List.init ((size - from) / Layout.block) (fun k -> from + (k * Layout.block))
+  |> List.filter (fun boff ->
+         match File.block_addr ino ~boff with
+         | Some addr -> Cache.present fs.Ctx.cache addr
+         | None -> false)
+  |> List.length
+
 let test_slow_petal_bounds_speculation () =
   Sim.run (fun () ->
       let t, fs = one () in
@@ -243,12 +261,7 @@ let test_slow_petal_bounds_speculation () =
       let data = bytes_pat size 19 in
       write_out fs f data;
       let ino = Inode.read fs f in
-      (* Every message to a Petal server waits 50 ms, so prefetches
-         stay in flight across many reads. *)
-      let nf = Cluster.Netfault.create t.T.net in
-      Array.iter
-        (fun dst -> Cluster.Netfault.shape nf ~dst ~delay:(Sim.ms 50))
-        t.T.petal.Petal.Testbed.addrs;
+      slow_petal t;
       let read_ahead = fs.Ctx.config.Ctx.read_ahead in
       let piece = 65536 in
       let most = ref 0 in
@@ -263,16 +276,7 @@ let test_slow_petal_bounds_speculation () =
            or in flight: never more than one window, however slow the
            fetches. *)
         Sim.sleep (Sim.ms 1);
-        let next = (i + 1) * piece in
-        let ahead =
-          List.init ((size - next) / Layout.block) (fun k ->
-              next + (k * Layout.block))
-          |> List.filter (fun boff ->
-                 match File.block_addr ino ~boff with
-                 | Some addr -> Cache.present fs.Ctx.cache addr
-                 | None -> false)
-          |> List.length
-        in
+        let ahead = blocks_ahead fs ino ~from:((i + 1) * piece) ~size in
         most := max !most ahead;
         Alcotest.(check bool)
           (Printf.sprintf "at most one window ahead @%dK (%d blocks)" (i * 64)
@@ -280,6 +284,56 @@ let test_slow_petal_bounds_speculation () =
           true (ahead <= read_ahead)
       done;
       Alcotest.(check int) "a whole window ran ahead" read_ahead !most)
+
+(* --- the window ramps along a sequential run --------------------------------- *)
+
+let test_read_ahead_ramps () =
+  Sim.run (fun () ->
+      let t, servers = setup ~nservers:2 () in
+      let a = List.nth servers 0 and b = List.nth servers 1 in
+      let f = Fs.create a ~dir:Fs.root "ramp" in
+      let size = 4 * 1024 * 1024 in
+      let data = bytes_pat size 23 in
+      write_out a f data;
+      let ino = Inode.read a f in
+      slow_petal t;
+      let cap = a.Ctx.config.Ctx.read_ahead and piece = 65536 in
+      let step = piece / Layout.block in
+      (* Read the piece at [off] on [a], then count the blocks past it
+         that are cached or in flight once the prefetch has registered
+         its window. *)
+      let read_at off =
+        let got = Fs.read a f ~off ~len:piece in
+        Alcotest.(check bool)
+          (Printf.sprintf "data @%dK" (off / 1024))
+          true
+          (Bytes.equal got (Bytes.sub data off piece));
+        Sim.sleep (Sim.ms 1);
+        blocks_ahead a ino ~from:(off + piece) ~size
+      in
+      (* A cold file's first read prefetches a quarter of the cap; each
+         read that continues it widens the window by the run behind it,
+         up to the cap. *)
+      for i = 0 to 16 do
+        Alcotest.(check int)
+          (Printf.sprintf "window after read %d" i)
+          (min cap ((cap / 4) + (max 0 (i - 1) * step)))
+          (read_at (i * piece))
+      done;
+      (* A seek restarts the ramp: the seeking read prefetches nothing,
+         the read after it a quarter of the cap. *)
+      let far = size / 2 in
+      Alcotest.(check int) "a seek prefetches nothing" 0 (read_at far);
+      Alcotest.(check int) "the ramp restarts after a seek" (cap / 4)
+        (read_at (far + piece));
+      (* So does a revoke that invalidates the file; the cancelled
+         prefetch lands and is dropped before [a] reads again. *)
+      Fs.write b f ~off:0 (Bytes.sub data 0 4096);
+      Sim.sleep (Sim.sec 1.0);
+      Alcotest.(check int) "the read after a revoke prefetches nothing" 0
+        (read_at (far + (2 * piece)));
+      Alcotest.(check int) "the ramp restarts after a revoke" (cap / 4)
+        (read_at (far + (3 * piece))))
 
 (* --- replica failure during a batched read ---------------------------------- *)
 
@@ -364,5 +418,7 @@ let () =
             test_revoke_disarms_read_ahead;
           Alcotest.test_case "slow Petal bounds speculation" `Quick
             test_slow_petal_bounds_speculation;
+          Alcotest.test_case "read-ahead ramps to its cap" `Quick
+            test_read_ahead_ramps;
         ] );
     ]
