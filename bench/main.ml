@@ -644,6 +644,15 @@ let merged_reads (tb : Petal.Testbed.t) =
     (Array.fold_left (fun n d -> n + Blockdev.Disk.merged d))
     0 tb.Petal.Testbed.disks
 
+(* Log record bytes the servers appended and log sector bytes they
+   wrote to Petal. *)
+let wal_bytes fss =
+  List.fold_left
+    (fun (app, wr) fs ->
+      let s = Frangipani.Fs.wal_stats fs in
+      (app + s.Frangipani.Wal.appended_bytes, wr + s.Frangipani.Wal.written_bytes))
+    (0, 0) fss
+
 (* Lock requests the clerks have sent and the messages that carried
    them: requests made for one lock server in one simulated instant
    share a message (a fresh-inode refill's 8). *)
@@ -663,7 +672,7 @@ let scale_one n =
   Gc.compact ();
   let host0 = Sys.time () in
   let w0 = Gc.minor_words () in
-  let r, st, (du_max, du_mean, du_merged), (reqs, msgs) =
+  let r, st, (du_max, du_mean, du_merged), (reqs, msgs), (wal_app, wal_wr) =
     Sim.run (fun () ->
         let t =
           T.build ~petal_servers:(max 4 (n / 4)) ~ndisks:4
@@ -677,15 +686,17 @@ let scale_one n =
         in
         List.iter Sim.Resource.reset_stats arms;
         let m0 = merged_reads t.T.petal and reqs0, msgs0 = lock_reqs fss in
+        let app0, wr0 = wal_bytes fss in
         let r = Workloads.Multitenant.run vfss () in
-        let reqs1, msgs1 = lock_reqs fss in
+        let reqs1, msgs1 = lock_reqs fss and app1, wr1 = wal_bytes fss in
         let utils = List.map Sim.Resource.utilization arms in
         ( r,
           Sim.stats (),
           ( List.fold_left Float.max 0.0 utils,
             List.fold_left ( +. ) 0.0 utils /. float_of_int (List.length utils),
             merged_reads t.T.petal - m0 ),
-          (reqs1 - reqs0, msgs1 - msgs0) ))
+          (reqs1 - reqs0, msgs1 - msgs0),
+          (app1 - app0, wr1 - wr0) ))
   in
   let words = Gc.minor_words () -. w0 in
   let host_secs = Sys.time () -. host0 in
@@ -694,6 +705,7 @@ let scale_one n =
     "  %3d servers: %6d ops %5d files %10.1f ops/s (work %10.1f ops/s) %8.3f MB/s\n\
     \      petal disk util max %.4f mean %.4f merged %d | lock reqs %d in %d msgs \
      (%.3f/msg) | sim %7.3f s (work %7.3f s)\n\
+    \      wal appended %.3f MB written %.3f MB\n\
     \      [sim] events %d spawns %d skipped %d heap_len %d minor words %.0f \
      (%.3f/event)\n%!"
     n r.ops r.distinct_files r.ops_per_sec
@@ -701,7 +713,9 @@ let scale_one n =
     (float_of_int r.ops /. r.work_seconds)
     r.mb_per_s du_max du_mean du_merged reqs msgs
     (float_of_int reqs /. float_of_int (max 1 msgs))
-    r.seconds r.work_seconds st.Sim.events st.Sim.spawns st.Sim.skipped
+    r.seconds r.work_seconds
+    (float_of_int wal_app /. 1e6) (float_of_int wal_wr /. 1e6)
+    st.Sim.events st.Sim.spawns st.Sim.skipped
     st.Sim.heap_len words
     (words /. float_of_int st.Sim.events);
   Printf.eprintf "  %3d servers: host %6.2f s  %9.0f ev/s  %6.3f host-s/sim-s\n%!" n

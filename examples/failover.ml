@@ -48,6 +48,12 @@ let () =
       Printf.printf "         %d files survived (unsynced one lost: %b)\n"
         (List.length entries)
         (not (List.mem_assoc "unsynced" entries));
+      (* Replay applies each sector's newest diff alone: it covers every
+         change since the sector was last written back. *)
+      let st = Fs.recovery_stats survivor in
+      Printf.printf
+        "         replay wrote %d sectors; %d diffs were superseded or on Petal\n"
+        st.Fs.diffs_applied st.Fs.diffs_skipped;
       List.iter
         (fun i ->
           let data =

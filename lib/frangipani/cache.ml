@@ -14,6 +14,12 @@ type entry = {
          so unlogged bytes never reach Petal, and an abort restores
          it. *)
   mutable flushing : bool; (* a write-back for this entry is in flight *)
+  mutable lo : int;
+  mutable hi : int;
+      (* [lo, hi): the bytes that logged updates changed since the entry
+         was last clean (empty when [hi <= lo]). Every logged diff of
+         the sector carries this whole span, so its newest record alone
+         turns Petal's copy into the committed image. *)
   lock : int;
 }
 
@@ -24,7 +30,7 @@ type t = {
   tbl : (int, entry) Hashtbl.t;
   by_lock : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   inflight : (int, unit Sim.Ivar.t) Hashtbl.t; (* fetch dedup *)
-  mutable ndirty : int;
+  mutable dirty_bytes : int;
   mutable wb_running : bool; (* background write-behind active *)
   flush_done : Sim.Condition.t; (* signalled as write-back runs complete *)
   mutable hits : int;
@@ -34,20 +40,23 @@ type t = {
 (* Start draining to Petal in the background once this much data is
    dirty, so streaming writes overlap with the flush (the kernel's
    write-behind). *)
-let writeback_threshold = 256 (* entries; ~1 MB of 4 KB blocks *)
+let writeback_threshold = 1 lsl 20 (* bytes *)
 
 let mark_dirty t e =
   if not e.dirty then begin
     e.dirty <- true;
-    t.ndirty <- t.ndirty + 1
+    t.dirty_bytes <- t.dirty_bytes + Bytes.length e.data
   end;
   e.gen <- e.gen + 1
 
+(* Petal now holds [e.data]: the next logged diff starts a new span. *)
 let mark_clean t e =
   if e.dirty then begin
     e.dirty <- false;
-    t.ndirty <- t.ndirty - 1
-  end
+    t.dirty_bytes <- t.dirty_bytes - Bytes.length e.data
+  end;
+  e.lo <- max_int;
+  e.hi <- 0
 
 type txn = {
   mutable diffs : Wal.diff list;
@@ -57,7 +66,7 @@ type txn = {
 
 let create ~vd ~wal ~lease_ok =
   { vd; wal; lease_ok; tbl = Hashtbl.create 4096; by_lock = Hashtbl.create 256;
-    inflight = Hashtbl.create 64; ndirty = 0; wb_running = false;
+    inflight = Hashtbl.create 64; dirty_bytes = 0; wb_running = false;
     flush_done = Sim.Condition.create (); hits = 0; misses = 0 }
 
 let lock_index t lock =
@@ -71,7 +80,10 @@ let lock_index t lock =
 (* Create a clean entry for [addr] holding [data] and index it under
    [lock]. *)
 let add_clean t ~lock ~addr data =
-  let e = { addr; data; dirty = false; gen = 0; rid = 0; pre = None; flushing = false; lock } in
+  let e =
+    { addr; data; dirty = false; gen = 0; rid = 0; pre = None; flushing = false;
+      lo = max_int; hi = 0; lock }
+  in
   Hashtbl.replace t.tbl addr e;
   Hashtbl.replace (lock_index t lock) addr ();
   e
@@ -149,15 +161,37 @@ let with_txn t f =
 
 let on_commit txn g = txn.post <- g :: txn.post
 
+(* Widen [e]'s span by the bytes of [data] that differ from the
+   cached image at [off]. *)
+let widen e ~off data =
+  let len = Bytes.length data in
+  let same i = Bytes.get data i = Bytes.get e.data (off + i) in
+  let first = ref 0 in
+  while !first < len && same !first do incr first done;
+  if !first < len then begin
+    let last = ref (len - 1) in
+    while same !last do decr last done;
+    e.lo <- min e.lo (off + !first);
+    e.hi <- max e.hi (off + !last + 1)
+  end
+
+(* The diff covers the entry's whole span, not just this update's
+   bytes, and replaces any earlier diff of the sector in [txn]: one
+   diff per sector per record, since replay stamps the version with
+   the first diff it applies and skips any other with that version. *)
 let update t txn ~lock ~addr ~off ~bytes:data =
-  assert (addr mod Layout.sector = 0 && off + Bytes.length data <= Layout.sector);
+  assert (
+    addr mod Layout.sector = 0 && off >= 8 && off + Bytes.length data <= Layout.sector);
   let e = entry t ~lock ~addr ~len:Layout.sector in
   if e.pre = None then e.pre <- Some (Bytes.copy e.data);
   let version = Codec.get_int e.data 0 + 1 in
   Codec.put_int e.data 0 version;
+  widen e ~off data;
   Bytes.blit data 0 e.data off (Bytes.length data);
   mark_dirty t e;
-  txn.diffs <- { Wal.addr; doff = off; data = Bytes.copy data; version } :: txn.diffs;
+  let doff, dlen = if e.hi > e.lo then (e.lo, e.hi - e.lo) else (off, 0) in
+  let d = { Wal.addr; doff; data = Bytes.sub e.data doff dlen; version } in
+  txn.diffs <- d :: List.filter (fun (d : Wal.diff) -> d.addr <> addr) txn.diffs;
   txn.touched <- e :: txn.touched
 
 let update_nolog t ~lock ~addr ~off ~bytes:data =
@@ -417,9 +451,9 @@ let drop_clean t =
 let discard_volatile t =
   Hashtbl.reset t.tbl;
   Hashtbl.reset t.by_lock;
-  t.ndirty <- 0
+  t.dirty_bytes <- 0
 
-let dirty_count t = t.ndirty
+let dirty_bytes t = t.dirty_bytes
 
 (* Background write-behind: once enough data is dirty, drain it to
    Petal concurrently with the writer, like the kernel's update/
@@ -430,7 +464,7 @@ let dirty_count t = t.ndirty
    instead of leaving everything after the first sweep's snapshot to
    the final sync. Failures leave the data dirty for the next sync. *)
 let maybe_writeback t =
-  if (not t.wb_running) && t.ndirty >= writeback_threshold then begin
+  if (not t.wb_running) && t.dirty_bytes >= writeback_threshold then begin
     t.wb_running <- true;
     Sim.spawn (fun () ->
         Fun.protect
@@ -438,13 +472,13 @@ let maybe_writeback t =
           (fun () ->
             try
               let continue = ref true in
-              while !continue && t.ndirty >= writeback_threshold / 2 do
-                let before = t.ndirty in
+              while !continue && t.dirty_bytes >= writeback_threshold / 2 do
+                let before = t.dirty_bytes in
                 flush_entries t (Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []);
                 (* No progress (everything left belongs to an open
                    transaction, or was re-dirtied under a record not
                    yet logged): stop rather than spin. *)
-                if t.ndirty >= before then continue := false
+                if t.dirty_bytes >= before then continue := false
               done
             with _ -> ()))
   end

@@ -11,6 +11,11 @@
     logical record to the {!Wal} and tags the touched entries with
     the record id, so a dirty metadata sector is never written to
     Petal before its log record (every flush enforces the ordering).
+    A sector's diff covers every byte that logged updates changed
+    since the sector was last written back, so the newest durable
+    record of a dirty sector alone restores it from Petal's copy:
+    the log may reuse the space of its older records without writing
+    the sector first.
     While a transaction that touched a sector is open, the entry also
     keeps the sector's bytes from before that transaction's first
     update: an abort restores them, a commit drops them, and a flush
@@ -60,8 +65,12 @@ val read : t -> lock:int -> addr:int -> len:int -> bytes
 
 val update : t -> txn -> lock:int -> addr:int -> off:int -> bytes:bytes -> unit
 (** Logged metadata update of the 512-byte sector at [addr]: bump its
-    version, splice [bytes] at [off], add the diff to the
-    transaction. *)
+    version and splice [bytes] at [off] ([off >= 8], past the version
+    field). The bytes that differ from the cached image widen the
+    sector's changed span, which a write-back resets; the transaction
+    holds one diff per sector, covering the whole span under the
+    newest version. An update that changes no byte still logs its
+    version. *)
 
 val update_nolog : t -> lock:int -> addr:int -> off:int -> bytes:bytes -> unit
 (** Unlogged metadata update (the approximate last-accessed time,
@@ -124,9 +133,8 @@ val discard_volatile : t -> unit
 (** Crash simulation: drop everything, dirty included. *)
 
 val maybe_writeback : t -> unit
-(** Kick a background drain if enough data is dirty (write-behind);
-    called by the write path so streaming writes overlap with their
-    flush. *)
+(** Kick a background drain once 1 MB is dirty (write-behind); called
+    by the write path so streaming writes overlap with their flush. *)
 
-val dirty_count : t -> int
+val dirty_bytes : t -> int
 val stats : t -> int * int  (** hits, misses *)

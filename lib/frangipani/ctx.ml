@@ -36,7 +36,9 @@ let default_config =
 type recovery_stats = {
   mutable replays : int;  (** recovery replays started on this server *)
   mutable diffs_applied : int;  (** diffs whose version won (written) *)
-  mutable diffs_skipped : int;  (** diffs already on disk (version check) *)
+  mutable diffs_skipped : int;
+      (** diffs superseded by a newer one of their sector, or already on
+          disk (version check) *)
   mutable torn_tails : int;  (** replays whose log ended in a torn record *)
 }
 

@@ -536,7 +536,7 @@ let on_revoke ctx ~lock ~to_read =
 let on_expired ctx () =
   (* §6: on lease loss the cache is discarded; if any of it was
      dirty, the file system is poisoned until unmounted. *)
-  if Cache.dirty_count ctx.Ctx.cache > 0 then ctx.Ctx.poisoned <- true;
+  if Cache.dirty_bytes ctx.Ctx.cache > 0 then ctx.Ctx.poisoned <- true;
   Cache.discard_volatile ctx.Ctx.cache;
   Wal.discard_volatile ctx.Ctx.wal
 

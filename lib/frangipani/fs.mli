@@ -140,7 +140,9 @@ val is_poisoned : t -> bool
 type recovery_stats = Ctx.recovery_stats = private {
   mutable replays : int;  (** recovery replays started on this server *)
   mutable diffs_applied : int;
-  mutable diffs_skipped : int;  (** version check said already on disk *)
+  mutable diffs_skipped : int;
+      (** superseded by a newer diff of the sector, or already on disk
+          (version check) *)
   mutable torn_tails : int;  (** replays whose log ended in a torn record *)
 }
 

@@ -10,7 +10,8 @@ let read ctx inum =
   in
   Ondisk.decode_inode sector
 
-(** Logged full-inode update (one diff; version bumped). *)
+(** Logged inode update: the cache logs only the bytes that changed
+    ({!Cache.update}). *)
 let write ctx txn inum ino =
   Cache.update ctx.Ctx.cache txn ~lock:(lock inum) ~addr:(addr inum)
     ~off:Ondisk.off_itype ~bytes:(Ondisk.encode_inode ino)

@@ -68,8 +68,8 @@ let decode_inode (b : bytes) =
     target = Bytes.sub_string b (off_target + 2) tlen;
   }
 
-(* Encode the whole inode (minus version) as a single diff payload
-   starting at [off_itype]. *)
+(* The inode's bytes from [off_itype] to the end of the sector (all
+   but the version). *)
 let encode_inode ino =
   let b = Bytes.make (Layout.inode_size - off_itype) '\000' in
   let put off v = Codec.put_int b (off - off_itype) v in

@@ -12,7 +12,14 @@
     the exception propagate: the clerk then stays silent instead of
     announcing completion, and the lock server's nag loop re-issues
     the recovery — here or on another live server — until someone
-    finishes it. *)
+    finishes it.
+
+    Every logged diff of a sector covers all the bytes logged updates
+    changed since the sector was last written back ({!Cache.update}),
+    so the newest durable diff of each sector alone turns Petal's copy
+    into the committed image. Replay applies only that one: one Petal
+    read and at most one write per sector, with the older diffs
+    counted as skipped. *)
 
 open Stdext
 
@@ -43,11 +50,16 @@ let run ctx ~dead_lease =
       let st = ctx.Ctx.recovery in
       st.replays <- st.replays + 1;
       if report.Wal.torn then st.torn_tails <- st.torn_tails + 1;
-      List.iter (apply_diff ctx) report.Wal.diffs;
+      let diffs = report.Wal.diffs in
+      let newest = Hashtbl.create 64 in
+      List.iter (fun (d : Wal.diff) -> Hashtbl.replace newest d.addr d) diffs;
+      let latest = List.filter (fun (d : Wal.diff) -> Hashtbl.find newest d.addr == d) diffs in
+      st.diffs_skipped <- st.diffs_skipped + List.length diffs - List.length latest;
+      List.iter (apply_diff ctx) latest;
       Logs.info (fun m ->
-          m "%s: replayed %d diffs (%d records, %d live sectors%s) from slot %d"
+          m "%s: replayed %d diffs onto %d sectors (%d records, %d live sectors%s) from slot %d"
             (Cluster.Host.name ctx.Ctx.host)
-            (List.length report.Wal.diffs)
+            (List.length diffs) (List.length latest)
             report.Wal.records report.Wal.live_sectors
             (if report.Wal.torn then ", torn tail" else "")
             slot))

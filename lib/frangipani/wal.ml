@@ -32,6 +32,8 @@ type wal_stats = {
   mutable log_pressure_stalls : int;
   mutable reclaim_rounds : int;
   mutable ensure_stalls : int;
+  mutable appended_bytes : int;
+  mutable written_bytes : int;
 }
 
 type t = {
@@ -84,6 +86,8 @@ let create ~vd ~slot ~synchronous ~lease_ok () =
         log_pressure_stalls = 0;
         reclaim_rounds = 0;
         ensure_stalls = 0;
+        appended_bytes = 0;
+        written_bytes = 0;
       };
   }
 
@@ -255,6 +259,7 @@ let write_group t g =
         (Bytes.concat Bytes.empty (List.map snd run));
       Faultpoint.hit "wal.commit")
     (runs sectors);
+  t.st.written_bytes <- t.st.written_bytes + (n * Layout.sector);
   (* Account durability per written sector. *)
   List.iteri
     (fun i rid ->
@@ -366,6 +371,7 @@ let append t diffs =
   let b = serialize_record diffs in
   t.pending <- (rid, b) :: t.pending;
   t.pending_bytes <- t.pending_bytes + Bytes.length b;
+  t.st.appended_bytes <- t.st.appended_bytes + Bytes.length b;
   if t.synchronous then
     flush_to t ~target:rid ~on_stall:ignore
   else if kick_due t then kick t;

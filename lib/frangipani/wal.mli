@@ -90,6 +90,9 @@ type wal_stats = private {
   mutable reclaim_rounds : int;  (** reclaim invocations (stalled + proactive) *)
   mutable ensure_stalls : int;
       (** waits by ensure_flushed on a flush that was writing *)
+  mutable appended_bytes : int;  (** serialized record bytes appended *)
+  mutable written_bytes : int;
+      (** log sector bytes of the groups that landed on Petal *)
 }
 
 val stats : t -> wal_stats

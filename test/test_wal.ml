@@ -397,6 +397,210 @@ let test_flush_that_returns_wrote_what_it_waited_for () =
       Alcotest.(check bool) "flush B raised or put the block on Petal" true
         (b_raised || on_petal))
 
+(* Replay [diffs] onto Petal the way [Recovery.apply_diff] does: in
+   log order, each only where Petal's copy has an older version. *)
+let replay vd diffs =
+  List.iter
+    (fun (x : Wal.diff) ->
+      let sector = Petal.Client.read vd ~off:x.Wal.addr ~len:Layout.sector in
+      if Stdext.Codec.get_int sector 0 < x.Wal.version then begin
+        Bytes.blit x.Wal.data 0 sector x.Wal.doff (Bytes.length x.Wal.data);
+        Stdext.Codec.put_int sector 0 x.Wal.version;
+        Petal.Client.write vd ~off:x.Wal.addr sector
+      end)
+    diffs
+
+(* Reclaim writes back only sectors whose newest record falls behind
+   its bound, so a sector re-logged faster than reclaim advances is
+   never written while the log reuses the space of its older records.
+   Its newest record must then restore it alone: one sector takes
+   "AAAAAAAAA" at offset 16 and is re-logged at offset 32 on every
+   10th of 8,000 commits to 500 other sectors, the log wraps, and a
+   replay of what is left of it onto Petal must give back every
+   committed byte. *)
+let test_reclaim_covers_a_sector_relogged_past_its_bound () =
+  Sim.run (fun () ->
+      let vd = mkvd () in
+      let w = Wal.create ~vd ~slot:5 ~synchronous:false ~lease_ok:(fun () -> true) () in
+      let c = Cache.create ~vd ~wal:w ~lease_ok:(fun () -> true) in
+      Wal.set_reclaim_hook w (fun ~upto_rid -> Cache.flush_upto_rid c upto_rid);
+      let put addr off s =
+        Cache.with_txn c (fun txn ->
+            Cache.update c txn ~lock:0 ~addr ~off ~bytes:(Bytes.of_string s))
+      in
+      let addrs = List.init 501 Layout.inode_addr in
+      let hot = List.hd addrs in
+      put hot 16 "AAAAAAAAA";
+      for i = 0 to 7999 do
+        put (Layout.inode_addr (1 + (i mod 500))) 16 (Printf.sprintf "cold%05d" i);
+        if i mod 10 = 0 then put hot 32 (Printf.sprintf "hot%05d" i)
+      done;
+      Wal.flush w;
+      Alcotest.(check bool) "the log wrapped and reclaimed" true
+        ((Wal.stats w).Wal.reclaim_rounds >= 4);
+      replay vd (Wal.scan vd ~slot:5);
+      let on_petal addr = Petal.Client.read vd ~off:addr ~len:Layout.sector in
+      Alcotest.(check string) "the first commit survives" "AAAAAAAAA"
+        (Bytes.sub_string (on_petal hot) 16 9);
+      List.iter
+        (fun addr ->
+          Alcotest.(check string)
+            (Printf.sprintf "Petal matches the cache at %d" addr)
+            (Bytes.to_string (Cache.read c ~lock:0 ~addr ~len:Layout.sector))
+            (Bytes.to_string (on_petal addr)))
+        addrs)
+
+(* The diff rule, over random transactions on four sectors (one lock
+   each): commits, aborts, write-backs, revokes (write-back then
+   eviction) and evictions of clean entries. After every commit the
+   log is flushed and scanned, and:
+   - the record holds one diff per sector it touched;
+   - replaying only each sector's newest diff onto Petal gives the
+     committed image of every sector, version included;
+   - a sector's diff covers exactly the bytes that committed updates
+     changed since its last write-back (unless an abort touched it
+     since, which may widen the span), so an update that changes no
+     byte logs an empty diff that still carries its version. *)
+type diff_op =
+  | Commit of (int * int * string) list
+  | Abort of (int * int * string) list
+  | Flush_all
+  | Flush of int
+  | Revoke of int
+  | Drop_clean
+
+let show_diff_op =
+  let ups l =
+    String.concat "; " (List.map (fun (k, off, s) -> Printf.sprintf "%d@%d %S" k off s) l)
+  in
+  function
+  | Commit l -> "Commit [" ^ ups l ^ "]"
+  | Abort l -> "Abort [" ^ ups l ^ "]"
+  | Flush_all -> "Flush_all"
+  | Flush k -> Printf.sprintf "Flush %d" k
+  | Revoke k -> Printf.sprintf "Revoke %d" k
+  | Drop_clean -> "Drop_clean"
+
+let gen_diff_op =
+  let open QCheck.Gen in
+  let update =
+    let* k = int_range 0 3 in
+    let* s = string_size ~gen:(oneofl [ 'a'; 'b'; '\000' ]) (int_range 1 12) in
+    let* off = int_range 8 (Layout.sector - String.length s) in
+    return (k, off, s)
+  in
+  let updates = list_size (int_range 1 3) update in
+  frequency
+    [
+      (6, map (fun l -> Commit l) updates);
+      (2, map (fun l -> Abort l) updates);
+      (1, return Flush_all);
+      (1, map (fun k -> Flush k) (int_range 0 3));
+      (1, map (fun k -> Revoke k) (int_range 0 3));
+      (1, return Drop_clean);
+    ]
+
+let prop_newest_diff_restores_the_committed_image =
+  QCheck.Test.make ~name:"each sector's newest diff restores its committed image" ~count:60
+    (QCheck.list_of_size QCheck.Gen.(int_range 5 40) (QCheck.make ~print:show_diff_op gen_diff_op))
+    (fun ops ->
+      Sim.run (fun () ->
+          let vd = mkvd () in
+          let w = Wal.create ~vd ~slot:6 ~synchronous:false ~lease_ok:(fun () -> true) () in
+          let c = Cache.create ~vd ~wal:w ~lease_ok:(fun () -> true) in
+          let addr k = Layout.inode_addr k in
+          (* The model: each sector's committed image, the span that
+             committed updates changed since its last write-back, and
+             whether an abort touched it since. *)
+          let img = Array.init 4 (fun _ -> Bytes.make Layout.sector '\000') in
+          let span = Array.make 4 None and tainted = Array.make 4 false in
+          let clean k =
+            span.(k) <- None;
+            tainted.(k) <- false
+          in
+          let ndiffs = ref 0 in
+          let check touched =
+            Wal.flush w;
+            let diffs = Wal.scan vd ~slot:6 in
+            let fresh = List.filteri (fun i _ -> i >= !ndiffs) diffs in
+            ndiffs := List.length diffs;
+            let newest k =
+              List.fold_left
+                (fun acc (x : Wal.diff) -> if x.Wal.addr = addr k then Some x else acc)
+                None diffs
+            in
+            List.length fresh = List.length touched
+            && List.for_all
+                 (fun k ->
+                   match List.filter (fun (x : Wal.diff) -> x.Wal.addr = addr k) fresh with
+                   | [ x ] -> (
+                     tainted.(k)
+                     ||
+                     match span.(k) with
+                     | None -> Bytes.length x.Wal.data = 0
+                     | Some (lo, hi) ->
+                       x.Wal.doff = lo && Bytes.equal x.Wal.data (Bytes.sub img.(k) lo (hi - lo)))
+                   | _ -> false)
+                 touched
+            && List.for_all
+                 (fun k ->
+                   let sector = Petal.Client.read vd ~off:(addr k) ~len:Layout.sector in
+                   (match newest k with
+                   | Some x when Stdext.Codec.get_int sector 0 < x.Wal.version ->
+                     Bytes.blit x.Wal.data 0 sector x.Wal.doff (Bytes.length x.Wal.data);
+                     Stdext.Codec.put_int sector 0 x.Wal.version
+                   | _ -> ());
+                   Bytes.equal (Bytes.sub sector 8 (Layout.sector - 8))
+                     (Bytes.sub img.(k) 8 (Layout.sector - 8))
+                   && Bytes.equal sector (Cache.read c ~lock:k ~addr:(addr k) ~len:Layout.sector))
+                 [ 0; 1; 2; 3 ]
+          in
+          let apply txn (k, off, s) =
+            Cache.update c txn ~lock:k ~addr:(addr k) ~off ~bytes:(Bytes.of_string s)
+          in
+          List.for_all
+            (function
+              | Commit ups ->
+                Cache.with_txn c (fun txn -> List.iter (apply txn) ups);
+                List.iter
+                  (fun (k, off, s) ->
+                    let n = String.length s in
+                    let differs i = Bytes.get img.(k) (off + i) <> s.[i] in
+                    let idx = List.filter differs (List.init n Fun.id) in
+                    (match idx with
+                    | [] -> ()
+                    | first :: _ ->
+                      let lo = off + first and hi = off + List.nth idx (List.length idx - 1) + 1 in
+                      span.(k) <-
+                        (match span.(k) with
+                        | None -> Some (lo, hi)
+                        | Some (l, h) -> Some (min l lo, max h hi)));
+                    Bytes.blit_string s 0 img.(k) off n)
+                  ups;
+                check (List.sort_uniq compare (List.map (fun (k, _, _) -> k) ups))
+              | Abort ups ->
+                (try Cache.with_txn c (fun txn -> List.iter (apply txn) ups; raise Exit)
+                 with Exit -> ());
+                List.iter (fun (k, _, _) -> tainted.(k) <- true) ups;
+                true
+              | Flush_all ->
+                Cache.flush_all c;
+                List.iter clean [ 0; 1; 2; 3 ];
+                true
+              | Flush k ->
+                Cache.flush_lock c k;
+                clean k;
+                true
+              | Revoke k ->
+                Cache.flush_lock c k;
+                Cache.invalidate_lock c k;
+                clean k;
+                true
+              | Drop_clean ->
+                Cache.drop_clean c;
+                true)
+            ops))
+
 let prop_scan_returns_complete_prefix_records =
   QCheck.Test.make ~name:"random record sizes survive the sector packer" ~count:25
     QCheck.(list_of_size Gen.(int_range 1 60) (int_range 1 400))
@@ -450,6 +654,9 @@ let () =
             test_reclaim_never_writes_open_txn_bytes;
           Alcotest.test_case "a flush that returns wrote what it waited for" `Quick
             test_flush_that_returns_wrote_what_it_waited_for;
+          Alcotest.test_case "reclaim covers a sector re-logged past its bound" `Quick
+            test_reclaim_covers_a_sector_relogged_past_its_bound;
           QCheck_alcotest.to_alcotest prop_scan_returns_complete_prefix_records;
+          QCheck_alcotest.to_alcotest prop_newest_diff_restores_the_committed_image;
         ] );
     ]
